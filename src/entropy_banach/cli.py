@@ -90,6 +90,8 @@ def _load_pl(path: str) -> PLMap:
 
 
 def _cmd_entropy(args) -> int:
+    if args.depth < 1:
+        return _fail(2, f"--depth must be >= 1, got {args.depth}")
     f = _load_pl(args.input)
     eb = entropy_bounds(f, args.depth)
     _emit(dumps(bounds_to_obj(eb)), args.out)
@@ -105,6 +107,8 @@ def _cmd_horseshoe(args) -> int:
 
 def _cmd_thmb(args) -> int:
     obj = _load_json(args.input)
+    if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
+        return _fail(2, f"{args.input}: a family needs a 'members' list")
     members = tuple(pl_from_obj(m) for m in obj["members"])
     family = FunctionFamily(members=members, label=obj.get("label", ""))
     if args.grid:

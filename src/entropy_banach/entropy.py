@@ -175,23 +175,6 @@ def _piece_boxes(f: PLMap) -> list[tuple[Fraction, Fraction, Fraction, Fraction]
     return boxes
 
 
-def branch_count(f: PLMap, u: Fraction, v: Fraction) -> int:
-    """Number of monotone branches of f restricted to [u, v] covering [u, v].
-
-    A branch is a maximal monotone interval of the restriction, so pieces
-    cut by the hull boundary count with their cut image.
-    """
-    count = 0
-    for (a, b, lo, hi) in _piece_boxes(f):
-        lo_x, hi_x = max(a, u), min(b, v)
-        if lo_x >= hi_x:
-            continue
-        img = image_interval(f, IntervalQ(lo_x, hi_x))
-        if img.lo <= u and img.hi >= v:
-            count += 1
-    return count
-
-
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction,
                         k: int) -> HorseshoeCertificate:
     """Exact preimage subintervals for the covering branches of hull [u, v]."""
@@ -320,7 +303,9 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
         return 1, None
     i, j = np.unravel_index(int(counts.argmax()), counts.shape)
     cert = _branch_certificate(f, pts[i], pts[j], 1)
-    assert cert.d == best_d, (cert.d, best_d)
+    if cert.d != best_d:
+        raise RuntimeError(f"horseshoe search counted {best_d} covering branches "
+                           f"but extracted {cert.d}")
     return best_d, cert
 
 
@@ -367,10 +352,6 @@ def entropy_lower_horseshoe(
     return best, best_cert
 
 
-def _critical_partition(f: PLMap) -> list[Fraction]:
-    return _turning_positions(f)
-
-
 def entropy_lower_markov(f: PLMap, refinement: int,
                          partition_cap: int = PARTITION_CAP) -> float:
     """log of the spectral radius of the covering matrix on the refined partition.
@@ -397,7 +378,7 @@ def _markov_scan(f: PLMap, refinement: int,
 
     Returns (best bound so far, number of completed rounds).
     """
-    points = _critical_partition(f)
+    points = _turning_positions(f)
     if len(points) < 2:
         return 0.0, refinement + 1
     best = 0.0
@@ -460,15 +441,18 @@ def _covering_log_radius(f: PLMap, points: list[Fraction]) -> float:
 def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
     """Certified lower estimate of the spectral radius of an interval-row 0/1 matrix.
 
-    Power iteration on M + I (the shift removes periodicity) produces an
-    approximate Perron vector; the returned value is its Collatz-Wielandt
-    floor min_i ((M+I)v)_i / v_i - 1, which is a true lower bound on the
-    radius for any nonnegative test vector, so iteration inaccuracy can only
-    weaken the bound, never falsify it.
+    Row i has ones in columns ``starts[i]:stops[i]``.  Whether the radius is
+    at most 1 is decided exactly first (:func:`_radius_at_most_one`); then
+    0.0 is returned without any floating-point work.  Only once the radius
+    is known to exceed 1 does power iteration on M + I (the shift removes
+    periodicity) produce an approximate Perron vector, and the returned value
+    is its Collatz-Wielandt floor min_i ((M+I)v)_i / v_i - 1, a lower bound
+    on the radius for any nonnegative test vector up to float rounding of
+    the floor itself.
     """
-    n = len(starts)
-    if n == 0 or not (stops > starts).any():
+    if _radius_at_most_one(starts, stops):
         return 0.0
+    n = len(starts)
     v = np.ones(n) / math.sqrt(n)
     prev = 0.0
     for _ in range(_POWER_ITERS):
@@ -488,6 +472,59 @@ def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
     support = v > 0.0
     floor = float(np.min(w[support] / v[support]))
     return max(floor - 1.0, 0.0)
+
+
+def _radius_at_most_one(starts: np.ndarray, stops: np.ndarray) -> bool:
+    """Exactly whether the interval-row 0/1 matrix has spectral radius <= 1.
+
+    The radius is the largest over the strongly connected components, a
+    single node without a self-loop contributes 0, and an irreducible 0/1
+    matrix has radius 1 iff it is a single cycle (Perron-Frobenius).  So the
+    radius is <= 1 iff no row has two successors inside its own component.
+    One iterative Tarjan pass (partitions reach PARTITION_CAP cells, too deep
+    for recursion) finds the components in O(n + nnz) and checks each as it
+    completes.
+    """
+    starts, stops = starts.tolist(), stops.tolist()
+    n = len(starts)
+    index = [-1] * n  # discovery order, -1 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # component id once the node's component is complete
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [[root, starts[root]]]  # node and its next successor to visit
+        while work:
+            frame = work[-1]
+            v, j = frame
+            if j < stops[v]:
+                frame[1] = j + 1
+                if index[j] < 0:
+                    index[j] = low[j] = counter
+                    counter += 1
+                    stack.append(j)
+                    work.append([j, starts[j]])
+                elif comp[j] < 0 and index[j] < low[v]:
+                    low[v] = index[j]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] != index[v]:
+                continue
+            members = []
+            while not members or members[-1] != v:
+                members.append(stack.pop())
+                comp[members[-1]] = v
+            for u in members:
+                if sum(comp[w] == v for w in range(starts[u], stops[u])) > 1:
+                    return False
+    return True
 
 
 def validate_certificate(f: PLMap, cert: HorseshoeCertificate,

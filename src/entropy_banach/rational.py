@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import ConstructionError
 
-Q = Fraction
-
 
 def qstr(x: Fraction) -> str:
     """Decimal-free ``p/q`` form (plain ``p`` when the denominator is 1)."""

@@ -45,6 +45,21 @@ def test_entropy_malformed_json_exit_2(tmp_path):
     assert "line" in res.stderr
 
 
+def test_entropy_depth_zero_exit_2(tent_path):
+    res = run_cli("entropy", tent_path, "--depth", "0")
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == ["error: --depth must be >= 1, got 0"]
+
+
+def test_thmb_without_members_exit_2(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"label": "no members"}))
+    res = run_cli("thmB", str(path))
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_horseshoe_command(tent_path):
     res = run_cli("horseshoe", tent_path)
     assert res.returncode == 0

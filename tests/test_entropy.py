@@ -3,11 +3,16 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_banach import entropy
 from entropy_banach.entropy import (
+    PARTITION_CAP,
+    _interval_rows_radius,
+    _radius_at_most_one,
     entropy_bounds,
     entropy_lower_horseshoe,
     entropy_lower_markov,
@@ -206,6 +211,81 @@ def test_markov_never_exceeds_lap_bound():
 def test_markov_partition_cap():
     with pytest.raises(ResourceLimitError):
         entropy_lower_markov(TENT, 14, partition_cap=8)
+
+
+@st.composite
+def interval_rows(draw):
+    """Random interval-row 0/1 matrices: row i has ones in starts[i]:stops[i].
+
+    Narrow rows (often empty or a lone self-loop) keep radius <= 1 common.
+    """
+    n = draw(st.integers(min_value=0, max_value=12))
+    starts = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    widths = draw(st.lists(st.one_of(st.integers(0, 2), st.integers(0, n)),
+                           min_size=n, max_size=n))
+    stops = [min(n, s + w) for s, w in zip(starts, widths)]
+    return np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
+
+
+def _radius_by_blocks(starts, stops):
+    """max |numpy.linalg.eigvals| over the matrix's strongly connected blocks.
+
+    Taken block by block because chained cycles give the whole matrix a
+    repeated eigenvalue of modulus 1 (a Jordan block), which eigvals returns
+    with an error near the square root of machine epsilon; inside one
+    irreducible block every eigenvalue of maximal modulus is simple.
+    """
+    n = len(starts)
+    m = np.zeros((n, n))
+    for i in range(n):
+        m[i, starts[i]:stops[i]] = 1.0
+    reach = (m > 0) | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall transitive closure
+        reach |= np.outer(reach[:, k], reach[k, :])
+    same = reach & reach.T
+    radius = 0.0
+    for i in range(n):
+        block = np.flatnonzero(same[i])
+        radius = max(radius, float(np.abs(np.linalg.eigvals(m[np.ix_(block, block)])).max()))
+    return radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_rows())
+def test_exact_radius_decision_matches_eigvals(rows):
+    starts, stops = rows
+    rho = _radius_by_blocks(starts, stops)
+    at_most_one = rho <= 1 + 1e-9
+    assert _radius_at_most_one(starts, stops) == at_most_one
+    result = _interval_rows_radius(starts, stops)
+    if at_most_one:
+        assert result == 0.0
+    else:
+        assert result <= rho + 1e-9
+
+
+def test_chained_cycles_radius_is_exactly_zero():
+    # 0 -> {0, 1}, 1 -> {2}, 2 -> {2}: two self-loops chained through node 1
+    # have radius exactly 1, and power iteration on M + I never settles there
+    assert _interval_rows_radius(np.array([0, 2, 2]), np.array([2, 3, 3])) == 0.0
+
+
+def test_radius_decision_on_partition_cap_cycle():
+    # one cycle through PARTITION_CAP cells, far deeper than Python recursion
+    starts = (np.arange(PARTITION_CAP, dtype=np.int64) + 1) % PARTITION_CAP
+    stops = starts + 1
+    assert _radius_at_most_one(starts, stops)
+    stops[0] += 1  # a chord: cell 0 now also reaches cell 2, so radius > 1
+    assert not _radius_at_most_one(starts, stops)
+
+
+def test_horseshoe_max_rejects_mismatched_certificate(monkeypatch):
+    # the count/certificate cross-check must raise even under python -O
+    real = entropy._branch_certificate
+    monkeypatch.setattr(entropy, "_branch_certificate",
+                        lambda f, u, v, k: real(TENT, F(0), F(1), k))
+    with pytest.raises(RuntimeError):
+        horseshoe_max(full_branch_map(3))
 
 
 # --- combined bounds ----------------------------------------------------------------
