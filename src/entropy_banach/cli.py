@@ -58,15 +58,14 @@ class RunManifest:
     library_version: str
 
 
-def _emit(text: str, out: str | None) -> list[str]:
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        return [out]
+        return
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
-    return []
 
 
 def _load_json(path: str):
@@ -136,19 +135,17 @@ def _cmd_psi(args) -> int:
     sched = make_schedule(args.schedule, parameter, args.N)
     g = psi(f, sched)
     cert = psi_horseshoe(f, sched, args.horseshoe) if args.horseshoe else None
-    outputs = []
     if args.format == "csv":
         buf = io.StringIO()
         write_polyline(buf, g, f"psi {args.schedule} N={args.N}")
-        outputs += _emit(buf.getvalue(), args.out)
+        _emit(buf.getvalue(), args.out)
     else:
         payload = {"embedded": pl_to_obj(g),
                    "certificate": certificate_to_obj(cert)}
-        outputs += _emit(dumps(payload), args.out)
+        _emit(dumps(payload), args.out)
     if args.polyline:
         with open(args.polyline, "w", encoding="utf-8") as handle:
             write_polyline(handle, g, f"psi {args.schedule} N={args.N}")
-        outputs.append(args.polyline)
     return 0
 
 
@@ -167,11 +164,10 @@ def _cmd_ell1(args) -> int:
     from .serialize import witness_to_obj
     schedule = gamma_schedule(args.steps, parse_q(args.tail_factor))
     report = ell1_witness(parse_q(args.delta), args.steps, schedule)
-    outputs = _emit(dumps(witness_to_obj(report)), args.out)
+    _emit(dumps(witness_to_obj(report)), args.out)
     if args.polyline:
         with open(args.polyline, "w", encoding="utf-8") as handle:
             write_polyline(handle, report.f, f"witness M={args.steps}")
-        outputs.append(args.polyline)
     return 0
 
 
@@ -215,18 +211,16 @@ def _cmd_dial(args) -> int:
             for rec in records
         ],
     }
-    outputs = _emit(dumps(payload), args.out)
+    _emit(dumps(payload), args.out)
     if args.polyline:
         with open(args.polyline, "w", encoding="utf-8") as handle:
             write_polyline(handle, f, f"dial map t={args.t} d={args.d} N={args.N}")
-        outputs.append(args.polyline)
     return 0
 
 
 def _cmd_check(args) -> int:
     started = time.time()
     results = run_all(seed=args.seed)
-    outputs = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} criterion {res.number}: {res.name} "
@@ -234,7 +228,7 @@ def _cmd_check(args) -> int:
     manifest = RunManifest(
         subcommand="check",
         parameters={"seed": args.seed},
-        outputs=outputs,
+        outputs=[],
         wall_time=time.time() - started,
         library_version=__version__,
     )

@@ -240,16 +240,15 @@ def rational_enumeration(count: int) -> LambdaEnumeration:
         raise DomainError(f"need count >= 1, got {count}")
     terms = [Fraction(1)]
     current = Fraction(1)
-    cw = Fraction(1)
-    while len(terms) < count:
-        cw = 1 / (2 * (cw.numerator // cw.denominator) + 1 - cw)
+    # each target adds at least one term, so count - 1 targets always suffice
+    for cw in calkin_wilf(count)[1:]:
         while cw > 2 * current and len(terms) < count:
             current *= 2
             terms.append(current)
         if len(terms) < count:
             terms.append(cw)
             current = cw
-    return LambdaEnumeration(terms=tuple(terms[:count]))
+    return LambdaEnumeration(terms=tuple(terms))
 
 
 # --- the assembled dial map ---------------------------------------------------------

@@ -306,9 +306,11 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
         for rank, row in enumerate(ordered, start=1):
             beta[row - 1] = Fraction((-1) ** rank) * gamma_m
         alpha = solve_An(n_m, beta)
-        assert matrix.apply(alpha) == beta
-        assert max(abs(a) for a in alpha) <= gamma_m
-        assert sum(1 for a in alpha if a != 0) <= 2 * (m + 3)
+        if (matrix.apply(alpha) != beta or max(abs(a) for a in alpha) > gamma_m
+                or sum(1 for a in alpha if a != 0) > 2 * (m + 3)):
+            raise ConstructionError(
+                f"step {m}: coefficients fail A alpha = beta, |alpha| <= gamma "
+                f"or at most {2 * (m + 3)} nonzeros")
 
         basis.extend(members)
         coeffs.extend(alpha)

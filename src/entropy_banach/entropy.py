@@ -30,6 +30,7 @@ from .plmap import (
     image_interval,
     lap_count,
     make_pl,
+    monotone_pieces,
 )
 
 #: horseshoe search is skipped on iterates with more monotone pieces than this
@@ -130,6 +131,32 @@ def _iterate_chain(f: PLMap, depth: int, cap: int | None) -> list[PLMap]:
     return chain
 
 
+def _lap_upper(laps: list[int]) -> float:
+    """min over k of log(laps of f^k) / k, from the lap counts of the chain."""
+    return min(math.log(n) / k for k, n in enumerate(laps, start=1))
+
+
+def _horseshoe_scan(chain: list[PLMap],
+                    laps: list[int]) -> tuple[float, HorseshoeCertificate | None]:
+    """max over k of log(horseshoe_max(f^k)) / k, with its certificate.
+
+    Iterates with more than HORSESHOE_LAP_BUDGET laps are skipped (searching
+    them is cubic in the piece count), and so are iterates whose lap-based
+    ceiling cannot beat the current best; skipping only weakens, never
+    falsifies, the returned lower bound.
+    """
+    best = 0.0
+    best_cert: HorseshoeCertificate | None = None
+    for k, (g, n) in enumerate(zip(chain, laps), start=1):
+        if math.log(n) / k <= best + 1e-12 or n > HORSESHOE_LAP_BUDGET:
+            continue
+        d, cert = horseshoe_max(g)
+        if d >= 2 and math.log(d) / k > best:
+            best = math.log(d) / k
+            best_cert = HorseshoeCertificate(d=d, intervals=cert.intervals, iterate=k)
+    return best, best_cert
+
+
 def entropy_upper_lap(f: PLMap, depth: int, cap: int | None = None) -> float:
     """min over k <= depth of log(laps(f^k)) / k; a valid upper bound.
 
@@ -138,38 +165,14 @@ def entropy_upper_lap(f: PLMap, depth: int, cap: int | None = None) -> float:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    best = math.inf
-    for k, g in enumerate(_iterate_chain(f, depth, cap), start=1):
-        best = min(best, math.log(lap_count(g)) / k)
-    return best
-
-
-def _monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
-    """Maximal monotone runs as (start, end) index pairs into f.breakpoints."""
-    xs, ys = f.breakpoints, f.values
-    if len(xs) == 1:
-        return [(0, 0)]
-    pieces = []
-    start = 0
-    prev_sign = 0
-    for i in range(len(xs) - 1):
-        d = ys[i + 1] - ys[i]
-        sign = 0 if d == 0 else (1 if d > 0 else -1)
-        if sign == 0:
-            continue
-        if prev_sign != 0 and sign != prev_sign:
-            pieces.append((start, i))
-            start = i
-        prev_sign = sign
-    pieces.append((start, len(xs) - 1))
-    return pieces
+    return _lap_upper([lap_count(g) for g in _iterate_chain(f, depth, cap)])
 
 
 def _piece_boxes(f: PLMap) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
     """(x_left, x_right, value_min, value_max) per maximal monotone piece."""
     xs, ys = f.breakpoints, f.values
     boxes = []
-    for (s, e) in _monotone_pieces(f):
+    for (s, e) in monotone_pieces(f):
         lo, hi = (ys[s], ys[e]) if ys[s] <= ys[e] else (ys[e], ys[s])
         boxes.append((xs[s], xs[e], lo, hi))
     return boxes
@@ -179,7 +182,7 @@ def _branch_certificate(f: PLMap, u: Fraction, v: Fraction,
                         k: int) -> HorseshoeCertificate:
     """Exact preimage subintervals for the covering branches of hull [u, v]."""
     intervals: list[IntervalQ] = []
-    for (s, e) in _monotone_pieces(f):
+    for (s, e) in monotone_pieces(f):
         xs = f.breakpoints
         a, b = xs[s], xs[e]
         lo_x, hi_x = max(a, u), min(b, v)
@@ -310,50 +313,26 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
 
 
 def _turning_positions(f: PLMap) -> list[Fraction]:
-    xs, ys = f.breakpoints, f.values
-    pts = [xs[0], xs[-1]]
-    prev_sign = 0
-    for i in range(len(xs) - 1):
-        d = ys[i + 1] - ys[i]
-        if d == 0:
-            continue
-        sign = 1 if d > 0 else -1
-        if prev_sign != 0 and sign != prev_sign:
-            pts.append(xs[i])
-        prev_sign = sign
-    return sorted(set(pts))
+    """Domain ends and turning points of f, ascending."""
+    xs = f.breakpoints
+    return sorted({xs[i] for piece in monotone_pieces(f) for i in piece})
 
 
 def entropy_lower_horseshoe(
     f: PLMap, depth: int, cap: int | None = None,
-    lap_budget: int = HORSESHOE_LAP_BUDGET,
 ) -> tuple[float, HorseshoeCertificate | None]:
     """max over k <= depth of log(horseshoe_max(f^k)) / k with its certificate.
 
-    Iterates whose lap count exceeds ``lap_budget`` are skipped (searching
-    them is cubic in the piece count); skipping only weakens, never falsifies,
-    the returned lower bound.  Depths whose lap-based ceiling cannot beat the
-    current best are skipped as well.
+    Iterates above the lap budget, or whose lap-based ceiling cannot beat the
+    current best, are skipped (see :func:`_horseshoe_scan`).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    best = 0.0
-    best_cert: HorseshoeCertificate | None = None
-    for k, g in enumerate(_iterate_chain(f, depth, cap), start=1):
-        laps = lap_count(g)
-        if math.log(laps) / k <= best + 1e-12:
-            continue
-        if laps > lap_budget:
-            continue
-        d, cert = horseshoe_max(g)
-        if d >= 2 and math.log(d) / k > best:
-            best = math.log(d) / k
-            best_cert = HorseshoeCertificate(d=d, intervals=cert.intervals, iterate=k)
-    return best, best_cert
+    chain = _iterate_chain(f, depth, cap)
+    return _horseshoe_scan(chain, [lap_count(g) for g in chain])
 
 
-def entropy_lower_markov(f: PLMap, refinement: int,
-                         partition_cap: int = PARTITION_CAP) -> float:
+def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     """log of the spectral radius of the covering matrix on the refined partition.
 
     The partition starts at the critical points of f and is refined
@@ -364,16 +343,15 @@ def entropy_lower_markov(f: PLMap, refinement: int,
     """
     if refinement < 0:
         raise ValueError(f"refinement must be >= 0, got {refinement}")
-    best, rounds_done = _markov_scan(f, refinement, partition_cap)
-    if rounds_done <= refinement and rounds_done != refinement + 1:
+    best, rounds_done = _markov_scan(f, refinement)
+    if rounds_done <= refinement:
         raise ResourceLimitError(
-            f"covering partition exceeded {partition_cap} cells",
-            achieved=rounds_done, cap=partition_cap)
+            f"covering partition exceeded {PARTITION_CAP} cells",
+            achieved=rounds_done, cap=PARTITION_CAP)
     return best
 
 
-def _markov_scan(f: PLMap, refinement: int,
-                 partition_cap: int = PARTITION_CAP) -> tuple[float, int]:
+def _markov_scan(f: PLMap, refinement: int) -> tuple[float, int]:
     """Best covering-matrix bound over <= refinement+1 rounds; stops at the cap.
 
     Returns (best bound so far, number of completed rounds).
@@ -383,7 +361,7 @@ def _markov_scan(f: PLMap, refinement: int,
         return 0.0, refinement + 1
     best = 0.0
     for round_no in range(refinement + 1):
-        if len(points) - 1 > partition_cap:
+        if len(points) - 1 > PARTITION_CAP:
             return best, round_no
         best = max(best, _covering_log_radius(f, points))
         if round_no < refinement:
@@ -527,10 +505,9 @@ def _radius_at_most_one(starts: np.ndarray, stops: np.ndarray) -> bool:
     return True
 
 
-def validate_certificate(f: PLMap, cert: HorseshoeCertificate,
-                         cap: int | None = None) -> bool:
+def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
     """Re-check a certificate exactly: disjoint interiors and full covering."""
-    g = iterate(f, cert.iterate, cap=cap) if cert.iterate > 1 else f
+    g = iterate(f, cert.iterate) if cert.iterate > 1 else f
     ivs = cert.intervals
     for i in range(len(ivs)):
         for j in range(i + 1, len(ivs)):
@@ -544,8 +521,7 @@ def validate_certificate(f: PLMap, cert: HorseshoeCertificate,
     return True
 
 
-def entropy_bounds(f: PLMap, depth: int, cap: int | None = None,
-                   lap_budget: int = HORSESHOE_LAP_BUDGET) -> EntropyBounds:
+def entropy_bounds(f: PLMap, depth: int, cap: int | None = None) -> EntropyBounds:
     """Certified bracket on the invariant restriction of f.
 
     Lower side is the better of the horseshoe search over iterates and the
@@ -560,23 +536,9 @@ def entropy_bounds(f: PLMap, depth: int, cap: int | None = None,
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
     chain = _iterate_chain(g, depth, cap)
-    achieved = len(chain)
-
-    upper = math.inf
-    for k, gk in enumerate(chain, start=1):
-        upper = min(upper, math.log(lap_count(gk)) / k)
-
-    lower_h = 0.0
-    cert: HorseshoeCertificate | None = None
-    for k, gk in enumerate(chain, start=1):
-        laps = lap_count(gk)
-        if math.log(laps) / k <= lower_h + 1e-12 or laps > lap_budget:
-            continue
-        d, c = horseshoe_max(gk)
-        if d >= 2 and math.log(d) / k > lower_h:
-            lower_h = math.log(d) / k
-            cert = HorseshoeCertificate(d=d, intervals=c.intervals, iterate=k)
-
+    laps = [lap_count(gk) for gk in chain]
+    upper = _lap_upper(laps)
+    lower_h, cert = _horseshoe_scan(chain, laps)
     try:
         lower_m = entropy_lower_markov(g, depth)
     except ResourceLimitError:
@@ -588,4 +550,4 @@ def entropy_bounds(f: PLMap, depth: int, cap: int | None = None,
         lower = lower_m
         cert = None
     lower = min(lower, upper)  # guard against float rounding at exact equality
-    return EntropyBounds(lower, upper, cert, depth_used=achieved)
+    return EntropyBounds(lower, upper, cert, depth_used=len(chain))

@@ -204,25 +204,35 @@ def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
     return PLMap(xs, ys)
 
 
+def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
+    """Maximal monotone runs as (start, end) index pairs into f.breakpoints.
+
+    Constant runs merge into an adjacent run; an entirely constant map is a
+    single run.  Consecutive runs share their turning breakpoint.
+    """
+    xs, ys = f.breakpoints, f.values
+    pieces = []
+    start = 0
+    rising = None
+    for i in range(len(xs) - 1):
+        if ys[i + 1] == ys[i]:
+            continue
+        up = ys[i + 1] > ys[i]
+        if rising is not None and up != rising:
+            pieces.append((start, i))
+            start = i
+        rising = up
+    pieces.append((start, len(xs) - 1))
+    return pieces
+
+
 def lap_count(f: PLMap) -> int:
     """Number of maximal monotonicity intervals on the domain.
 
     Constant runs merge into an adjacent lap; an entirely constant map
     counts as one lap.
     """
-    xs, ys = f.breakpoints, f.values
-    signs = []
-    for i in range(len(xs) - 1):
-        d = ys[i + 1] - ys[i]
-        if d != 0:
-            signs.append(1 if d > 0 else -1)
-    if not signs:
-        return 1
-    laps = 1
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            laps += 1
-    return laps
+    return len(monotone_pieces(f))
 
 
 def crop(f: PLMap, a, b) -> PLMap:

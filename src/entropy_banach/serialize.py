@@ -25,8 +25,9 @@ def pl_to_obj(f: PLMap) -> dict:
 
 
 def pl_from_obj(obj: dict) -> PLMap:
-    if not isinstance(obj, dict) or "breakpoints" not in obj or "values" not in obj:
-        raise ConstructionError("a PL map object needs 'breakpoints' and 'values'")
+    if not (isinstance(obj, dict) and isinstance(obj.get("breakpoints"), list)
+            and isinstance(obj.get("values"), list)):
+        raise ConstructionError("a PL map object needs 'breakpoints' and 'values' lists")
     xs = [parse_q(x) for x in obj["breakpoints"]]
     ys = [parse_q(y) for y in obj["values"]]
     return make_pl(xs, ys)

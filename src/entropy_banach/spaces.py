@@ -65,44 +65,30 @@ class IndependencePoints:
             raise ConstructionError("independence points must be strictly increasing")
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+def solve_linear_system(matrix: list[list[Fraction]],
+                        rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
+    """Exact (determinant, solution) of a square system by Gauss-Jordan with pivoting.
+
+    Raises :class:`ConstructionError` when the matrix is singular.
+    """
     n = len(matrix)
-    m = [row[:] for row in matrix]
+    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            raise ConstructionError("singular system")
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def solve_linear_system(matrix: list[list[Fraction]],
-                        rhs: list[Fraction]) -> list[Fraction]:
-    """Exact solve of a square system by Gaussian elimination with pivoting."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ConstructionError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
         inv = 1 / m[col][col]
         m[col] = [a * inv for a in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    return det, [m[r][n] for r in range(n)]
 
 
 def independent_points(fs: FunctionFamily, grid: Sequence) -> IndependencePoints:
@@ -129,7 +115,7 @@ def independent_points(fs: FunctionFamily, grid: Sequence) -> IndependencePoints
         matrix = [[eval_at(members[j], points[i]) for j in range(k)]
                   for i in range(k)]
         rhs = [eval_at(f, points[i]) for i in range(k)]
-        coeffs = solve_linear_system(matrix, rhs)
+        _, coeffs = solve_linear_system(matrix, rhs)
         found = None
         for x in grid_q:
             if x in points:
@@ -148,7 +134,7 @@ def independent_points(fs: FunctionFamily, grid: Sequence) -> IndependencePoints
     n = len(members)
     eval_matrix = [[eval_at(members[j], points[i]) for j in range(n)]
                    for i in range(n)]
-    det = _det(eval_matrix)
+    det, _ = solve_linear_system(eval_matrix, [Fraction(0)] * n)
     return IndependencePoints(points=tuple(points), gram_determinant=det)
 
 
@@ -169,10 +155,10 @@ def horseshoe_combination(
     xs = pts.points
     matrix = [[eval_at(fs.members[j], xs[i]) for j in range(n)] for i in range(n)]
     targets = [xs[0] if (i + 1) % 2 == 1 else xs[-1] for i in range(n)]
-    coeffs = solve_linear_system(matrix, targets)
+    _, coeffs = solve_linear_system(matrix, targets)
     f = linear_combination(coeffs, fs.members)
-    for i in range(n):
-        assert eval_at(f, xs[i]) == targets[i]
+    if any(eval_at(f, xs[i]) != targets[i] for i in range(n)):
+        raise ConstructionError("alternating combination misses its targets")
     intervals = tuple(IntervalQ(xs[i], xs[i + 1]) for i in range(n - 1))
     cert = HorseshoeCertificate(d=n - 1, intervals=intervals, iterate=1)
     if not validate_certificate(f, cert):

@@ -58,13 +58,21 @@ class ScaleSchedule:
                 raise ConstructionError("q/p must be strictly increasing")
 
 
+def _geometric_amplitude(ratio: Fraction, n: int) -> Fraction:
+    return ratio ** n
+
+
+def _hoelder_amplitude(alpha: Fraction, n: int) -> Fraction:
+    return dyadic_pow_ceil(-n * alpha, _HOELDER_BITS)
+
+
 def geometric_schedule(ratio, truncation: int) -> ScaleSchedule:
     """q_n = ratio^n with 1/2 < ratio < 1."""
     ratio = Fraction(ratio)
     if not Fraction(1, 2) < ratio < 1:
         raise ConstructionError(f"geometric ratio must be in (1/2, 1), got {ratio}")
     p = tuple(Fraction(1, 2) ** n for n in range(truncation + 1))
-    q = tuple(ratio ** n for n in range(truncation + 1))
+    q = tuple(_geometric_amplitude(ratio, n) for n in range(truncation + 1))
     return ScaleSchedule("geometric", ratio, truncation, p, q)
 
 
@@ -79,7 +87,7 @@ def hoelder_schedule(alpha, truncation: int) -> ScaleSchedule:
     if not 0 < alpha < 1:
         raise ConstructionError(f"alpha must be in (0, 1), got {alpha}")
     p = tuple(Fraction(1, 2) ** n for n in range(truncation + 1))
-    q = tuple(dyadic_pow_ceil(-n * alpha, _HOELDER_BITS) for n in range(truncation + 1))
+    q = tuple(_hoelder_amplitude(alpha, n) for n in range(truncation + 1))
     return ScaleSchedule("hoelder", alpha, truncation, p, q)
 
 
@@ -152,13 +160,10 @@ def psi(f: PLMap, sched: ScaleSchedule) -> PLMap:
 def minimal_truncation(f_norm: Fraction, sched_kind: str, parameter: Fraction,
                        d: int) -> int:
     """Smallest n with q_n * f_norm > p_(n-d), by direct scan."""
+    amplitude = _geometric_amplitude if sched_kind == "geometric" else _hoelder_amplitude
     n = max(d - 1, 0)
     while n < 10_000:
-        if sched_kind == "geometric":
-            q_n = Fraction(parameter) ** n
-        else:
-            q_n = dyadic_pow_ceil(-n * Fraction(parameter), _HOELDER_BITS)
-        if q_n * f_norm > Fraction(2) ** (d - n):
+        if amplitude(Fraction(parameter), n) * f_norm > Fraction(2) ** (d - n):
             return n
         n += 1
     raise ConstructionError("no admissible scale below 10000")  # pragma: no cover

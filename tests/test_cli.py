@@ -4,15 +4,52 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "entropy_banach.cli"]
 
+#: reference outputs of the invocations below, captured from the CLI
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           **kwargs)
+
+
+def _parse_output(text, suffix):
+    if suffix == ".json":
+        return json.loads(text)
+    # CSV polyline: '# label' lines kept as text, 'x,y' rows as floats
+    return [line if line.startswith("#") else [float(v) for v in line.split(",")]
+            for line in text.splitlines()]
+
+
+def _approx_floats(obj):
+    if isinstance(obj, float):
+        return pytest.approx(obj, rel=1e-12)
+    if isinstance(obj, dict):
+        return {key: _approx_floats(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_approx_floats(value) for value in obj]
+    return obj
+
+
+def assert_golden(name, text):
+    """Output equals tests/golden/<name>: floats to rel 1e-12, all else exactly.
+
+    The float tolerance absorbs BLAS differences between machines; rationals
+    travel as strings and compare exactly.
+    """
+    path = GOLDEN / name
+    expected = path.read_text()
+    if path.suffix == ".txt":
+        assert text == expected
+        return
+    assert _parse_output(text, path.suffix) == _approx_floats(
+        _parse_output(expected, path.suffix))
 
 
 @pytest.fixture()
@@ -26,6 +63,7 @@ def tent_path(tmp_path):
 def test_entropy_command(tent_path):
     res = run_cli("entropy", tent_path, "--depth", "6")
     assert res.returncode == 0
+    assert_golden("entropy_tent_depth6.json", res.stdout)
     payload = json.loads(res.stdout)
     assert payload["lower"] == pytest.approx(math.log(2), abs=1e-9)
     assert payload["upper"] == pytest.approx(math.log(2), abs=1e-9)
@@ -51,6 +89,15 @@ def test_entropy_depth_zero_exit_2(tent_path):
     assert res.stderr.splitlines() == ["error: --depth must be >= 1, got 0"]
 
 
+def test_map_without_lists_exit_1(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"breakpoints": 5, "values": 5}))
+    res = run_cli("entropy", str(path))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "error: a PL map object needs 'breakpoints' and 'values' lists"]
+
+
 def test_thmb_without_members_exit_2(tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"label": "no members"}))
@@ -63,6 +110,7 @@ def test_thmb_without_members_exit_2(tmp_path):
 def test_horseshoe_command(tent_path):
     res = run_cli("horseshoe", tent_path)
     assert res.returncode == 0
+    assert_golden("horseshoe_tent.json", res.stdout)
     payload = json.loads(res.stdout)
     assert payload["d"] == 2
     assert payload["certificate"]["intervals"] == [["0", "1/2"], ["1/2", "1"]]
@@ -81,6 +129,7 @@ def test_thmb_command(tmp_path):
     path.write_text(json.dumps(family))
     res = run_cli("thmB", str(path))
     assert res.returncode == 0
+    assert_golden("thmB_mixed.json", res.stdout)
     payload = json.loads(res.stdout)
     assert payload["certificate"]["d"] == 2
     assert payload["entropy_lower_bound"] == pytest.approx(math.log(2))
@@ -92,6 +141,8 @@ def test_psi_command_with_horseshoe(tent_path, tmp_path):
     res = run_cli("psi", tent_path, "--N", "10", "--horseshoe", "2",
                   "--polyline", str(poly), "--out", str(out))
     assert res.returncode == 0
+    assert_golden("psi_tent_N10_horseshoe2.json", out.read_text())
+    assert_golden("psi_tent_N10_polyline.csv", poly.read_text())
     payload = json.loads(out.read_text())
     assert payload["certificate"]["d"] == 2
     lines = poly.read_text().splitlines()
@@ -102,11 +153,13 @@ def test_psi_command_with_horseshoe(tent_path, tmp_path):
 def test_psi_truncation_error_exit_1(tent_path):
     res = run_cli("psi", tent_path, "--N", "2", "--horseshoe", "4")
     assert res.returncode == 1
+    assert_golden("psi_N2_horseshoe4_error.txt", res.stderr)
 
 
 def test_figure1_zeros_at_window_boundaries():
     res = run_cli("figure1", "--N", "4")
     assert res.returncode == 0
+    assert_golden("figure1_N4.csv", res.stdout)
     rows = [line for line in res.stdout.splitlines() if not line.startswith("#")]
     points = {float(line.split(",")[0]): float(line.split(",")[1])
               for line in rows}
@@ -123,6 +176,7 @@ def test_ell1_command(tmp_path):
     out = tmp_path / "witness.json"
     res = run_cli("ell1", "--steps", "2", "--out", str(out))
     assert res.returncode == 0
+    assert_golden("ell1_steps2.json", out.read_text())
     payload = json.loads(out.read_text())
     assert [s["certificate"]["d"] for s in payload["steps"]] == [3, 4]
     assert payload["x0"] == "0"
@@ -135,6 +189,7 @@ def test_dial_command_fixed_a_star(tmp_path):
                   "--a-star", "37/64", "--check-lambdas", "1",
                   "--out", str(out))
     assert res.returncode == 0
+    assert_golden("dial_a_star_37_64.json", out.read_text())
     payload = json.loads(out.read_text())
     assert payload["config"]["a_star"] == "37/64"
     assert payload["checks"][0]["lambda"] == "1"
@@ -145,6 +200,7 @@ def test_cap_override_exit_3(tent_path):
     res = run_cli("--cap-breakpoints", "4", "entropy", tent_path, "--depth", "9")
     # depth truncation is graceful, so force the cap through iterate instead
     assert res.returncode == 0  # entropy degrades gracefully
+    assert_golden("entropy_tent_cap4_depth9.json", res.stdout)
     res = run_cli("--cap-breakpoints", "-1", "horseshoe", tent_path)
     assert res.returncode in (0, 3)
 
@@ -152,6 +208,7 @@ def test_cap_override_exit_3(tent_path):
 def test_figure1_single_copy():
     res = run_cli("figure1", "--N", "0")
     assert res.returncode == 0
+    assert_golden("figure1_N0.csv", res.stdout)
     rows = [line for line in res.stdout.splitlines() if not line.startswith("#")]
     values = [abs(float(line.split(",")[1])) for line in rows]
     assert max(values) == 1.0  # isometry visible on the single copy
@@ -161,6 +218,7 @@ def test_psi_hoelder_schedule(tent_path):
     res = run_cli("psi", tent_path, "--schedule", "hoelder", "--alpha", "1/2",
                   "--N", "6")
     assert res.returncode == 0
+    assert_golden("psi_hoelder_N6.json", res.stdout)
     payload = json.loads(res.stdout)
     assert payload["certificate"] is None
     assert len(payload["embedded"]["breakpoints"]) > 10
@@ -175,3 +233,4 @@ def test_check_lambdas_and_format_flag_positions(tent_path, tmp_path):
     res = run_cli("figure1", "--N", "1", "--out", str(out2))
     assert res.returncode == 0 and out2.exists()
     assert out.read_text() == out2.read_text()
+    assert_golden("figure1_N1.csv", out.read_text())

@@ -208,9 +208,10 @@ def test_markov_never_exceeds_lap_bound():
         assert low <= up + 1e-9
 
 
-def test_markov_partition_cap():
+def test_markov_partition_cap(monkeypatch):
+    monkeypatch.setattr(entropy, "PARTITION_CAP", 8)
     with pytest.raises(ResourceLimitError):
-        entropy_lower_markov(TENT, 14, partition_cap=8)
+        entropy_lower_markov(TENT, 14)
 
 
 @st.composite

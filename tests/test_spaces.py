@@ -11,7 +11,7 @@ from entropy_banach.entropy import (
     horseshoe_max,
     validate_certificate,
 )
-from entropy_banach.errors import DependencyError, DomainError
+from entropy_banach.errors import ConstructionError, DependencyError, DomainError
 from entropy_banach.plmap import IntervalQ, eval_at, lap_count, make_pl, sample_pl, sup_norm
 from entropy_banach.spaces import (
     FunctionFamily,
@@ -30,14 +30,16 @@ TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 
 def brute_force_invertible_triple(members, grid):
     """Oracle for the independence search: scan all grid triples."""
-    from entropy_banach.spaces import _det
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             for k in range(j + 1, len(grid)):
                 pts = [grid[i], grid[j], grid[k]]
                 m = [[eval_at(f, p) for f in members] for p in pts]
-                if _det(m) != 0:
-                    return True
+                try:
+                    solve_linear_system(m, [F(0)] * 3)
+                except ConstructionError:  # singular
+                    continue
+                return True
     return False
 
 
@@ -189,5 +191,6 @@ def test_sin_scaled_resolution_guard():
 
 def test_solve_linear_system_roundtrip():
     m = [[F(2), F(1)], [F(1), F(-1)]]
-    sol = solve_linear_system(m, [F(5), F(1)])
+    det, sol = solve_linear_system(m, [F(5), F(1)])
+    assert det == F(-3)
     assert [sum(r * s for r, s in zip(row, sol)) for row in m] == [F(5), F(1)]
