@@ -26,11 +26,11 @@ from .plmap import (
     compose,
     crop,
     eval_at,
-    eval_many,
     image_interval,
     lap_count,
     make_pl,
     monotone_pieces,
+    segment_preimages,
 )
 
 #: horseshoe search is skipped on iterates with more monotone pieces than this
@@ -181,6 +181,7 @@ def _piece_boxes(f: PLMap) -> list[tuple[Fraction, Fraction, Fraction, Fraction]
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction,
                         k: int) -> HorseshoeCertificate:
     """Exact preimage subintervals for the covering branches of hull [u, v]."""
+    level_u, level_v = _level_set(f, u), _level_set(f, v)
     intervals: list[IntervalQ] = []
     for (s, e) in monotone_pieces(f):
         xs = f.breakpoints
@@ -191,31 +192,27 @@ def _branch_certificate(f: PLMap, u: Fraction, v: Fraction,
         img = image_interval(f, IntervalQ(lo_x, hi_x))
         if not (img.lo <= u and img.hi >= v):
             continue
-        t_u = _first_hit(f, lo_x, hi_x, u)
-        t_v = _first_hit(f, lo_x, hi_x, v)
+        # the branch attains u and v on [lo_x, hi_x], so the first level
+        # points from lo_x on lie inside it
+        t_u = level_u[bisect_left(level_u, lo_x)]
+        t_v = level_v[bisect_left(level_v, lo_x)]
         lo_t, hi_t = (t_u, t_v) if t_u <= t_v else (t_v, t_u)
         intervals.append(IntervalQ(lo_t, hi_t))
     return HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals),
                                 iterate=k)
 
 
-def _first_hit(f: PLMap, lo_x: Fraction, hi_x: Fraction,
-               target: Fraction) -> Fraction:
-    """A point of [lo_x, hi_x] (inside one monotone piece) where f = target."""
+def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
+    """Ascending: the nodes of f equal to target, and the crossings inside segments."""
     xs, ys = f.breakpoints, f.values
-    prev_x, prev_y = lo_x, eval_at(f, lo_x)
-    if prev_y == target:
-        return prev_x
-    i0 = bisect_right(xs, lo_x)
-    i1 = bisect_left(xs, hi_x)
-    nodes = [(xs[i], ys[i]) for i in range(i0, i1)] + [(hi_x, eval_at(f, hi_x))]
-    for x, y in nodes:
-        if y == target:
-            return x
-        if (prev_y < target < y) or (y < target < prev_y):
-            return prev_x + (target - prev_y) * (x - prev_x) / (y - prev_y)
-        prev_x, prev_y = x, y
-    raise ValueError("target not attained on the covering branch")  # pragma: no cover
+    out = []
+    for i, hits in enumerate(segment_preimages(f, [target])):
+        if ys[i] == target:
+            out.append(xs[i])
+        out.extend(x for x, _ in hits)
+    if ys[-1] == target:
+        out.append(xs[-1])
+    return out
 
 
 #: full breakpoint-pair search above this many candidates falls back to a
@@ -223,28 +220,13 @@ def _first_hit(f: PLMap, lo_x: Fraction, hi_x: Fraction,
 _HULL_CANDIDATE_LIMIT = 4000
 
 
-def _diagonal_crossings(f: PLMap) -> list[Fraction]:
-    """Exact solutions of f(x) = x segment by segment."""
-    xs, ys = f.breakpoints, f.values
-    out = []
-    for i in range(len(xs) - 1):
-        d0 = ys[i] - xs[i]
-        d1 = ys[i + 1] - xs[i + 1]
-        if d0 == 0:
-            out.append(xs[i])
-        if (d0 < 0 < d1) or (d1 < 0 < d0):
-            s = d0 / (d0 - d1)
-            out.append(xs[i] + s * (xs[i + 1] - xs[i]))
-    if ys[-1] == xs[-1]:
-        out.append(xs[-1])
-    return out
-
-
 def _hull_candidates(f: PLMap) -> list[Fraction]:
     if len(f.breakpoints) <= _HULL_CANDIDATE_LIMIT:
         return list(f.breakpoints)
     pts = set(_turning_positions(f))
-    pts.update(_diagonal_crossings(f))
+    # diagonal crossings: the zero set of x -> f(x) - x on f's breakpoints
+    gap = PLMap(f.breakpoints, tuple(y - x for x, y in zip(f.breakpoints, f.values)))
+    pts.update(_level_set(gap, Fraction(0)))
     return sorted(pts)
 
 
@@ -359,51 +341,50 @@ def _markov_scan(f: PLMap, refinement: int) -> tuple[float, int]:
     points = _turning_positions(f)
     if len(points) < 2:
         return 0.0, refinement + 1
+    images = [eval_at(f, x) for x in points]
     best = 0.0
     for round_no in range(refinement + 1):
         if len(points) - 1 > PARTITION_CAP:
             return best, round_no
-        best = max(best, _covering_log_radius(f, points))
+        best = max(best, _covering_log_radius(points, images))
         if round_no < refinement:
-            points = _refine_partition(f, points)
+            points, images = _pull_back(f, points, images)
     return best, refinement + 1
 
 
-def _refine_partition(f: PLMap, points: list[Fraction]) -> list[Fraction]:
-    """points plus all f-preimages of points inside the partition hull."""
-    lo, hi = points[0], points[-1]
+def _pull_back(f: PLMap, points: list[Fraction],
+               images: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """points plus all their f-preimages, each point with its image under f.
+
+    Segments are closed here: a node of f whose value is a partition point
+    joins when one of its segments is not flat.  The partition always holds
+    both ends of f's domain, so every preimage lies inside its hull.
+    """
     xs, ys = f.breakpoints, f.values
-    new = set(points)
-    targets = points
-    for i in range(len(xs) - 1):
-        if xs[i + 1] < lo or xs[i] > hi:
+    targets = set(points)
+    refined = dict(zip(points, images))
+    for i, hits in enumerate(segment_preimages(f, points)):
+        if ys[i] == ys[i + 1]:
             continue
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == y1:
-            continue
-        seg_lo, seg_hi = (y0, y1) if y0 < y1 else (y1, y0)
-        a = bisect_left(targets, seg_lo)
-        b = bisect_right(targets, seg_hi)
-        x0, x1 = xs[i], xs[i + 1]
-        scale = (x1 - x0) / (y1 - y0)
-        for t in targets[a:b]:
-            x = x0 + (t - y0) * scale
-            if lo <= x <= hi:
-                new.add(x)
-    return sorted(new)
+        for k in (i, i + 1):
+            if ys[k] in targets:
+                refined[xs[k]] = ys[k]
+        for x, j in hits:
+            refined[x] = points[j]
+    points = sorted(refined)
+    return points, [refined[x] for x in points]
 
 
-def _covering_log_radius(f: PLMap, points: list[Fraction]) -> float:
+def _covering_log_radius(points: list[Fraction], vals: list[Fraction]) -> float:
     """Spectral radius of the covering matrix over the cells of ``points``.
 
-    Partition points always include every critical point of f, so f is
-    monotone on each cell and cell images are endpoint hulls.  Cells are
-    sorted, hence each image covers a contiguous index window of cells;
-    rows are stored as (start, stop) windows and the power iteration does
-    its matvec with prefix sums.
+    ``vals`` holds f at each point.  Partition points always include every
+    critical point of f, so f is monotone on each cell and cell images are
+    endpoint hulls.  Cells are sorted, hence each image covers a contiguous
+    index window of cells; rows are stored as (start, stop) windows and the
+    power iteration does its matvec with prefix sums.
     """
     n = len(points) - 1
-    vals = eval_many(f, points)
     starts = np.empty(n, dtype=np.int64)
     stops = np.empty(n, dtype=np.int64)  # exclusive
     for i in range(n):

@@ -17,7 +17,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConstructionError, DomainError, NumericError, ResourceLimitError
 from .rational import q_from_float
@@ -162,45 +162,64 @@ def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple, tup
     return tuple(keep_x), tuple(keep_y)
 
 
+def segment_preimages(g: PLMap,
+                      targets: Sequence[Fraction]) -> Iterator[list[tuple[Fraction, int]]]:
+    """Per segment of g, the points strictly inside it where g hits a target.
+
+    ``targets`` must ascend.  Yields one list per segment, in x order, of
+    pairs (x, j) with g(x) == targets[j]; a flat segment yields an empty
+    list.  This is the one preimage loop: composition, the covering-matrix
+    partition and horseshoe certificates all pull points back through it.
+    """
+    xs, ys = g.breakpoints, g.values
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
+        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
+        # targets strictly inside the value range of this segment
+        a = bisect_right(targets, lo)
+        b = bisect_left(targets, hi)
+        if a >= b:  # every flat segment lands here too
+            yield []
+            continue
+        x0 = xs[i]
+        scale = (xs[i + 1] - x0) / (y1 - y0)
+        # a falling segment meets ascending targets right to left
+        order = range(a, b) if y0 < y1 else range(b - 1, a - 1, -1)
+        yield [(x0 + (targets[j] - y0) * scale, j) for j in order]
+
+
 def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
     """Exact PL representation of x -> f(g(x)).
 
-    Breakpoint candidates are g's own breakpoints plus the preimages under g
-    of f's breakpoints; collinear interior nodes are pruned afterwards.
-    Raises :class:`ResourceLimitError` when the candidate count exceeds the
+    Breakpoints are g's own breakpoints plus the preimages under g of f's
+    breakpoints, emitted segment by segment in x order, so the value at a
+    preimage is the f value of the breakpoint it came from; collinear
+    interior nodes are pruned afterwards.  Raises
+    :class:`ResourceLimitError` when the breakpoint count exceeds the
     breakpoint cap.
     """
     limit = breakpoint_cap(cap)
     gx, gy = g.breakpoints, g.values
-    f_nodes = f.breakpoints
-
-    candidates: list[Fraction] = list(gx)
-    for i in range(len(gx) - 1):
-        y0, y1 = gy[i], gy[i + 1]
-        if y0 == y1:
+    fy = f.values
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    found = 0
+    for i, hits in enumerate(segment_preimages(g, f.breakpoints)):
+        xs.append(gx[i])
+        ys.append(eval_at(f, gy[i]))
+        if not hits:
             continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        # f-breakpoints strictly inside the value range of this segment
-        a = bisect_right(f_nodes, lo)
-        b = bisect_left(f_nodes, hi)
-        if a >= b:
-            continue
-        x0, x1 = gx[i], gx[i + 1]
-        scale = (x1 - x0) / (y1 - y0)
-        for j in range(a, b):
-            candidates.append(x0 + (f_nodes[j] - y0) * scale)
-        if len(candidates) > limit:
+        found += len(hits)
+        if len(gx) + found > limit:
             raise ResourceLimitError(
                 f"composition would need more than {limit} breakpoints",
-                needed=len(candidates), cap=limit)
-    candidates.sort()
-    merged_x: list[Fraction] = []
-    for x in candidates:
-        if not merged_x or x != merged_x[-1]:
-            merged_x.append(x)
-    inner = eval_many(g, merged_x)
-    outer = [eval_at(f, v) for v in inner]
-    xs, ys = _prune_collinear(merged_x, outer)
+                needed=len(gx) + found, cap=limit)
+        for x, j in hits:
+            xs.append(x)
+            ys.append(fy[j])
+    xs.append(gx[-1])
+    ys.append(eval_at(f, gy[-1]))
+    xs, ys = _prune_collinear(xs, ys)
     return PLMap(xs, ys)
 
 

@@ -1,7 +1,10 @@
 """Tests for certified entropy bounds, horseshoe search, and covering matrices."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_banach import entropy
+from entropy_banach.dial import theta
 from entropy_banach.entropy import (
     PARTITION_CAP,
     _interval_rows_radius,
@@ -32,10 +36,15 @@ from entropy_banach.plmap import (
     linear_combination,
     make_pl,
     pl_equal,
+    sample_pl,
+    scale,
 )
+from entropy_banach.rational import qstr
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 IDENT = make_pl([0, 1], [0, 1])
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def full_branch_map(d):
@@ -212,6 +221,39 @@ def test_markov_partition_cap(monkeypatch):
     monkeypatch.setattr(entropy, "PARTITION_CAP", 8)
     with pytest.raises(ResourceLimitError):
         entropy_lower_markov(TENT, 14)
+
+
+#: maps whose covering partitions tests/golden/markov_partitions.json pins:
+#: the tent, theta(37/64, 3), two of its multiples inside the dial window
+#: [9/10, 10/9], and the 17-node sample of the logistic map r = 3.74
+PARTITION_MAPS = {
+    "tent": TENT,
+    "theta_37_64": theta(F(37, 64), 3),
+    "theta_37_64_x99_100": scale(theta(F(37, 64), 3), F(99, 100)),
+    "theta_37_64_x101_100": scale(theta(F(37, 64), 3), F(101, 100)),
+    "logistic_374_17": sample_pl(lambda x: 3.74 * x * (1 - x),
+                                 IntervalQ(F(0), F(1)), 17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_MAPS))
+def test_markov_partitions_match_golden(monkeypatch, name):
+    # every round's partition: its size and the sha256 of its points, one
+    # qstr a line; the images the scan carries must be f at those points
+    g = invariant_restriction(PARTITION_MAPS[name])
+    rounds = []
+    real = entropy._covering_log_radius
+
+    def record(points, vals):
+        assert vals == [eval_at(g, x) for x in points]
+        text = "\n".join(qstr(x) for x in points)
+        rounds.append([len(points), hashlib.sha256(text.encode()).hexdigest()])
+        return real(points, vals)
+
+    monkeypatch.setattr(entropy, "_covering_log_radius", record)
+    entropy_lower_markov(g, 8)
+    golden = json.loads((GOLDEN / "markov_partitions.json").read_text())
+    assert rounds == golden[name]
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_banach.dial import theta
 from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
     IntervalQ,
@@ -105,6 +106,35 @@ def test_compose_cap():
         compose(TENT, compose(TENT, TENT), cap=3)
 
 
+#: (f, g, {cap: needed}): every cap from -1 up that makes compose(f, g) raise,
+#: with the breakpoint count the error reports; every larger cap succeeds.
+#: The count is g's breakpoints plus the preimages found up to the first
+#: segment that pushes it past the cap, so it moves in per-segment steps.
+CAP_BOUNDARY = [
+    (TENT, make_pl([0, F(1, 4), F(1, 2), F(3, 4), 1], [0, 1, 0, 1, 0]),
+     {-1: 6, 0: 6, 1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 7, 7: 8, 8: 9}),
+    (theta(F(37, 64), 3), theta(F(37, 64), 3),
+     {-1: 8, 0: 8, 1: 8, 2: 8, 3: 8, 4: 8, 5: 8, 6: 8, 7: 8, 8: 10, 9: 10,
+      10: 12, 11: 12}),
+    # falling segments, a flat segment and f-nodes hit at g's own nodes
+    (make_pl([0, F(1, 4), F(1, 2), F(3, 4), 1, F(3, 2)], [1, 0, 1, 0, 1, 0]),
+     make_pl([0, 1, 2, 3, 4, 5], [F(3, 2), F(1, 2), F(1, 2), 0, F(5, 4), F(1, 3)]),
+     {-1: 8, 0: 8, 1: 8, 2: 8, 3: 8, 4: 8, 5: 8, 6: 8, 7: 8, 8: 9, 9: 13,
+      10: 13, 11: 13, 12: 13, 13: 16, 14: 16, 15: 16}),
+]
+
+
+@pytest.mark.parametrize("f, g, needed", CAP_BOUNDARY)
+def test_compose_cap_boundary(f, g, needed):
+    for cap in range(-1, max(needed) + 4):
+        if cap in needed:
+            with pytest.raises(ResourceLimitError) as info:
+                compose(f, g, cap=cap)
+            assert (info.value.needed, info.value.cap) == (needed[cap], cap)
+        else:
+            assert pl_equal(compose(f, g, cap=cap), compose(f, g))
+
+
 @st.composite
 def pl_maps(draw, max_nodes=6):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
@@ -124,6 +154,10 @@ def test_exact_composition_law(f, g, x):
     assert eval_at(h, x) == eval_at(f, eval_at(g, x))
     for b in h.breakpoints:
         assert eval_at(h, b) == eval_at(f, eval_at(g, b))
+    # a cell midpoint sees a node emitted out of x order (falling segments)
+    for b0, b1 in zip(h.breakpoints, h.breakpoints[1:]):
+        mid = (b0 + b1) / 2
+        assert eval_at(h, mid) == eval_at(f, eval_at(g, mid))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,13 +1,16 @@
 """Stress and degradation paths: caps, fallbacks, deeper constructions."""
 
+import json
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from entropy_banach import entropy
 from entropy_banach.dial import DialConfig, find_a_star, r_of_a, theta
 from entropy_banach.ellone import ell1_witness, gamma_schedule
 from entropy_banach.entropy import (
@@ -23,7 +26,10 @@ from entropy_banach.plmap import (
     sample_pl,
     IntervalQ,
 )
+from entropy_banach.serialize import certificate_to_obj
 from entropy_banach.spaces import sin_scaled
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_horseshoe_reduced_candidate_fallback():
@@ -34,6 +40,11 @@ def test_horseshoe_reduced_candidate_fallback():
     d, cert = horseshoe_max(f)
     assert d >= 3
     assert validate_certificate(f, cert)
+    # pinned: 6,470 breakpoints, 25 reduced candidates, d = 11
+    assert len(f.breakpoints) == 6470
+    assert len(entropy._hull_candidates(f)) == 25
+    golden = json.loads((GOLDEN / "horseshoe_sin_3_1024.json").read_text())
+    assert {"d": d, "certificate": certificate_to_obj(cert)} == golden
 
 
 def test_entropy_bounds_degrades_at_cap():
