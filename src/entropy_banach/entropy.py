@@ -321,7 +321,10 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     ``refinement`` times by pulling partition points back through f.  Each
     round's covering matrix (M[i][j] = 1 iff f(I_i) contains I_j) gives a
     valid entropy lower bound; the running maximum over rounds is returned,
-    which makes the value non-decreasing in ``refinement``.
+    which makes the value non-decreasing in ``refinement``.  When the
+    partition outgrows PARTITION_CAP cells first, :class:`ResourceLimitError`
+    is raised with the completed rounds in ``achieved`` and their best bound,
+    still valid, in ``bound``.
     """
     if refinement < 0:
         raise ValueError(f"refinement must be >= 0, got {refinement}")
@@ -329,7 +332,7 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     if rounds_done <= refinement:
         raise ResourceLimitError(
             f"covering partition exceeded {PARTITION_CAP} cells",
-            achieved=rounds_done, cap=PARTITION_CAP)
+            achieved=rounds_done, cap=PARTITION_CAP, bound=best)
     return best
 
 
@@ -338,51 +341,45 @@ def _markov_scan(f: PLMap, refinement: int) -> tuple[float, int]:
 
     Returns (best bound so far, number of completed rounds).
     """
-    points = _turning_positions(f)
-    if len(points) < 2:
+    images = {x: eval_at(f, x) for x in _turning_positions(f)}
+    if len(images) < 2:
         return 0.0, refinement + 1
-    images = [eval_at(f, x) for x in points]
     best = 0.0
     for round_no in range(refinement + 1):
-        if len(points) - 1 > PARTITION_CAP:
+        if len(images) - 1 > PARTITION_CAP:
             return best, round_no
-        best = max(best, _covering_log_radius(points, images))
+        points = sorted(images)
+        best = max(best, _covering_log_radius(points, [images[x] for x in points]))
         if round_no < refinement:
-            points, images = _pull_back(f, points, images)
+            images = _pull_back(f, points, images)
     return best, refinement + 1
 
 
 def _pull_back(f: PLMap, points: list[Fraction],
-               images: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """points plus all their f-preimages, each point with its image under f.
+               images: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
+    """The partition (point -> image under f) plus all f-preimages of its points.
 
     Segments are closed here: a node of f whose value is a partition point
     joins when one of its segments is not flat.  The partition always holds
     both ends of f's domain, so every preimage lies inside its hull.
     """
     xs, ys = f.breakpoints, f.values
-    targets = set(points)
-    refined = dict(zip(points, images))
+    refined = dict(images)
     for i, hits in enumerate(segment_preimages(f, points)):
-        if ys[i] == ys[i + 1]:
-            continue
-        for k in (i, i + 1):
-            if ys[k] in targets:
-                refined[xs[k]] = ys[k]
-        for x, j in hits:
-            refined[x] = points[j]
-    points = sorted(refined)
-    return points, [refined[x] for x in points]
+        if ys[i] != ys[i + 1]:
+            refined.update((xs[k], ys[k]) for k in (i, i + 1) if ys[k] in images)
+        refined.update((x, points[j]) for x, j in hits)
+    return refined
 
 
 def _covering_log_radius(points: list[Fraction], vals: list[Fraction]) -> float:
     """Spectral radius of the covering matrix over the cells of ``points``.
 
-    ``vals`` holds f at each point.  Partition points always include every
-    critical point of f, so f is monotone on each cell and cell images are
-    endpoint hulls.  Cells are sorted, hence each image covers a contiguous
-    index window of cells; rows are stored as (start, stop) windows and the
-    power iteration does its matvec with prefix sums.
+    Partition points, where f takes ``vals``, always include every critical
+    point of f, so f is monotone on each cell and cell images are endpoint
+    hulls.  Cells are sorted, hence each image covers a contiguous index
+    window of cells; rows are stored as (start, stop) windows and the power
+    iteration does its matvec with prefix sums.
     """
     n = len(points) - 1
     starts = np.empty(n, dtype=np.int64)
@@ -522,8 +519,8 @@ def entropy_bounds(f: PLMap, depth: int, cap: int | None = None) -> EntropyBound
     lower_h, cert = _horseshoe_scan(chain, laps)
     try:
         lower_m = entropy_lower_markov(g, depth)
-    except ResourceLimitError:
-        lower_m = 0.0
+    except ResourceLimitError as exc:
+        lower_m = exc.bound  # the rounds before the partition cap still count
 
     if cert is not None and lower_h >= lower_m - 1e-15:
         lower = lower_h

@@ -22,16 +22,19 @@ class NumericError(EntropyBanachError):
 class ResourceLimitError(EntropyBanachError):
     """A configured resource cap (breakpoints, partition size, rounds) was hit.
 
-    ``achieved`` carries how far the computation got before stopping, so
+    ``achieved`` carries how far the computation got before stopping, and
+    ``bound`` the valid bound that part already certifies, if any, so
     callers can degrade gracefully instead of failing outright.
     """
 
     def __init__(self, message: str, *, achieved: int | None = None,
-                 needed: int | None = None, cap: int | None = None):
+                 needed: int | None = None, cap: int | None = None,
+                 bound: float | None = None):
         super().__init__(message)
         self.achieved = achieved
         self.needed = needed
         self.cap = cap
+        self.bound = bound
 
 
 class DependencyError(EntropyBanachError):

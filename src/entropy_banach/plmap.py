@@ -164,12 +164,10 @@ def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple, tup
 
 def segment_preimages(g: PLMap,
                       targets: Sequence[Fraction]) -> Iterator[list[tuple[Fraction, int]]]:
-    """Per segment of g, the points strictly inside it where g hits a target.
+    """Per segment of g, the pairs (x, j) strictly inside it with g(x) == targets[j].
 
-    ``targets`` must ascend.  Yields one list per segment, in x order, of
-    pairs (x, j) with g(x) == targets[j]; a flat segment yields an empty
-    list.  This is the one preimage loop: composition, the covering-matrix
-    partition and horseshoe certificates all pull points back through it.
+    ``targets`` ascend; each segment's list is in x order, empty if flat.
+    Composition, the covering partition and certificates all use this loop.
     """
     xs, ys = g.breakpoints, g.values
     for i in range(len(xs) - 1):
@@ -191,12 +189,10 @@ def segment_preimages(g: PLMap,
 def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
     """Exact PL representation of x -> f(g(x)).
 
-    Breakpoints are g's own breakpoints plus the preimages under g of f's
-    breakpoints, emitted segment by segment in x order, so the value at a
-    preimage is the f value of the breakpoint it came from; collinear
-    interior nodes are pruned afterwards.  Raises
-    :class:`ResourceLimitError` when the breakpoint count exceeds the
-    breakpoint cap.
+    Breakpoints are g's own plus, segment by segment in x order, the
+    preimages of f's breakpoints, where f's value is known already;
+    collinear interior nodes are pruned afterwards.  Raises
+    :class:`ResourceLimitError` when they exceed the breakpoint cap.
     """
     limit = breakpoint_cap(cap)
     gx, gy = g.breakpoints, g.values

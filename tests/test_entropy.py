@@ -223,6 +223,23 @@ def test_markov_partition_cap(monkeypatch):
         entropy_lower_markov(TENT, 14)
 
 
+
+def test_bounds_keep_markov_rounds_before_partition_cap(monkeypatch):
+    # theta(37/64, 3): seven rounds fit in 500 cells and bound 0.5624, the
+    # eighth needs 789 cells; the horseshoe side alone reaches only 0.5199,
+    # so the bracket shows whether the capped Markov side kept its bound
+    monkeypatch.setattr(entropy, "PARTITION_CAP", 500)
+    f = theta(F(37, 64), 3)
+    with pytest.raises(ResourceLimitError) as info:
+        entropy_lower_markov(invariant_restriction(f), 8)
+    assert info.value.achieved == 7
+    assert info.value.bound == pytest.approx(0.5624, abs=1e-4)
+    horseshoe, _ = entropy_lower_horseshoe(f, 8)
+    assert horseshoe == pytest.approx(0.5199, abs=1e-4)
+    eb = entropy_bounds(f, 8)
+    assert eb.lower == info.value.bound
+    assert eb.lower_witness is None
+
 #: maps whose covering partitions tests/golden/markov_partitions.json pins:
 #: the tent, theta(37/64, 3), two of its multiples inside the dial window
 #: [9/10, 10/9], and the 17-node sample of the logistic map r = 3.74
