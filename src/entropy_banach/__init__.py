@@ -37,6 +37,7 @@ from .plmap import (  # noqa: F401
 from .entropy import (  # noqa: F401
     EntropyBounds,
     HorseshoeCertificate,
+    certify,
     entropy_bounds,
     entropy_lower_horseshoe,
     entropy_lower_markov,

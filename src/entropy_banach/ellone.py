@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .entropy import HorseshoeCertificate, validate_certificate
+from .entropy import HorseshoeCertificate, certify
 from .errors import BudgetError, ConstructionError, DomainError, ParameterError
 from .plmap import (
     IntervalQ,
@@ -340,10 +340,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
                 raise ConstructionError(f"step {m}: odd point not low enough")
             if rank % 2 == 0 and not value >= x0 + epsilon:
                 raise ConstructionError(f"step {m}: even point not high enough")
-        intervals = tuple(IntervalQ(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-        cert = HorseshoeCertificate(d=m + 2, intervals=intervals, iterate=1)
-        if not validate_certificate(f, cert):
-            raise ConstructionError(f"step {m}: certificate failed validation")
+        cert = certify(f, [IntervalQ(pts[i], pts[i + 1]) for i in range(len(pts) - 1)])
         steps.append(WitnessStep(certificate=cert, **record))
 
     l1 = sum((abs(c) for c in coeffs), Fraction(0))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ConstructionError, DomainError, ResourceLimitError
 from .plmap import (
     IntervalQ,
     PLMap,
@@ -39,7 +39,6 @@ HORSESHOE_LAP_BUDGET = 1500
 #: covering-matrix partitions refuse to grow beyond this many cells
 PARTITION_CAP = 4096
 
-_HULL_ROUNDS_CAP = 10_000
 _POWER_TOL = 1e-10
 _POWER_ITERS = 10_000
 
@@ -54,9 +53,9 @@ class HorseshoeCertificate:
 
     def __post_init__(self):
         if self.d < 2 or len(self.intervals) != self.d:
-            raise ValueError(f"certificate needs d >= 2 intervals, got {self.d}")
+            raise ConstructionError(f"certificate needs d >= 2 intervals, got {self.d}")
         if self.iterate < 1:
-            raise ValueError("certificate iterate must be >= 1")
+            raise ConstructionError("certificate iterate must be >= 1")
 
     @property
     def rate(self) -> float:
@@ -74,7 +73,7 @@ class EntropyBounds:
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
+            raise ConstructionError(f"invalid bracket [{self.lower}, {self.upper}]")
 
     @property
     def midpoint(self) -> float:
@@ -88,18 +87,10 @@ class EntropyBounds:
 def invariant_restriction(f: PLMap) -> PLMap:
     """Crop f to the smallest f-invariant closed interval containing f(R).
 
-    For a PL map with constant extension the image hull stabilizes after one
-    expansion round; the loop is defensive and capped.
+    With constant extension f(R) is the image of f's domain, and it is
+    f-invariant as it stands: f maps everything, so also f(R), into f(R).
     """
     hull = image_interval(f, f.domain)
-    for _ in range(_HULL_ROUNDS_CAP):
-        img = image_interval(f, hull)
-        if hull.contains(img):
-            break
-        hull = IntervalQ(min(hull.lo, img.lo), max(hull.hi, img.hi))
-    else:
-        raise ResourceLimitError("image-hull iteration did not stabilize",
-                                 achieved=_HULL_ROUNDS_CAP)
     if hull.lo == hull.hi:
         return make_pl([hull.lo], [eval_at(f, hull.lo)])
     return crop(f, hull.lo, hull.hi)
@@ -108,7 +99,7 @@ def invariant_restriction(f: PLMap) -> PLMap:
 def iterate(f: PLMap, k: int, cap: int | None = None) -> PLMap:
     """Exact PL representation of the k-th iterate f^k."""
     if k < 1:
-        raise ValueError(f"iterate needs k >= 1, got {k}")
+        raise DomainError(f"iterate needs k >= 1, got {k}")
     result = f
     for step in range(2, k + 1):
         try:
@@ -153,6 +144,7 @@ def _horseshoe_scan(chain: list[PLMap],
         d, cert = horseshoe_max(g)
         if d >= 2 and math.log(d) / k > best:
             best = math.log(d) / k
+            # certified on g = f^k already; relabelled as a certificate of f
             best_cert = HorseshoeCertificate(d=d, intervals=cert.intervals, iterate=k)
     return best, best_cert
 
@@ -164,7 +156,7 @@ def entropy_upper_lap(f: PLMap, depth: int, cap: int | None = None) -> float:
     depth and keeps the bound valid.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise DomainError(f"depth must be >= 1, got {depth}")
     return _lap_upper([lap_count(g) for g in _iterate_chain(f, depth, cap)])
 
 
@@ -178,9 +170,8 @@ def _piece_boxes(f: PLMap) -> list[tuple[Fraction, Fraction, Fraction, Fraction]
     return boxes
 
 
-def _branch_certificate(f: PLMap, u: Fraction, v: Fraction,
-                        k: int) -> HorseshoeCertificate:
-    """Exact preimage subintervals for the covering branches of hull [u, v]."""
+def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
+    """The certified preimage subintervals of the covering branches of hull [u, v]."""
     level_u, level_v = _level_set(f, u), _level_set(f, v)
     intervals: list[IntervalQ] = []
     for (s, e) in monotone_pieces(f):
@@ -198,8 +189,7 @@ def _branch_certificate(f: PLMap, u: Fraction, v: Fraction,
         t_v = level_v[bisect_left(level_v, lo_x)]
         lo_t, hi_t = (t_u, t_v) if t_u <= t_v else (t_v, t_u)
         intervals.append(IntervalQ(lo_t, hi_t))
-    return HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals),
-                                iterate=k)
+    return certify(f, intervals)
 
 
 def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
@@ -238,8 +228,9 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     switch).  Every piece contributes to a hull either fully inside
     (x-extent within [u, v], value range containing it) or cut at one end;
     in each case the admissible (u, v) form a rectangle of candidate
-    indices, accumulated exactly on a 2D difference grid.  Returns
-    (1, None) when no 2-horseshoe exists at this resolution.
+    indices, accumulated exactly on a 2D difference grid.  The certificate
+    returned has passed :func:`certify`; (1, None) is returned when no
+    2-horseshoe exists at this resolution.
     """
     pts = _hull_candidates(f)
     n = len(pts)
@@ -287,7 +278,7 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     if best_d < 2:
         return 1, None
     i, j = np.unravel_index(int(counts.argmax()), counts.shape)
-    cert = _branch_certificate(f, pts[i], pts[j], 1)
+    cert = _branch_certificate(f, pts[i], pts[j])
     if cert.d != best_d:
         raise RuntimeError(f"horseshoe search counted {best_d} covering branches "
                            f"but extracted {cert.d}")
@@ -309,7 +300,7 @@ def entropy_lower_horseshoe(
     current best, are skipped (see :func:`_horseshoe_scan`).
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise DomainError(f"depth must be >= 1, got {depth}")
     chain = _iterate_chain(f, depth, cap)
     return _horseshoe_scan(chain, [lap_count(g) for g in chain])
 
@@ -327,7 +318,7 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     still valid, in ``bound``.
     """
     if refinement < 0:
-        raise ValueError(f"refinement must be >= 0, got {refinement}")
+        raise DomainError(f"refinement must be >= 0, got {refinement}")
     best, rounds_done = _markov_scan(f, refinement)
     if rounds_done <= refinement:
         raise ResourceLimitError(
@@ -415,8 +406,6 @@ def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
         prefix = np.concatenate(([0.0], np.cumsum(v)))
         w = prefix[stops] - prefix[starts] + v
         norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
         v = w / norm
         if abs(norm - prev) <= _POWER_TOL * max(1.0, norm):
             break
@@ -484,19 +473,31 @@ def _radius_at_most_one(starts: np.ndarray, stops: np.ndarray) -> bool:
 
 
 def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
-    """Re-check a certificate exactly: disjoint interiors and full covering."""
+    """Re-check a certificate exactly: disjoint interiors and full covering.
+
+    One linear pass: sorted by (lo, hi), the intervals have disjoint
+    interiors iff each ends at or before the next begins, and an image
+    contains every interval iff it contains their hull.
+    """
     g = iterate(f, cert.iterate) if cert.iterate > 1 else f
-    ivs = cert.intervals
-    for i in range(len(ivs)):
-        for j in range(i + 1, len(ivs)):
-            if not ivs[i].interior_disjoint(ivs[j]):
-                return False
-    for src in ivs:
-        img = image_interval(g, src)
-        for dst in ivs:
-            if not (img.lo <= dst.lo and dst.hi <= img.hi):
-                return False
-    return True
+    ivs = sorted(cert.intervals, key=lambda iv: (iv.lo, iv.hi))
+    if any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
+        return False
+    hull = IntervalQ(ivs[0].lo, max(iv.hi for iv in ivs))
+    return all(image_interval(g, src).contains(hull) for src in ivs)
+
+
+def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:
+    """The horseshoe certificate of f on ``intervals``, re-checked exactly.
+
+    Raises :class:`ConstructionError` when the intervals overlap or some
+    image misses one of them.
+    """
+    cert = HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals))
+    if not validate_certificate(f, cert):
+        raise ConstructionError(
+            f"{cert.d} intervals fail the exact horseshoe check")
+    return cert
 
 
 def entropy_bounds(f: PLMap, depth: int, cap: int | None = None) -> EntropyBounds:
@@ -508,7 +509,7 @@ def entropy_bounds(f: PLMap, depth: int, cap: int | None = None) -> EntropyBound
     reduce the achieved depth.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise DomainError(f"depth must be >= 1, got {depth}")
     g = invariant_restriction(f)
     if len(g) == 1 or g.domain.width == 0:
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)

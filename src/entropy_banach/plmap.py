@@ -55,9 +55,6 @@ class IntervalQ:
     def contains(self, other: "IntervalQ") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def interior_disjoint(self, other: "IntervalQ") -> bool:
-        return self.hi <= other.lo or other.hi <= self.lo
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -206,17 +203,22 @@ def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
         if not hits:
             continue
         found += len(hits)
-        if len(gx) + found > limit:
-            raise ResourceLimitError(
-                f"composition would need more than {limit} breakpoints",
-                needed=len(gx) + found, cap=limit)
+        _check_cap(len(gx) + found, limit)
         for x, j in hits:
             xs.append(x)
             ys.append(fy[j])
+    _check_cap(len(gx) + found, limit)  # g alone may exceed it
     xs.append(gx[-1])
     ys.append(eval_at(f, gy[-1]))
     xs, ys = _prune_collinear(xs, ys)
     return PLMap(xs, ys)
+
+
+def _check_cap(needed: int, limit: int) -> None:
+    if needed > limit:
+        raise ResourceLimitError(
+            f"composition would need more than {limit} breakpoints",
+            needed=needed, cap=limit)
 
 
 def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:

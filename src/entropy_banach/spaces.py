@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .entropy import HorseshoeCertificate, validate_certificate
+from .entropy import HorseshoeCertificate, certify
 from .errors import ConstructionError, DependencyError, DomainError, ResolutionError
 from .plmap import (
     IntervalQ,
@@ -159,11 +159,7 @@ def horseshoe_combination(
     f = linear_combination(coeffs, fs.members)
     if any(eval_at(f, xs[i]) != targets[i] for i in range(n)):
         raise ConstructionError("alternating combination misses its targets")
-    intervals = tuple(IntervalQ(xs[i], xs[i + 1]) for i in range(n - 1))
-    cert = HorseshoeCertificate(d=n - 1, intervals=intervals, iterate=1)
-    if not validate_certificate(f, cert):
-        raise ConstructionError("alternating combination failed its covering check")
-    return f, cert
+    return f, certify(f, [IntervalQ(xs[i], xs[i + 1]) for i in range(n - 1)])
 
 
 def cropped_polynomial(coeffs: Sequence, a, b, resolution: int) -> PLMap:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .entropy import HorseshoeCertificate, validate_certificate
+from .entropy import HorseshoeCertificate, certify
 from .errors import ConstructionError, DomainError, TruncationError
 from .plmap import IntervalQ, PLMap, eval_at, sup_norm
 from .rational import dyadic_pow_ceil
@@ -201,11 +201,7 @@ def psi_horseshoe(f: PLMap, sched: ScaleSchedule, d: int) -> HorseshoeCertificat
         hi = Fraction(4, 3) * sched.p[i]
         intervals.append(IntervalQ(lo, hi) if positive_side else IntervalQ(-hi, -lo))
     intervals.sort(key=lambda iv: iv.lo)
-    cert = HorseshoeCertificate(d=d, intervals=tuple(intervals), iterate=1)
-    g = psi(f, sched)
-    if not validate_certificate(g, cert):
-        raise ConstructionError("embedding horseshoe failed its covering check")
-    return cert
+    return certify(psi(f, sched), intervals)
 
 
 def holder_quotient(g: PLMap, alpha: float, grid: Sequence) -> float:

@@ -15,8 +15,11 @@ from entropy_banach import entropy
 from entropy_banach.dial import theta
 from entropy_banach.entropy import (
     PARTITION_CAP,
+    EntropyBounds,
+    HorseshoeCertificate,
     _interval_rows_radius,
     _radius_at_most_one,
+    certify,
     entropy_bounds,
     entropy_lower_horseshoe,
     entropy_lower_markov,
@@ -26,12 +29,13 @@ from entropy_banach.entropy import (
     iterate,
     validate_certificate,
 )
-from entropy_banach.errors import ResourceLimitError
+from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
     IntervalQ,
     compose,
     crop,
     eval_at,
+    image_interval,
     lap_count,
     linear_combination,
     make_pl,
@@ -67,7 +71,7 @@ def test_invariant_restriction_constant():
 
 
 def test_invariant_restriction_expands_hull():
-    # hand-checked hull iteration: image of [0,1] is [0,2], and [0,2] is invariant
+    # hand-checked hull: the image of [0,1] is [0,2], and [0,2] is invariant
     f = crop(make_pl([0, 1], [0, 2]), 0, 1)
     g = invariant_restriction(f)
     assert g.domain == IntervalQ(F(0), F(2))
@@ -166,13 +170,124 @@ def test_horseshoe_iterate_certificate_revalidates():
     assert validate_certificate(t2, cert)
 
 
+def interior_disjoint(a, b):
+    return a.hi <= b.lo or b.hi <= a.lo
+
+
+def pairwise_valid(f, cert):
+    """The quadratic reference check: every pair of intervals, every image."""
+    g = iterate(f, cert.iterate)
+    ivs = cert.intervals
+    for i in range(len(ivs)):
+        for j in range(i + 1, len(ivs)):
+            if not interior_disjoint(ivs[i], ivs[j]):
+                return False
+    for src in ivs:
+        img = image_interval(g, src)
+        for dst in ivs:
+            if not (img.lo <= dst.lo and dst.hi <= img.hi):
+                return False
+    return True
+
+
 def test_certificates_have_disjoint_interiors():
     for d in range(2, 7):
         _, cert = horseshoe_max(full_branch_map(d))
         ivs = cert.intervals
         for i in range(len(ivs)):
             for j in range(i + 1, len(ivs)):
-                assert ivs[i].interior_disjoint(ivs[j])
+                assert interior_disjoint(ivs[i], ivs[j])
+
+
+def iv(lo, hi):
+    return IntervalQ(F(lo), F(hi))
+
+
+THIRDS = [iv(0, F(1, 3)), iv(F(1, 3), F(2, 3)), iv(F(2, 3), 1)]
+QUARTERS = [iv(F(k, 4), F(k + 1, 4)) for k in range(4)]
+
+#: (f, intervals, iterate, verdict): every rejection path of the validator
+VALIDATOR_CASES = [
+    pytest.param(full_branch_map(3), [iv(0, F(1, 2)), iv(F(1, 3), 1)], 1, False,
+                 id="overlapping_interiors"),
+    pytest.param(TENT, [iv(0, F(1, 2)), iv(F(1, 4), F(1, 4))], 1, False,
+                 id="degenerate_inside_another"),
+    pytest.param(full_branch_map(3), THIRDS, 1, True, id="touching_intervals"),
+    pytest.param(TENT, [iv(0, F(1, 4)), iv(F(3, 4), 1)], 1, False, id="image_misses_hull"),
+    pytest.param(TENT, QUARTERS, 2, True, id="valid_for_f2"),
+    pytest.param(TENT, QUARTERS, 1, False, id="not_valid_for_f"),
+]
+
+
+@pytest.mark.parametrize("f, intervals, k, verdict", VALIDATOR_CASES)
+def test_validator_verdicts(f, intervals, k, verdict):
+    cert = HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals), iterate=k)
+    assert validate_certificate(f, cert) is verdict
+    assert pairwise_valid(f, cert) is verdict
+    # a certificate is listed in any order; the verdict does not depend on it
+    flipped = HorseshoeCertificate(d=cert.d, intervals=cert.intervals[::-1], iterate=k)
+    assert validate_certificate(f, flipped) is verdict
+
+
+_GRID = st.sampled_from(sorted({F(a, b) for b in range(1, 5) for a in range(b + 1)}))
+
+
+@st.composite
+def certificates(draw):
+    """Small maps, half of them alternating between 0 and 1 so that horseshoes
+    are common, cut at their breakpoints; the intervals may gain a degenerate
+    one, or have one replaced by an arbitrary, possibly overlapping one."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    xs = sorted(draw(st.sets(_GRID, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 1))
+        ys = [F((start + i) % 2) for i in range(n)]
+    else:
+        ys = draw(st.lists(_GRID, min_size=n, max_size=n))
+    f = make_pl(xs, ys)
+    cuts = sorted(draw(st.lists(st.sampled_from(xs), min_size=3, max_size=n, unique=True)))
+    intervals = [IntervalQ(a, b) for a, b in zip(cuts, cuts[1:])]
+    if draw(st.integers(0, 3)) == 3:
+        x = draw(st.sampled_from(xs))
+        intervals.append(IntervalQ(x, x))
+    if draw(st.integers(0, 3)) == 3:
+        a, b = draw(_GRID), draw(_GRID)
+        intervals[draw(st.integers(0, len(intervals) - 1))] = IntervalQ(min(a, b), max(a, b))
+    intervals = draw(st.permutations(intervals))
+    cert = HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals),
+                                iterate=draw(st.integers(min_value=1, max_value=2)))
+    return f, cert
+
+
+@settings(max_examples=600, deadline=None)
+@given(certificates())
+def test_validator_matches_pairwise_oracle(f_cert):
+    f, cert = f_cert
+    assert validate_certificate(f, cert) == pairwise_valid(f, cert)
+
+
+def test_certify_raises_on_a_failing_certificate():
+    cert = certify(full_branch_map(3), THIRDS)
+    assert (cert.d, cert.iterate) == (3, 1)
+    with pytest.raises(ConstructionError):
+        certify(TENT, [iv(0, F(1, 4)), iv(F(3, 4), 1)])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: HorseshoeCertificate(d=1, intervals=(iv(0, 1),)), ConstructionError),
+    (lambda: HorseshoeCertificate(d=2, intervals=(iv(0, F(1, 2)), iv(F(1, 2), 1)), iterate=0),
+     ConstructionError),
+    (lambda: EntropyBounds(1.0, 0.5, None, depth_used=1), ConstructionError),
+    (lambda: iterate(TENT, 0), DomainError),
+    (lambda: entropy_upper_lap(TENT, 0), DomainError),
+    (lambda: entropy_lower_horseshoe(TENT, 0), DomainError),
+    (lambda: entropy_bounds(TENT, 0), DomainError),
+    (lambda: entropy_lower_markov(TENT, -1), DomainError),
+], ids=["certificate_d1", "certificate_iterate0", "inverted_bracket", "iterate_k0",
+        "upper_depth0", "horseshoe_depth0", "bounds_depth0", "markov_refinement_neg"])
+def test_preconditions_raise_library_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_conjugacy_invariance_of_horseshoe_count():
@@ -343,7 +458,7 @@ def test_horseshoe_max_rejects_mismatched_certificate(monkeypatch):
     # the count/certificate cross-check must raise even under python -O
     real = entropy._branch_certificate
     monkeypatch.setattr(entropy, "_branch_certificate",
-                        lambda f, u, v, k: real(TENT, F(0), F(1), k))
+                        lambda f, u, v: real(TENT, F(0), F(1)))
     with pytest.raises(RuntimeError):
         horseshoe_max(full_branch_map(3))
 

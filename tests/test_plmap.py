@@ -121,6 +121,8 @@ CAP_BOUNDARY = [
      make_pl([0, 1, 2, 3, 4, 5], [F(3, 2), F(1, 2), F(1, 2), 0, F(5, 4), F(1, 3)]),
      {-1: 8, 0: 8, 1: 8, 2: 8, 3: 8, 4: 8, 5: 8, 6: 8, 7: 8, 8: 9, 9: 13,
       10: 13, 11: 13, 12: 13, 13: 16, 14: 16, 15: 16}),
+    # no preimage inside any segment: g's own breakpoints exceed the cap
+    (make_pl([0, 1], [0, 1]), TENT, {-1: 3, 0: 3, 1: 3, 2: 3}),
 ]
 
 
