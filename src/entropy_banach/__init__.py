@@ -39,7 +39,6 @@ from .entropy import (  # noqa: F401
     HorseshoeCertificate,
     certify,
     entropy_bounds,
-    entropy_lower_horseshoe,
     entropy_lower_markov,
     entropy_upper_lap,
     horseshoe_max,
@@ -50,19 +49,15 @@ from .entropy import (  # noqa: F401
 from .spaces import (  # noqa: F401
     FunctionFamily,
     IndependencePoints,
-    bump_sum,
     cropped_polynomial,
     horseshoe_combination,
     independent_points,
     sin_scaled,
 )
 from .universal import (  # noqa: F401
-    PsiGeometry,
     ScaleSchedule,
     geometric_schedule,
-    geometry,
     hoelder_schedule,
-    holder_quotient,
     psi,
     psi_horseshoe,
 )
@@ -84,7 +79,6 @@ from .dial import (  # noqa: F401
     build_dial_map,
     dial_entropy_check,
     find_a_star,
-    orbit_itinerary,
     r_of_a,
     rational_enumeration,
     theta,

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, plmap
 from .checks import run_all
 from .dial import (
     DialConfig,
@@ -249,7 +248,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=argparse.SUPPRESS if suppress else 0,
                         help="seed for randomized checks")
     parser.add_argument("--cap-breakpoints", type=int, default=default,
-                        help="override the composition breakpoint cap")
+                        help="override the composition breakpoint cap (>= 1)")
     parser.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS if suppress else "json",
                         help="output format where both make sense")
@@ -340,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.cap_breakpoints is not None:
-        os.environ["ENTROPY_BANACH_CAP"] = str(args.cap_breakpoints)
+        if args.cap_breakpoints < 1:
+            return _fail(2, f"--cap-breakpoints must be >= 1, got {args.cap_breakpoints}")
+        plmap.BREAKPOINT_CAP = args.cap_breakpoints
     try:
         return args.func(args)
     except ResourceLimitError as exc:

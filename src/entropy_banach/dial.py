@@ -29,14 +29,17 @@ from typing import Sequence
 
 from .entropy import EntropyBounds, entropy_bounds
 from .errors import ConfigurationError, ConstructionError, DomainError
-from .plmap import PLMap, eval_at, even_extension, linear_combination, make_pl, scale
+from .plmap import PLMap, even_extension, linear_combination, make_pl, scale
 
 WINDOW_LO = Fraction(9, 10)
 WINDOW_HI = Fraction(10, 9)
 
-#: default iterate depth for out-of-window scale diagnostics (their lap
-#: counts grow linearly, so deep iterates are cheap and push the bound down)
+#: iterate depth for out-of-window scale diagnostics (their lap counts
+#: grow linearly, so deep iterates are cheap and push the bound down)
 VANISH_DEPTH = 32
+
+#: enumeration terms searched for the multiplier nearest the window argmax
+DENSITY_TERMS = 1024
 
 _GOLDEN_ITERS = 8
 _BISECTION_MAX = 40
@@ -314,19 +317,18 @@ def _diagonal_crossing(lam: Fraction, lam_n: Fraction, n: int) -> bool:
     return mu * lo <= hi and mu * hi >= lo
 
 
-def dial_entropy_check(cfg: DialConfig, lambdas: Sequence,
-                       vanish_depth: int = VANISH_DEPTH,
-                       density_terms: int = 1024) -> list[DialCheckRecord]:
+def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckRecord]:
     """Per-multiplier entropy reports across the scales of the dial map.
 
     For each lambda, every scale n <= truncation is scored through the exact
     conjugacy of the dial map on I_n to (lambda lambda_n) theta: scales with
     the product in the active window get the configured-depth bracket and
     their max is the achieved bracket; scales outside get a deeper, cheap
-    bracket that certifies vanishing entropy.  The density record reports how
-    close the extended enumeration can bring some multiplier to the window
-    argmax (the refinement that drives the construction toward t as the
-    enumeration grows), with its certified lower bound.
+    bracket (VANISH_DEPTH) that certifies vanishing entropy.  The density
+    record reports how close the enumeration, extended to DENSITY_TERMS
+    terms, can bring some multiplier to the window argmax (the refinement
+    that drives the construction toward t as the enumeration grows), with
+    its certified lower bound.
     """
     if cfg.a_star is None:
         raise ConfigurationError("a_star must be set before checking entropies")
@@ -344,7 +346,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence,
         for n in range(1, cfg.truncation + 1):
             mu = lam_abs * terms[n - 1]
             in_window = WINDOW_LO <= mu <= WINDOW_HI
-            depth = cfg.entropy_depth if in_window else vanish_depth
+            depth = cfg.entropy_depth if in_window else VANISH_DEPTH
             eb = _scale_bounds(Fraction(cfg.a_star), mu, cfg.d, depth)
             scales.append(ScaleRecord(
                 n=n, lambda_n=terms[n - 1], multiplier=mu, in_window=in_window,
@@ -353,7 +355,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence,
             if in_window and (achieved is None or eb.midpoint > achieved.midpoint):
                 achieved = eb
         est = r_of_a(cfg.a_star, cfg)
-        dense = rational_enumeration(max(density_terms, cfg.truncation)).terms
+        dense = rational_enumeration(max(DENSITY_TERMS, cfg.truncation)).terms
         nearest = min(
             (lam_abs * term for term in dense
              if WINDOW_LO <= lam_abs * term <= WINDOW_HI),
@@ -371,28 +373,3 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence,
 def with_a_star(cfg: DialConfig, a_star: Fraction) -> DialConfig:
     return replace(cfg, a_star=a_star)
 
-
-def orbit_itinerary(f: PLMap, lam, x0, steps: int = 64,
-                    truncation: int = 12) -> list[int | None]:
-    """Scale indices visited by the orbit of x0 under lam * f (diagnostic only).
-
-    Entry k is the index n with |x_k| in I_n = [0.9 * 4^-n, 4^-n], or None
-    when the iterate sits between scales.  The construction predicts that
-    orbits visit finitely many scales and at most one of them infinitely
-    often; this helper reports what actually happens on the truncated map,
-    it does not prove the claim.
-    """
-    lam = Fraction(lam)
-    x = Fraction(x0)
-    out: list[int | None] = []
-    for _ in range(steps):
-        x = lam * eval_at(f, x)
-        ax = abs(x)
-        found = None
-        for n in range(1, truncation + 1):
-            x_n = Fraction(1, 4) ** n
-            if Fraction(9, 10) * x_n <= ax <= x_n:
-                found = n
-                break
-        out.append(found)
-    return out

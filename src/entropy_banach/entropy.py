@@ -96,14 +96,14 @@ def invariant_restriction(f: PLMap) -> PLMap:
     return crop(f, hull.lo, hull.hi)
 
 
-def iterate(f: PLMap, k: int, cap: int | None = None) -> PLMap:
+def iterate(f: PLMap, k: int) -> PLMap:
     """Exact PL representation of the k-th iterate f^k."""
     if k < 1:
         raise DomainError(f"iterate needs k >= 1, got {k}")
     result = f
     for step in range(2, k + 1):
         try:
-            result = compose(f, result, cap=cap)
+            result = compose(f, result)
         except ResourceLimitError as exc:
             raise ResourceLimitError(
                 f"breakpoint cap hit while building iterate {step}",
@@ -111,12 +111,12 @@ def iterate(f: PLMap, k: int, cap: int | None = None) -> PLMap:
     return result
 
 
-def _iterate_chain(f: PLMap, depth: int, cap: int | None) -> list[PLMap]:
+def _iterate_chain(f: PLMap, depth: int) -> list[PLMap]:
     """[f, f^2, ..., f^depth], stopping early (never failing) at the cap."""
     chain = [f]
     for _ in range(depth - 1):
         try:
-            chain.append(compose(f, chain[-1], cap=cap))
+            chain.append(compose(f, chain[-1]))
         except ResourceLimitError:
             break
     return chain
@@ -149,7 +149,7 @@ def _horseshoe_scan(chain: list[PLMap],
     return best, best_cert
 
 
-def entropy_upper_lap(f: PLMap, depth: int, cap: int | None = None) -> float:
+def entropy_upper_lap(f: PLMap, depth: int) -> float:
     """min over k <= depth of log(laps(f^k)) / k; a valid upper bound.
 
     Monotone improving in depth; cap truncation only reduces the achieved
@@ -157,7 +157,7 @@ def entropy_upper_lap(f: PLMap, depth: int, cap: int | None = None) -> float:
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    return _lap_upper([lap_count(g) for g in _iterate_chain(f, depth, cap)])
+    return _lap_upper([lap_count(g) for g in _iterate_chain(f, depth)])
 
 
 def _piece_boxes(f: PLMap) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
@@ -289,20 +289,6 @@ def _turning_positions(f: PLMap) -> list[Fraction]:
     """Domain ends and turning points of f, ascending."""
     xs = f.breakpoints
     return sorted({xs[i] for piece in monotone_pieces(f) for i in piece})
-
-
-def entropy_lower_horseshoe(
-    f: PLMap, depth: int, cap: int | None = None,
-) -> tuple[float, HorseshoeCertificate | None]:
-    """max over k <= depth of log(horseshoe_max(f^k)) / k with its certificate.
-
-    Iterates above the lap budget, or whose lap-based ceiling cannot beat the
-    current best, are skipped (see :func:`_horseshoe_scan`).
-    """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    chain = _iterate_chain(f, depth, cap)
-    return _horseshoe_scan(chain, [lap_count(g) for g in chain])
 
 
 def entropy_lower_markov(f: PLMap, refinement: int) -> float:
@@ -473,15 +459,16 @@ def _radius_at_most_one(starts: np.ndarray, stops: np.ndarray) -> bool:
 
 
 def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
-    """Re-check a certificate exactly: disjoint interiors and full covering.
+    """Re-check a certificate exactly: positive widths, disjoint interiors, full covering.
 
     One linear pass: sorted by (lo, hi), the intervals have disjoint
     interiors iff each ends at or before the next begins, and an image
-    contains every interval iff it contains their hull.
+    contains every interval iff it contains their hull.  A zero-width
+    interval is rejected: copies of one fixed point would otherwise pass.
     """
     g = iterate(f, cert.iterate) if cert.iterate > 1 else f
     ivs = sorted(cert.intervals, key=lambda iv: (iv.lo, iv.hi))
-    if any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
+    if any(iv.lo == iv.hi for iv in ivs) or any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
         return False
     hull = IntervalQ(ivs[0].lo, max(iv.hi for iv in ivs))
     return all(image_interval(g, src).contains(hull) for src in ivs)
@@ -490,8 +477,8 @@ def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
 def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:
     """The horseshoe certificate of f on ``intervals``, re-checked exactly.
 
-    Raises :class:`ConstructionError` when the intervals overlap or some
-    image misses one of them.
+    Raises :class:`ConstructionError` when an interval is degenerate, the
+    intervals overlap, or some image misses one of them.
     """
     cert = HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals))
     if not validate_certificate(f, cert):
@@ -500,7 +487,7 @@ def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:
     return cert
 
 
-def entropy_bounds(f: PLMap, depth: int, cap: int | None = None) -> EntropyBounds:
+def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     """Certified bracket on the invariant restriction of f.
 
     Lower side is the better of the horseshoe search over iterates and the
@@ -514,7 +501,7 @@ def entropy_bounds(f: PLMap, depth: int, cap: int | None = None) -> EntropyBound
     if len(g) == 1 or g.domain.width == 0:
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
-    chain = _iterate_chain(g, depth, cap)
+    chain = _iterate_chain(g, depth)
     laps = [lap_count(gk) for gk in chain]
     upper = _lap_upper(laps)
     lower_h, cert = _horseshoe_scan(chain, laps)

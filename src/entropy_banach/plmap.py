@@ -13,7 +13,6 @@ workers.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,23 +21,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import ConstructionError, DomainError, NumericError, ResourceLimitError
 from .rational import q_from_float
 
-#: default ceiling on breakpoints produced by a single composition
-DEFAULT_BREAKPOINT_CAP = 2_000_000
-
-_CAP_ENV = "ENTROPY_BANACH_CAP"
-
-
-def breakpoint_cap(override: int | None = None) -> int:
-    """Active breakpoint cap: explicit override, else env var, else default."""
-    if override is not None:
-        return override
-    env = os.environ.get(_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConstructionError(f"{_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_BREAKPOINT_CAP
+#: ceiling on breakpoints produced by a single composition; read at call time
+BREAKPOINT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -183,15 +167,15 @@ def segment_preimages(g: PLMap,
         yield [(x0 + (targets[j] - y0) * scale, j) for j in order]
 
 
-def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
+def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact PL representation of x -> f(g(x)).
 
     Breakpoints are g's own plus, segment by segment in x order, the
     preimages of f's breakpoints, where f's value is known already;
     collinear interior nodes are pruned afterwards.  Raises
-    :class:`ResourceLimitError` when they exceed the breakpoint cap.
+    :class:`ResourceLimitError` when they exceed BREAKPOINT_CAP.
     """
-    limit = breakpoint_cap(cap)
+    limit = BREAKPOINT_CAP
     gx, gy = g.breakpoints, g.values
     fy = f.values
     xs: list[Fraction] = []

@@ -1,15 +1,16 @@
 """JSON and CSV exchange formats.
 
 Rationals travel as decimal-free ``"p/q"`` strings (plain integers are
-accepted as shorthand on input); entropy rates are JSON floats.  Every
-emitter round-trips through its parser.
+accepted as shorthand on input); entropy rates are JSON floats.  PL maps
+are the only input; brackets, certificates, witnesses and dial
+configurations are output only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import IO, Sequence
+from typing import IO
 
 from .dial import DialConfig
 from .ellone import WitnessReport, WitnessStep
@@ -37,12 +38,6 @@ def interval_to_obj(iv: IntervalQ) -> list[str]:
     return [qstr(iv.lo), qstr(iv.hi)]
 
 
-def interval_from_obj(obj: Sequence) -> IntervalQ:
-    if len(obj) != 2:
-        raise ConstructionError("an interval is a [lo, hi] pair")
-    return IntervalQ(parse_q(obj[0]), parse_q(obj[1]))
-
-
 def certificate_to_obj(cert: HorseshoeCertificate | None) -> dict | None:
     if cert is None:
         return None
@@ -50,26 +45,10 @@ def certificate_to_obj(cert: HorseshoeCertificate | None) -> dict | None:
             "intervals": [interval_to_obj(iv) for iv in cert.intervals]}
 
 
-def certificate_from_obj(obj: dict | None) -> HorseshoeCertificate | None:
-    if obj is None:
-        return None
-    return HorseshoeCertificate(
-        d=int(obj["d"]), iterate=int(obj["k"]),
-        intervals=tuple(interval_from_obj(iv) for iv in obj["intervals"]))
-
-
 def bounds_to_obj(eb: EntropyBounds) -> dict:
     upper = eb.upper if math.isfinite(eb.upper) else None
     return {"lower": eb.lower, "upper": upper, "depth": eb.depth_used,
             "certificate": certificate_to_obj(eb.lower_witness)}
-
-
-def bounds_from_obj(obj: dict) -> EntropyBounds:
-    upper = obj["upper"] if obj["upper"] is not None else math.inf
-    return EntropyBounds(
-        lower=float(obj["lower"]), upper=float(upper),
-        lower_witness=certificate_from_obj(obj.get("certificate")),
-        depth_used=int(obj["depth"]))
 
 
 def witness_step_to_obj(step: WitnessStep) -> dict:
@@ -98,25 +77,6 @@ def witness_to_obj(report: WitnessReport) -> dict:
     }
 
 
-def witness_from_obj(obj: dict) -> WitnessReport:
-    steps = tuple(
-        WitnessStep(
-            m=int(s["m"]), n_m=int(s["n"]), epsilon=parse_q(s["epsilon"]),
-            J=interval_from_obj(s["J"]), window=parse_q(s["window"]),
-            rows=tuple(int(r) for r in s["rows"]),
-            points=tuple(parse_q(p) for p in s["points"]),
-            beta=tuple(parse_q(b) for b in s["beta"]),
-            alpha=tuple(parse_q(a) for a in s["alpha"]),
-            oscillation_prev=parse_q(s["oscillation_prev"]),
-            tail=parse_q(s["tail"]),
-            certificate=certificate_from_obj(s["certificate"]))
-        for s in obj["steps"])
-    return WitnessReport(
-        f=pl_from_obj(obj["f"]), steps=steps,
-        coefficient_l1_norm=parse_q(obj["coefficient_l1_norm"]),
-        basis=(), x0=parse_q(obj["x0"]))
-
-
 def dial_config_to_obj(cfg: DialConfig) -> dict:
     return {
         "t": cfg.t,
@@ -127,17 +87,6 @@ def dial_config_to_obj(cfg: DialConfig) -> dict:
         "entropy_depth": cfg.entropy_depth,
         "tolerance": cfg.tolerance,
     }
-
-
-def dial_config_from_obj(obj: dict) -> DialConfig:
-    a_star = obj.get("a_star")
-    return DialConfig(
-        t=float(obj["t"]), d=int(obj["d"]),
-        a_star=parse_q(a_star) if a_star is not None else None,
-        truncation=int(obj["truncation"]),
-        lambda_grid_size=int(obj["lambda_grid_size"]),
-        entropy_depth=int(obj["entropy_depth"]),
-        tolerance=float(obj["tolerance"]))
 
 
 def dumps(obj) -> str:

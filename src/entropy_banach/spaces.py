@@ -5,8 +5,8 @@ evaluation matrix is invertible and solve for a combination that alternates
 between the smallest and largest point; its graph crosses the band between
 them n-1 times, which certifies an (n-1)-horseshoe and hence entropy at
 least log(n-1).  The sharpness side lives here too: cropped polynomials of
-degree <= n-1 (at most n-1 laps, so entropy <= log(n-1)), sums of disjoint
-quadratic bumps, and scaled sine samples.
+degree <= n-1 (at most n-1 laps, so entropy <= log(n-1)) and scaled sine
+samples.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .plmap import (
     make_pl,
     sample_pl,
 )
-
-#: nodes used when sampling one quadratic bump
-_BUMP_NODES = 33
 
 #: adaptive polynomial sampling gives up beyond this many nodes
 _POLY_RESOLUTION_CAP = 1 << 16
@@ -201,46 +198,6 @@ def cropped_polynomial(coeffs: Sequence, a, b, resolution: int) -> PLMap:
         f, laps = refined, refined_laps
     raise ResolutionError(
         f"lap count failed to stabilize below {_POLY_RESOLUTION_CAP} nodes")
-
-
-def bump_sum(params: Sequence[tuple[int, Fraction]]) -> PLMap:
-    """Sum of sampled quadratic bumps on the adjacent windows J_n.
-
-    The n-th bump lives on J_n = [2 - 1/n, 2 - 1/(n+1)], vanishes at both
-    ends, and is sampled exactly (rational nodes of a rational quadratic).
-    The result is zero outside the union of the windows, in particular at
-    and beyond the accumulation point 2.
-    """
-    if not params:
-        raise DomainError("need at least one (n, amplitude) pair")
-    seen = set()
-    for n, _ in params:
-        if n < 1:
-            raise DomainError(f"bump index must be >= 1, got {n}")
-        if n in seen:
-            raise DomainError(f"duplicate bump index {n}")
-        seen.add(n)
-    xs: list[Fraction] = [Fraction(1)]
-    ys: list[Fraction] = [Fraction(0)]
-
-    def add_node(x: Fraction, y: Fraction):
-        if xs and xs[-1] == x:
-            return
-        xs.append(x)
-        ys.append(y)
-
-    for n, amp in sorted(params):
-        amp = Fraction(amp)
-        left = 2 - Fraction(1, n)
-        right = 2 - Fraction(1, n + 1)
-        add_node(left, Fraction(0))
-        width = right - left
-        for k in range(1, _BUMP_NODES - 1):
-            x = left + width * Fraction(k, _BUMP_NODES - 1)
-            add_node(x, amp * (x - left) * (right - x))
-        add_node(right, Fraction(0))
-    add_node(Fraction(2), Fraction(0))
-    return make_pl(xs, ys)
 
 
 def sin_scaled(lam: float, resolution: int = 64) -> PLMap:

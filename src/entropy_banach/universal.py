@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .entropy import HorseshoeCertificate, certify
 from .errors import ConstructionError, DomainError, TruncationError
-from .plmap import IntervalQ, PLMap, eval_at, sup_norm
+from .plmap import IntervalQ, PLMap, sup_norm
 from .rational import dyadic_pow_ceil
 
 #: dyadic precision used to rationalize hoelder amplitudes
@@ -97,20 +96,6 @@ def make_schedule(kind: str, parameter, truncation: int) -> ScaleSchedule:
     if kind == "hoelder":
         return hoelder_schedule(parameter, truncation)
     raise ConstructionError(f"unknown schedule kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class PsiGeometry:
-    """Copy and window intervals of one scale: I_n inside J_n, both around p_n."""
-
-    inner: tuple[IntervalQ, ...]
-    windows: tuple[IntervalQ, ...]
-
-
-def geometry(sched: ScaleSchedule) -> PsiGeometry:
-    inner = tuple(IntervalQ(Fraction(3, 4) * p, Fraction(5, 4) * p) for p in sched.p)
-    windows = tuple(IntervalQ(Fraction(2, 3) * p, Fraction(4, 3) * p) for p in sched.p)
-    return PsiGeometry(inner=inner, windows=windows)
 
 
 def _require_unit_domain(f: PLMap):
@@ -203,27 +188,3 @@ def psi_horseshoe(f: PLMap, sched: ScaleSchedule, d: int) -> HorseshoeCertificat
     intervals.sort(key=lambda iv: iv.lo)
     return certify(psi(f, sched), intervals)
 
-
-def holder_quotient(g: PLMap, alpha: float, grid: Sequence) -> float:
-    """max of |g(x)-g(y)| / |x-y|^alpha over pairs at distance in (0, 1].
-
-    Pairs run over the provided grid plus all breakpoints of g; for PL maps
-    the breakpoint pairs dominate.
-    """
-    if not 0 < alpha < 1:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    pts = sorted(set(g.breakpoints) | {Fraction(x) for x in grid})
-    if len(pts) < 2:
-        raise DomainError("need at least two distinct points")
-    vals = [eval_at(g, x) for x in pts]
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dist = pts[j] - pts[i]
-            if dist > 1:
-                break
-            diff = abs(vals[j] - vals[i])
-            if diff == 0:
-                continue
-            best = max(best, float(diff) / float(dist) ** alpha)
-    return best

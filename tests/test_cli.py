@@ -202,9 +202,31 @@ def test_cap_override_exit_3(tent_path):
     assert res.returncode == 0  # entropy degrades gracefully
     assert_golden("entropy_tent_cap4_depth9.json", res.stdout)
     # horseshoe never composes, so no cap can stop it
-    res = run_cli("--cap-breakpoints", "-1", "horseshoe", tent_path)
+    res = run_cli("--cap-breakpoints", "1", "horseshoe", tent_path)
     assert res.returncode == 0
     assert_golden("horseshoe_tent.json", res.stdout)
+
+
+def test_cap_reaches_dial(tmp_path):
+    # the cap holds for every subcommand: here it cuts the in-window
+    # brackets of the dial to depth 1, which the uncapped run does not
+    out = tmp_path / "dial.json"
+    res = run_cli("--cap-breakpoints", "3", "dial", "--t", str(math.log(2)),
+                  "--N", "4", "--lambda-grid", "3", "--depth", "5", "--tol", "0.2",
+                  "--a-star", "37/64", "--check-lambdas", "1", "--out", str(out))
+    assert res.returncode == 0
+    assert_golden("dial_cap3_a_star_37_64.json", out.read_text())
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cap_below_one_exit_2(tent_path, cap):
+    for args in (["entropy", tent_path], ["horseshoe", tent_path], ["thmB", tent_path],
+                 ["psi", tent_path], ["figure1"], ["ell1"], ["dial", "--t", "0.5"],
+                 ["check"]):
+        res = run_cli("--cap-breakpoints", cap, *args)
+        assert res.returncode == 2, args
+        assert res.stderr.splitlines() == [f"error: --cap-breakpoints must be >= 1, got {cap}"]
+        assert res.stdout == ""
 
 
 def test_figure1_single_copy():

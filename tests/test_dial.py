@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from entropy_banach import dial
 from entropy_banach.dial import (
     DialConfig,
     build_dial_map,
@@ -175,9 +176,14 @@ def test_build_requires_a_star():
 
 # --- multiplier checks ----------------------------------------------------------------------
 
-def test_dial_entropy_check_windows(dial_cfg):
-    records = dial_entropy_check(dial_cfg, [F(1)], vanish_depth=12,
-                                 density_terms=64)
+def set_check_depths(monkeypatch, vanish_depth, density_terms):
+    monkeypatch.setattr(dial, "VANISH_DEPTH", vanish_depth)
+    monkeypatch.setattr(dial, "DENSITY_TERMS", density_terms)
+
+
+def test_dial_entropy_check_windows(monkeypatch, dial_cfg):
+    set_check_depths(monkeypatch, 12, 64)
+    records = dial_entropy_check(dial_cfg, [F(1)])
     rec = records[0]
     terms = rational_enumeration(dial_cfg.truncation).terms
     for scale_rec in rec.scales:
@@ -189,9 +195,9 @@ def test_dial_entropy_check_windows(dial_cfg):
     assert rec.achieved.lower <= rec.achieved.upper
 
 
-def test_dial_entropy_check_vanishing_scales(dial_cfg):
-    records = dial_entropy_check(dial_cfg, [F(18, 25)], vanish_depth=24,
-                                 density_terms=64)
+def test_dial_entropy_check_vanishing_scales(monkeypatch, dial_cfg):
+    set_check_depths(monkeypatch, 24, 64)
+    records = dial_entropy_check(dial_cfg, [F(18, 25)])
     for scale_rec in records[0].scales:
         if not scale_rec.in_window:
             assert scale_rec.bounds.lower == 0.0
@@ -208,8 +214,25 @@ def test_enumeration_rejects_zero_count():
         rational_enumeration(0)
 
 
+def orbit_itinerary(f, lam, x0, steps, truncation):
+    """Scale indices visited by the orbit of x0 under lam * f.
+
+    Entry k is the index n with |x_k| in I_n = [0.9 * 4^-n, 4^-n], or None
+    when the iterate sits between scales.  The construction predicts that
+    orbits visit finitely many scales and at most one of them infinitely
+    often; this reports what happens on the truncated map, it does not
+    prove the claim.
+    """
+    x = F(x0)
+    out = []
+    for _ in range(steps):
+        x = lam * eval_at(f, x)
+        out.append(next((n for n in range(1, truncation + 1)
+                         if F(9, 10) * F(1, 4) ** n <= abs(x) <= F(1, 4) ** n), None))
+    return out
+
+
 def test_orbit_itinerary_settles(dial_cfg, dial_map):
-    from entropy_banach.dial import orbit_itinerary
     # an orbit from between scales drifts and then stays within one scale set
     visited = orbit_itinerary(dial_map, F(1, 2), F(5), steps=48,
                               truncation=FAST_CFG.truncation)
@@ -219,9 +242,10 @@ def test_orbit_itinerary_settles(dial_cfg, dial_map):
     assert len(set(tail)) <= 1
 
 
-def test_negative_multiplier_matches_positive(dial_cfg):
-    pos = dial_entropy_check(dial_cfg, [F(1)], vanish_depth=8, density_terms=32)[0]
-    neg = dial_entropy_check(dial_cfg, [F(-1)], vanish_depth=8, density_terms=32)[0]
+def test_negative_multiplier_matches_positive(monkeypatch, dial_cfg):
+    set_check_depths(monkeypatch, 8, 32)
+    pos = dial_entropy_check(dial_cfg, [F(1)])[0]
+    neg = dial_entropy_check(dial_cfg, [F(-1)])[0]
     assert neg.achieved == pos.achieved
     assert [s.bounds for s in neg.scales] == [s.bounds for s in pos.scales]
     with pytest.raises(DomainError):
@@ -237,11 +261,11 @@ def test_entropy_vanishes_outside_window():
     assert eb.upper <= 0.15
 
 
-def test_dial_entropy_check_far_multiplier(dial_cfg):
+def test_dial_entropy_check_far_multiplier(monkeypatch, dial_cfg):
     # a multiplier whose whole enumeration misses the window: no achieved
     # bracket, no density refinement available at this truncation
-    rec = dial_entropy_check(dial_cfg, [F(10 ** 6)], vanish_depth=4,
-                             density_terms=32)[0]
+    set_check_depths(monkeypatch, 4, 32)
+    rec = dial_entropy_check(dial_cfg, [F(10 ** 6)])[0]
     assert rec.achieved is None
     assert rec.nearest_multiplier is None
     assert rec.tendency_lower == 0.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_banach import entropy
+from entropy_banach import entropy, plmap
 from entropy_banach.dial import theta
 from entropy_banach.entropy import (
     PARTITION_CAP,
@@ -21,7 +21,6 @@ from entropy_banach.entropy import (
     _radius_at_most_one,
     certify,
     entropy_bounds,
-    entropy_lower_horseshoe,
     entropy_lower_markov,
     entropy_upper_lap,
     horseshoe_max,
@@ -94,9 +93,10 @@ def test_iterate_one_is_f():
     assert pl_equal(iterate(TENT, 1), TENT)
 
 
-def test_iterate_cap_reports_achieved():
+def test_iterate_cap_reports_achieved(monkeypatch):
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 40)
     with pytest.raises(ResourceLimitError) as err:
-        iterate(TENT, 12, cap=40)
+        iterate(TENT, 12)
     assert err.value.achieved is not None
     assert 1 <= err.value.achieved < 12
 
@@ -146,25 +146,32 @@ def test_horseshoe_tent():
     assert validate_certificate(TENT, cert)
 
 
+def lower_horseshoe(f, depth):
+    """max over k <= depth of log(horseshoe_max(f^k)) / k with its certificate:
+    the horseshoe side of entropy_bounds on f itself."""
+    chain = entropy._iterate_chain(f, depth)
+    return entropy._horseshoe_scan(chain, [lap_count(g) for g in chain])
+
+
 def test_lower_horseshoe_tent():
-    val, cert = entropy_lower_horseshoe(TENT, 1)
+    val, cert = lower_horseshoe(TENT, 1)
     assert val == pytest.approx(math.log(2), abs=1e-12)
     assert cert.d == 2 and cert.iterate == 1
 
 
 def test_lower_horseshoe_monotone_map():
-    val, cert = entropy_lower_horseshoe(make_pl([0, 1], [0, 1]), 3)
+    val, cert = lower_horseshoe(make_pl([0, 1], [0, 1]), 3)
     assert val == 0.0 and cert is None
 
 
 def test_lower_horseshoe_three_branch():
-    val, cert = entropy_lower_horseshoe(full_branch_map(3), 1)
+    val, cert = lower_horseshoe(full_branch_map(3), 1)
     assert val == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_horseshoe_iterate_certificate_revalidates():
     # tent^2 has a 4-horseshoe; certificate carries iterate k=2
-    val, cert = entropy_lower_horseshoe(compose(TENT, TENT), 1)
+    val, cert = lower_horseshoe(compose(TENT, TENT), 1)
     assert cert.d == 4
     t2 = compose(TENT, TENT)
     assert validate_certificate(t2, cert)
@@ -175,9 +182,11 @@ def interior_disjoint(a, b):
 
 
 def pairwise_valid(f, cert):
-    """The quadratic reference check: every pair of intervals, every image."""
+    """The quadratic reference check: every interval, every pair, every image."""
     g = iterate(f, cert.iterate)
     ivs = cert.intervals
+    if any(iv.width == 0 for iv in ivs):
+        return False
     for i in range(len(ivs)):
         for j in range(i + 1, len(ivs)):
             if not interior_disjoint(ivs[i], ivs[j]):
@@ -216,6 +225,7 @@ VALIDATOR_CASES = [
     pytest.param(TENT, [iv(0, F(1, 4)), iv(F(3, 4), 1)], 1, False, id="image_misses_hull"),
     pytest.param(TENT, QUARTERS, 2, True, id="valid_for_f2"),
     pytest.param(TENT, QUARTERS, 1, False, id="not_valid_for_f"),
+    pytest.param(IDENT, [iv(F(1, 2), F(1, 2))] * 2, 1, False, id="copies_of_a_fixed_point"),
 ]
 
 
@@ -273,6 +283,13 @@ def test_certify_raises_on_a_failing_certificate():
         certify(TENT, [iv(0, F(1, 4)), iv(F(3, 4), 1)])
 
 
+def test_certify_rejects_copies_of_a_fixed_point():
+    # two copies of the fixed point 1/2 cover each other under the identity;
+    # accepted, they would certify log 2 for a map of entropy 0
+    with pytest.raises(ConstructionError):
+        certify(IDENT, [iv(F(1, 2), F(1, 2))] * 2)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: HorseshoeCertificate(d=1, intervals=(iv(0, 1),)), ConstructionError),
     (lambda: HorseshoeCertificate(d=2, intervals=(iv(0, F(1, 2)), iv(F(1, 2), 1)), iterate=0),
@@ -280,11 +297,10 @@ def test_certify_raises_on_a_failing_certificate():
     (lambda: EntropyBounds(1.0, 0.5, None, depth_used=1), ConstructionError),
     (lambda: iterate(TENT, 0), DomainError),
     (lambda: entropy_upper_lap(TENT, 0), DomainError),
-    (lambda: entropy_lower_horseshoe(TENT, 0), DomainError),
     (lambda: entropy_bounds(TENT, 0), DomainError),
     (lambda: entropy_lower_markov(TENT, -1), DomainError),
 ], ids=["certificate_d1", "certificate_iterate0", "inverted_bracket", "iterate_k0",
-        "upper_depth0", "horseshoe_depth0", "bounds_depth0", "markov_refinement_neg"])
+        "upper_depth0", "bounds_depth0", "markov_refinement_neg"])
 def test_preconditions_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
@@ -349,7 +365,7 @@ def test_bounds_keep_markov_rounds_before_partition_cap(monkeypatch):
         entropy_lower_markov(invariant_restriction(f), 8)
     assert info.value.achieved == 7
     assert info.value.bound == pytest.approx(0.5624, abs=1e-4)
-    horseshoe, _ = entropy_lower_horseshoe(f, 8)
+    horseshoe, _ = lower_horseshoe(f, 8)
     assert horseshoe == pytest.approx(0.5199, abs=1e-4)
     eb = entropy_bounds(f, 8)
     assert eb.lower == info.value.bound
@@ -515,7 +531,7 @@ def test_lower_horseshoe_monotone_in_depth():
     f = linear_combination([F(9, 10)], [compose(TENT, TENT)])
     prev = -1.0
     for depth in range(1, 5):
-        val, _ = entropy_lower_horseshoe(f, depth)
+        val, _ = lower_horseshoe(f, depth)
         assert val >= prev - 1e-12
         prev = val
 

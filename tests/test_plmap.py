@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_banach import plmap
 from entropy_banach.dial import theta
 from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
@@ -101,9 +102,11 @@ def test_compose_constant():
     assert pl_equal(compose(const, TENT), const)
 
 
-def test_compose_cap():
+def test_compose_cap(monkeypatch):
+    t2 = compose(TENT, TENT)
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 3)
     with pytest.raises(ResourceLimitError):
-        compose(TENT, compose(TENT, TENT), cap=3)
+        compose(TENT, t2)
 
 
 #: (f, g, {cap: needed}): every cap from -1 up that makes compose(f, g) raise,
@@ -127,14 +130,16 @@ CAP_BOUNDARY = [
 
 
 @pytest.mark.parametrize("f, g, needed", CAP_BOUNDARY)
-def test_compose_cap_boundary(f, g, needed):
+def test_compose_cap_boundary(monkeypatch, f, g, needed):
+    uncapped = compose(f, g)
     for cap in range(-1, max(needed) + 4):
+        monkeypatch.setattr(plmap, "BREAKPOINT_CAP", cap)
         if cap in needed:
             with pytest.raises(ResourceLimitError) as info:
-                compose(f, g, cap=cap)
+                compose(f, g)
             assert (info.value.needed, info.value.cap) == (needed[cap], cap)
         else:
-            assert pl_equal(compose(f, g, cap=cap), compose(f, g))
+            assert pl_equal(compose(f, g), uncapped)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Round-trip tests for the JSON and CSV exchange formats."""
+"""Tests for the JSON and CSV exchange formats."""
 
 import io
 import math
@@ -6,22 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from entropy_banach.dial import DialConfig, with_a_star
-from entropy_banach.ellone import ell1_witness, gamma_schedule
-from entropy_banach.entropy import EntropyBounds, entropy_bounds
+from entropy_banach.entropy import EntropyBounds
 from entropy_banach.errors import ConstructionError
 from entropy_banach.plmap import make_pl, pl_equal
-from entropy_banach.serialize import (
-    bounds_from_obj,
-    bounds_to_obj,
-    dial_config_from_obj,
-    dial_config_to_obj,
-    pl_from_obj,
-    pl_to_obj,
-    witness_from_obj,
-    witness_to_obj,
-    write_polyline,
-)
+from entropy_banach.serialize import bounds_to_obj, pl_from_obj, pl_to_obj, write_polyline
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 
@@ -45,46 +33,10 @@ def test_pl_rejects_floats_and_garbage():
         pl_from_obj({"values": ["1"]})
 
 
-def test_bounds_roundtrip_with_certificate():
-    eb = entropy_bounds(TENT, 2)
-    back = bounds_from_obj(bounds_to_obj(eb))
-    assert back.lower == eb.lower
-    assert back.upper == eb.upper
-    assert back.depth_used == eb.depth_used
-    assert back.lower_witness == eb.lower_witness
-
-
-def test_bounds_roundtrip_without_certificate():
-    eb = EntropyBounds(0.0, 0.0, None, depth_used=3)
-    back = bounds_from_obj(bounds_to_obj(eb))
-    assert back == eb
-
-
 def test_bounds_infinite_upper_uses_null():
     eb = EntropyBounds(0.0, math.inf, None, depth_used=1)
     obj = bounds_to_obj(eb)
     assert obj["upper"] is None
-    assert bounds_from_obj(obj).upper == math.inf
-
-
-def test_witness_roundtrip():
-    report = ell1_witness(F(1, 4096), 2, gamma_schedule(2, 2))
-    back = witness_from_obj(witness_to_obj(report))
-    assert pl_equal(back.f, report.f)
-    assert back.coefficient_l1_norm == report.coefficient_l1_norm
-    assert len(back.steps) == len(report.steps)
-    for ours, theirs in zip(report.steps, back.steps):
-        assert ours.points == theirs.points
-        assert ours.alpha == theirs.alpha
-        assert ours.certificate == theirs.certificate
-
-
-def test_dial_config_roundtrip():
-    cfg = with_a_star(DialConfig(t=math.log(2), d=3, truncation=9,
-                                 lambda_grid_size=11, entropy_depth=5,
-                                 tolerance=2e-2), F(37, 64))
-    back = dial_config_from_obj(dial_config_to_obj(cfg))
-    assert back == cfg
 
 
 def test_polyline_format():

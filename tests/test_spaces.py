@@ -5,17 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from entropy_banach.entropy import (
-    entropy_bounds,
-    entropy_upper_lap,
-    horseshoe_max,
-    validate_certificate,
-)
+from entropy_banach.entropy import entropy_upper_lap, horseshoe_max, validate_certificate
 from entropy_banach.errors import ConstructionError, DependencyError, DomainError
 from entropy_banach.plmap import IntervalQ, eval_at, lap_count, make_pl, sample_pl, sup_norm
 from entropy_banach.spaces import (
     FunctionFamily,
-    bump_sum,
     cropped_polynomial,
     horseshoe_combination,
     independent_points,
@@ -126,44 +120,6 @@ def test_cropped_polynomial_matches_exact_values():
     for x in f.breakpoints:
         expected = sum(c * x ** k for k, c in enumerate(coeffs))
         assert eval_at(f, x) == expected
-
-
-# --- bump sums ------------------------------------------------------------------------
-
-def test_bump_sum_single_unimodal():
-    f = bump_sum([(1, F(4))])
-    assert lap_count(f) == 2
-    eb = entropy_bounds(f, 2)
-    assert eb.upper <= math.log(2) + 1e-12
-
-
-def test_bump_sum_vanishes_outside():
-    f = bump_sum([(1, F(4)), (2, F(3)), (4, F(1))])
-    assert eval_at(f, F(2)) == 0
-    assert eval_at(f, F(1)) == 0
-    assert eval_at(f, F(0)) == 0
-    assert eval_at(f, F(3)) == 0
-    # supports are inside (1, 2): some interior mass
-    assert sup_norm(f) > 0
-
-
-def test_bump_sum_lap_bound():
-    f = bump_sum([(n, F(1)) for n in range(1, 5)])
-    assert lap_count(f) <= 2 * 4 + 1
-
-
-def test_bump_sum_rejects_duplicates():
-    with pytest.raises(DomainError):
-        bump_sum([(1, F(1)), (1, F(2))])
-
-
-def test_bump_sum_exact_quadratic_at_nodes():
-    n, a = 2, F(3)
-    f = bump_sum([(n, a)])
-    left, right = 2 - F(1, n), 2 - F(1, n + 1)
-    for x in f.breakpoints:
-        if left <= x <= right:
-            assert eval_at(f, x) == a * (x - left) * (right - x)
 
 
 # --- scaled sine -------------------------------------------------------------------------

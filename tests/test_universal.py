@@ -17,9 +17,7 @@ from entropy_banach.plmap import (
 )
 from entropy_banach.universal import (
     geometric_schedule,
-    geometry,
     hoelder_schedule,
-    holder_quotient,
     psi,
     psi_horseshoe,
 )
@@ -66,14 +64,6 @@ def test_hoelder_schedule_invariants():
         assert s.q[n + 1] < s.q[n]
         assert s.q[n] >= s.p[n]
         assert s.q[n + 1] / s.p[n + 1] > s.q[n] / s.p[n]
-
-
-def test_geometry_adjacency():
-    geo = geometry(GEO)
-    for n in range(8):
-        assert geo.windows[n].lo == geo.windows[n + 1].hi
-        assert geo.windows[n].lo < geo.inner[n].lo
-        assert geo.inner[n].hi < geo.windows[n].hi
 
 
 # --- the embedding ---------------------------------------------------------------
@@ -163,6 +153,26 @@ def test_psi_horseshoe_negative_side():
 
 
 # --- hoelder quotients -------------------------------------------------------------------
+
+def holder_quotient(g, alpha, grid):
+    """max of |g(x)-g(y)| / |x-y|^alpha over pairs at distance in (0, 1].
+
+    Pairs run over the provided grid plus all breakpoints of g; for PL maps
+    the breakpoint pairs dominate.
+    """
+    pts = sorted(set(g.breakpoints) | {F(x) for x in grid})
+    vals = [eval_at(g, x) for x in pts]
+    best = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dist = pts[j] - pts[i]
+            if dist > 1:
+                break
+            diff = abs(vals[j] - vals[i])
+            if diff:
+                best = max(best, float(diff) / float(dist) ** alpha)
+    return best
+
 
 def test_holder_quotient_constant():
     c = make_pl([0, 1], [2, 2])
