@@ -28,7 +28,7 @@ from .dial import (
 )
 from .ellone import ell1_witness, gamma_schedule
 from .entropy import entropy_bounds, horseshoe_max
-from .errors import EntropyBanachError, ResourceLimitError
+from .errors import EntropyBanachError, FormatError, ResourceLimitError
 from .plmap import PLMap, make_pl
 from .rational import parse_q, qstr
 from .serialize import (
@@ -76,6 +76,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise SystemExit(_fail(
             2, f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}"))
+    except UnicodeDecodeError:
+        raise SystemExit(_fail(2, f"{path} is not UTF-8 text"))
 
 
 def _fail(code: int, message: str) -> int:
@@ -346,6 +348,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         return _fail(3, str(exc))
+    except FormatError as exc:
+        return _fail(2, str(exc))
     except EntropyBanachError as exc:
         return _fail(1, str(exc))
     except OSError as exc:

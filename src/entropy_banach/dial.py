@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from . import entropy, plmap
 from .entropy import EntropyBounds, entropy_bounds
 from .errors import ConfigurationError, ConstructionError, DomainError
 from .plmap import PLMap, even_extension, linear_combination, make_pl, scale
@@ -107,8 +108,16 @@ class REstimate:
     warning: bool
 
 
-@lru_cache(maxsize=8192)
 def _scale_bounds(a: Fraction, lam: Fraction, d: int, depth: int) -> EntropyBounds:
+    """The bracket of lam * theta_a, cached under the caps in force now."""
+    return _cached_scale_bounds(a, lam, d, depth,
+                                plmap.BREAKPOINT_CAP, entropy.PARTITION_CAP)
+
+
+@lru_cache(maxsize=8192)
+def _cached_scale_bounds(a: Fraction, lam: Fraction, d: int, depth: int,
+                         breakpoint_cap: int, partition_cap: int) -> EntropyBounds:
+    # the caps only key the cache: compose and the Markov scan read them
     return entropy_bounds(scale(theta(a, d), lam), depth)
 
 

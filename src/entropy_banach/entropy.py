@@ -131,10 +131,11 @@ def _horseshoe_scan(chain: list[PLMap],
                     laps: list[int]) -> tuple[float, HorseshoeCertificate | None]:
     """max over k of log(horseshoe_max(f^k)) / k, with its certificate.
 
-    Iterates with more than HORSESHOE_LAP_BUDGET laps are skipped (searching
-    them is cubic in the piece count), and so are iterates whose lap-based
-    ceiling cannot beat the current best; skipping only weakens, never
-    falsifies, the returned lower bound.
+    Iterates with more than HORSESHOE_LAP_BUDGET laps are skipped (the search
+    on an iterate with n breakpoints, at least its lap count, takes O(n^2)
+    time), and so are iterates whose lap-based ceiling cannot beat the
+    current best; skipping only weakens, never falsifies, the returned lower
+    bound.
     """
     best = 0.0
     best_cert: HorseshoeCertificate | None = None
@@ -220,32 +221,19 @@ def _hull_candidates(f: PLMap) -> list[Fraction]:
     return sorted(pts)
 
 
-def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
-    """Largest d such that some hull [u, v] has d covering monotone branches.
+def _hull_boxes(f: PLMap, pts: list[Fraction]) -> list[tuple[int, int, int, int]]:
+    """Per covering branch, the rectangle (il, ir, jl, jr) of candidate indices
+    such that the branch covers [pts[i], pts[j]] for il <= i <= ir, jl <= j <= jr.
 
-    Hulls run over pairs of breakpoints (for oversized maps: turning points
-    plus diagonal crossings, which is where boundary-branch covering can
-    switch).  Every piece contributes to a hull either fully inside
-    (x-extent within [u, v], value range containing it) or cut at one end;
-    in each case the admissible (u, v) form a rectangle of candidate
-    indices, accumulated exactly on a 2D difference grid.  The certificate
-    returned has passed :func:`certify`; (1, None) is returned when no
-    2-horseshoe exists at this resolution.
+    Every piece contributes to a hull either fully inside (x-extent within
+    [u, v], value range containing it) or cut at one end; in each case the
+    admissible (u, v) form such a rectangle.  Empty rectangles are left out.
     """
-    pts = _hull_candidates(f)
-    n = len(pts)
-    if n < 2:
-        return 1, None
-    xs, ys = f.breakpoints, f.values
-    grid = np.zeros((n + 1, n + 1), dtype=np.int32)
+    rects: list[tuple[int, int, int, int]] = []
 
     def add_box(il, ir, jl, jr):
-        if il > ir or jl > jr:
-            return
-        grid[il, jl] += 1
-        grid[il, jr + 1] -= 1
-        grid[ir + 1, jl] -= 1
-        grid[ir + 1, jr + 1] += 1
+        if il <= ir and jl <= jr:
+            rects.append((il, ir, jl, jr))
 
     boxes = _piece_boxes(f)
     for (a, b, lo, hi) in boxes:
@@ -273,12 +261,50 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
         img_lo, img_hi = (fu, start_val) if fu <= start_val else (start_val, fu)
         if img_hi >= u:
             add_box(bisect_left(pts, img_lo), bisect_right(pts, a) - 1, k, k)
-    counts = np.triu(grid.cumsum(axis=0).cumsum(axis=1)[:n, :n], k=1)  # need u < v
-    best_d = int(counts.max())
+    return rects
+
+
+def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
+    """Largest d such that some hull [u, v] has d covering monotone branches.
+
+    Hulls run over pairs of breakpoints (for oversized maps: turning points
+    plus diagonal crossings, which is where boundary-branch covering can
+    switch).  Each branch covers the hulls of a rectangle of candidate
+    index pairs (:func:`_hull_boxes`).  A row sweep counts them: a rectangle
+    adds 1 to its columns from its first row on and takes it away after
+    its last, so one column-difference row is kept and only rows where some
+    rectangle starts or ends are visited.  A row without such an event
+    repeats the row above on a shorter suffix and cannot hold a new
+    maximum.  Memory is O(n + rectangles) for n candidates, time O(n) per
+    event row.  The first maximum in row-major order wins.  The
+    certificate returned has passed :func:`certify`; (1, None) is returned
+    when no 2-horseshoe exists at this resolution.
+    """
+    pts = _hull_candidates(f)
+    n = len(pts)
+    if n < 2:
+        return 1, None
+    il, ir, jl, jr = np.array(_hull_boxes(f, pts), dtype=np.int64).reshape(-1, 4).T
+    rows = np.concatenate((il, il, ir + 1, ir + 1))
+    cols = np.concatenate((jl, jr + 1, jl, jr + 1))
+    steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))
+    order = np.argsort(rows, kind="stable")
+    rows, cols, steps = rows[order], cols[order], steps[order]
+    event_rows, starts = np.unique(rows, return_index=True)
+    ends = [*starts[1:].tolist(), len(rows)]
+    diff = np.zeros(n + 1, dtype=np.int64)  # column differences of the current row
+    best_d, best_i, best_j = 1, 0, 0
+    for row, lo, hi in zip(event_rows.tolist(), starts.tolist(), ends):
+        if row >= n - 1:
+            break  # no v above this u
+        np.add.at(diff, cols[lo:hi], steps[lo:hi])
+        counts = np.cumsum(diff[:n])[row + 1:]  # need u < v
+        j = int(counts.argmax())
+        if counts[j] > best_d:
+            best_d, best_i, best_j = int(counts[j]), row, row + 1 + j
     if best_d < 2:
         return 1, None
-    i, j = np.unravel_index(int(counts.argmax()), counts.shape)
-    cert = _branch_certificate(f, pts[i], pts[j])
+    cert = _branch_certificate(f, pts[best_i], pts[best_j])
     if cert.d != best_d:
         raise RuntimeError(f"horseshoe search counted {best_d} covering branches "
                            f"but extracted {cert.d}")

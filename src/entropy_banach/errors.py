@@ -11,6 +11,10 @@ class ConstructionError(EntropyBanachError):
     """Invalid data handed to a constructor (unsorted breakpoints, length mismatch...)."""
 
 
+class FormatError(ConstructionError):
+    """Input data does not follow its JSON exchange format."""
+
+
 class DomainError(EntropyBanachError):
     """An argument violates a domain precondition (e.g. crop with a >= b)."""
 

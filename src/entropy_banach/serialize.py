@@ -15,7 +15,7 @@ from typing import IO
 from .dial import DialConfig
 from .ellone import WitnessReport, WitnessStep
 from .entropy import EntropyBounds, HorseshoeCertificate
-from .errors import ConstructionError
+from .errors import ConstructionError, FormatError
 from .plmap import IntervalQ, PLMap, eval_at, make_pl
 from .rational import parse_q, qstr
 
@@ -25,12 +25,20 @@ def pl_to_obj(f: PLMap) -> dict:
             "values": [qstr(y) for y in f.values]}
 
 
-def pl_from_obj(obj: dict) -> PLMap:
+def pl_from_obj(obj) -> PLMap:
+    """The PL map of a decoded JSON object.
+
+    :class:`FormatError` when ``obj`` is not an object with 'breakpoints'
+    and 'values' lists of rationals; ``make_pl`` checks the map itself.
+    """
     if not (isinstance(obj, dict) and isinstance(obj.get("breakpoints"), list)
             and isinstance(obj.get("values"), list)):
-        raise ConstructionError("a PL map object needs 'breakpoints' and 'values' lists")
-    xs = [parse_q(x) for x in obj["breakpoints"]]
-    ys = [parse_q(y) for y in obj["values"]]
+        raise FormatError("a PL map object needs 'breakpoints' and 'values' lists")
+    try:
+        xs = [parse_q(x) for x in obj["breakpoints"]]
+        ys = [parse_q(y) for y in obj["values"]]
+    except ConstructionError as exc:
+        raise FormatError(f"PL map: {exc}") from exc
     return make_pl(xs, ys)
 
 

@@ -1,12 +1,18 @@
-"""End-to-end command-line tests (subprocess level, checking exit codes)."""
+"""End-to-end command-line tests: subprocesses checking exit codes, and an in-process JSON fuzz."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entropy_banach import cli
 
 CLI = [sys.executable, "-m", "entropy_banach.cli"]
 
@@ -83,19 +89,74 @@ def test_entropy_malformed_json_exit_2(tmp_path):
     assert "line" in res.stderr
 
 
+def test_non_utf8_input_exit_2(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_bytes(b"\xff\xfe{")
+    res = run_cli("horseshoe", str(path))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [f"error: {path} is not UTF-8 text"]
+
+
 def test_entropy_depth_zero_exit_2(tent_path):
     res = run_cli("entropy", tent_path, "--depth", "0")
     assert res.returncode == 2
     assert res.stderr.splitlines() == ["error: --depth must be >= 1, got 0"]
 
 
-def test_map_without_lists_exit_1(tmp_path):
+@pytest.mark.parametrize("doc, message", [
+    ([0, 1], "a PL map object needs 'breakpoints' and 'values' lists"),
+    ({"breakpoints": 5, "values": 5}, "a PL map object needs 'breakpoints' and 'values' lists"),
+    ({"breakpoints": ["a", 1], "values": [0, 1]}, "PL map: not a rational: 'a'"),
+], ids=["not_an_object", "without_lists", "non_rational_entry"])
+def test_malformed_map_exit_2(tmp_path, doc, message):
     path = tmp_path / "map.json"
-    path.write_text(json.dumps({"breakpoints": 5, "values": 5}))
+    path.write_text(json.dumps(doc))
     res = run_cli("entropy", str(path))
-    assert res.returncode == 1
-    assert res.stderr.splitlines() == [
-        "error: a PL map object needs 'breakpoints' and 'values' lists"]
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [f"error: {message}"]
+
+
+_RATIONALS = st.integers(-3, 3) | st.sampled_from(["0", "1/2", "-2/3", "7/4"])
+_ENTRIES = (_RATIONALS | st.sampled_from(["1/0", "a", ""]) | st.none() | st.booleans()
+            | st.floats() | st.text(max_size=4))
+
+
+@st.composite
+def _map_documents(draw):
+    """Valid PL maps, about a third of them with one entry swapped for any JSON scalar."""
+    nodes = sorted(draw(st.lists(st.tuples(st.integers(-4, 4), _RATIONALS), min_size=1,
+                                 max_size=6, unique_by=lambda node: node[0])))
+    doc = {"breakpoints": [x for x, _ in nodes], "values": [y for _, y in nodes]}
+    key = draw(st.sampled_from(["breakpoints", "values", None]))
+    if key:
+        doc[key][draw(st.integers(0, len(nodes) - 1))] = draw(_ENTRIES)
+    return doc
+
+
+_JSON = _map_documents() | st.recursive(_ENTRIES, lambda inner: (
+    st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["breakpoints", "values", "x"]), inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_horseshoe_on_any_json_document(tmp_path_factory, doc):
+    # any JSON input: a documented exit code and at most one error line
+    path = tmp_path_factory.mktemp("fuzz") / "map.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(["horseshoe", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if not (isinstance(doc, dict) and isinstance(doc.get("breakpoints"), list)
+            and isinstance(doc.get("values"), list)):
+        assert code == 2
+    lines = err.getvalue().splitlines()
+    assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
 
 
 def test_thmb_without_members_exit_2(tmp_path):

@@ -269,3 +269,16 @@ def test_dial_entropy_check_far_multiplier(monkeypatch, dial_cfg):
     assert rec.achieved is None
     assert rec.nearest_multiplier is None
     assert rec.tendency_lower == 0.0
+
+
+def test_scale_bounds_cache_follows_the_caps(monkeypatch):
+    # a bracket cached under one cap is never returned under another
+    from entropy_banach import entropy, plmap
+    from entropy_banach.plmap import scale
+    args = (F(37, 64), F(1), 3, 5)
+    assert dial._scale_bounds(*args).depth_used == 5
+    monkeypatch.setattr(entropy, "PARTITION_CAP", 4)
+    assert dial._scale_bounds(*args) == entropy_bounds(scale(theta(F(37, 64), 3), F(1)), 5)
+    assert dial._scale_bounds(*args).lower < 0.5
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 3)
+    assert dial._scale_bounds(*args).depth_used == 1

@@ -479,6 +479,60 @@ def test_horseshoe_max_rejects_mismatched_certificate(monkeypatch):
         horseshoe_max(full_branch_map(3))
 
 
+def dense_horseshoe_argmax(f):
+    """Oracle: the (n+1)^2 difference grid horseshoe_max accumulated before its
+    row sweep.  Returns d and the hull [u, v] of the first maximum in
+    row-major order over u < v, or (1, None) below 2."""
+    pts = entropy._hull_candidates(f)
+    n = len(pts)
+    if n < 2:
+        return 1, None
+    grid = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for il, ir, jl, jr in entropy._hull_boxes(f, pts):
+        grid[il, jl] += 1
+        grid[il, jr + 1] -= 1
+        grid[ir + 1, jl] -= 1
+        grid[ir + 1, jr + 1] += 1
+    counts = np.triu(grid.cumsum(axis=0).cumsum(axis=1)[:n, :n], k=1)
+    d = int(counts.max())
+    if d < 2:
+        return 1, None
+    i, j = np.unravel_index(int(counts.argmax()), counts.shape)
+    return d, (pts[i], pts[j])
+
+
+@st.composite
+def grid_maps(draw):
+    """Maps through grid nodes; a repeated value makes a flat segment."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    xs = sorted(draw(st.sets(_GRID, min_size=n, max_size=n)))
+    ys = [draw(_GRID)]
+    for _ in range(n - 1):
+        ys.append(ys[-1] if draw(st.integers(0, 4)) == 0 else draw(_GRID))
+    return make_pl(xs, ys)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_maps())
+def test_horseshoe_max_matches_dense_grid(f):
+    # same d and same hull, ties included, on f, f^2 and f^3
+    real = entropy._branch_certificate
+    g = f
+    for _ in range(3):
+        hulls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_branch_certificate",
+                       lambda h, u, v: hulls.append((u, v)) or real(h, u, v))
+            d, cert = horseshoe_max(g)
+        expected_d, hull = dense_horseshoe_argmax(g)
+        # every rectangle lies above the diagonal: its hulls all have u < v
+        pts = entropy._hull_candidates(g)
+        assert all(ir < jl for _, ir, jl, _ in entropy._hull_boxes(g, pts))
+        assert (d, hulls[0] if hulls else None) == (expected_d, hull)
+        assert cert == (None if hull is None else real(g, *hull))
+        g = compose(f, g)
+
+
 # --- combined bounds ----------------------------------------------------------------
 
 def test_bounds_tent_bracket_exact():

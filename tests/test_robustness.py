@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,6 +36,23 @@ def test_horseshoe_reduced_candidate_fallback():
     assert len(entropy._hull_candidates(f)) == 25
     golden = json.loads((GOLDEN / "horseshoe_sin_3_1024.json").read_text())
     assert {"d": d, "certificate": certificate_to_obj(cert)} == golden
+
+
+def test_horseshoe_full_pair_search_memory():
+    # just under the candidate limit every breakpoint pair is a hull; the
+    # search must hold O(n) counts, not one per pair (3,871^2 of them)
+    f = sin_scaled(94, 128)
+    assert len(f.breakpoints) == 3871
+    assert len(entropy._hull_candidates(f)) == 3871
+    tracemalloc.start()
+    try:
+        d, cert = horseshoe_max(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    golden = json.loads((GOLDEN / "horseshoe_sin_94_128.json").read_text())
+    assert {"d": d, "certificate": certificate_to_obj(cert)} == golden
+    assert peak < 16 * 2 ** 20
 
 
 def test_entropy_bounds_degrades_at_cap(monkeypatch):
