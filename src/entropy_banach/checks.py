@@ -1,12 +1,14 @@
 """The acceptance suite: one callable per criterion, shared by tests and the CLI.
 
-Each check is deterministic given its seed and returns a result record with
-a pass flag and a human-readable detail line.  Tolerances are pinned here,
+Each check is deterministic given its seed.  Its body returns a pass flag and
+a human-readable detail line; :func:`_criterion` adds the criterion's number,
+name and wall time to make the result record.  Tolerances are pinned here,
 next to the checks that use them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -59,11 +61,22 @@ class CheckResult:
     detail: str
     seconds: float
 
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (f"{status} criterion {self.number}: {self.name} "
+                f"({self.detail}) [{self.seconds:.1f}s]")
 
-def _result(number: int, name: str, passed: bool, detail: str,
-            started: float) -> CheckResult:
-    return CheckResult(number=number, name=name, passed=passed, detail=detail,
-                       seconds=time.time() - started)
+
+def _criterion(number: int, name: str):
+    """Make a body returning ``(passed, detail)`` a timed check of one criterion."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(seed: int = 0) -> CheckResult:
+            started = time.time()
+            passed, detail = body(seed)
+            return CheckResult(number, name, passed, detail, time.time() - started)
+        return check
+    return decorate
 
 
 def _gauss_jordan_inverse(rows) -> list[list[Fraction]]:
@@ -83,9 +96,9 @@ def _gauss_jordan_inverse(rows) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-def criterion_1(seed: int = 0) -> CheckResult:
+@_criterion(1, "sign-matrix solver vs elimination")
+def criterion_1(seed: int) -> tuple[bool, str]:
     """solve_An equals elimination on random inputs, with the max bound."""
-    started = time.time()
     rng = random.Random(seed or 12345)
     cases = 0
     for n in range(2, 51):
@@ -93,8 +106,7 @@ def criterion_1(seed: int = 0) -> CheckResult:
         inverse = _gauss_jordan_inverse(matrix.entries)
         doubled = [[e * 2 for e in row] for row in inverse]
         if any(x.denominator != 1 for row in doubled for x in row):
-            return _result(1, "sign-matrix solver vs elimination", False,
-                           f"inverse of A_{n} not half-integer", started)
+            return False, f"inverse of A_{n} not half-integer"
         int2 = [[int(x) for x in row] for row in doubled]
         for _ in range(100):
             beta = [Fraction(rng.randint(-999, 999), rng.randint(1, 999))
@@ -107,36 +119,29 @@ def criterion_1(seed: int = 0) -> CheckResult:
             oracle = [Fraction(sum(int2[i][j] * nums[j] for j in range(n)), 2 * den)
                       for i in range(n)]
             if alpha != oracle:
-                return _result(1, "sign-matrix solver vs elimination", False,
-                               f"mismatch at n={n}", started)
+                return False, f"mismatch at n={n}"
             if max(map(abs, alpha)) > max(map(abs, beta)):
-                return _result(1, "sign-matrix solver vs elimination", False,
-                               f"max bound violated at n={n}", started)
+                return False, f"max bound violated at n={n}"
             cases += 1
-    return _result(1, "sign-matrix solver vs elimination", True,
-                   f"{cases} random systems, exact equality", started)
+    return True, f"{cases} random systems, exact equality"
 
 
-def criterion_2(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(2, "8x8 sign matrix fidelity")
+def criterion_2(seed: int) -> tuple[bool, str]:
     matrix = build_An(8)
     ok = matrix.entries == A8_EXPECTED
-    return _result(2, "8x8 sign matrix fidelity", ok,
-                   "matches the transcribed matrix entry for entry" if ok
-                   else "entry mismatch", started)
+    return ok, "matches the transcribed matrix entry for entry" if ok else "entry mismatch"
 
 
-def criterion_3(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(3, "full-branch bracket exactness")
+def criterion_3(seed: int) -> tuple[bool, str]:
     for d in range(2, 11):
         xs = [Fraction(k, d) for k in range(d + 1)]
         ys = [Fraction(k % 2) for k in range(d + 1)]
         eb = entropy_bounds(make_pl(xs, ys), 1)
         if abs(eb.lower - math.log(d)) > 1e-9 or abs(eb.upper - math.log(d)) > 1e-9:
-            return _result(3, "full-branch bracket exactness", False,
-                           f"d={d}: [{eb.lower}, {eb.upper}]", started)
-    return _result(3, "full-branch bracket exactness", True,
-                   "lower = upper = log d for d = 2..10", started)
+            return False, f"d={d}: [{eb.lower}, {eb.upper}]"
+    return True, "lower = upper = log d for d = 2..10"
 
 
 def _random_family(rng: random.Random, n: int) -> FunctionFamily:
@@ -150,9 +155,9 @@ def _random_family(rng: random.Random, n: int) -> FunctionFamily:
     return FunctionFamily(members=tuple(members), label="random")
 
 
-def criterion_4(seed: int = 0) -> CheckResult:
+@_criterion(4, "alternating horseshoe realization")
+def criterion_4(seed: int) -> tuple[bool, str]:
     """Alternating-combination horseshoes plus polynomial sharpness."""
-    started = time.time()
     rng = random.Random(seed or 99)
     grid = [Fraction(k, 24) for k in range(25)]
     for n in range(3, 9):
@@ -164,20 +169,16 @@ def criterion_4(seed: int = 0) -> CheckResult:
             except DependencyError:
                 continue
         else:
-            return _result(4, "alternating horseshoe realization", False,
-                           f"no independent family found at n={n}", started)
+            return False, f"no independent family found at n={n}"
         f, cert = horseshoe_combination(family, pts)
         targets = [pts.points[0] if (i + 1) % 2 == 1 else pts.points[-1]
                    for i in range(n)]
         if any(eval_at(f, x) != t for x, t in zip(pts.points, targets)):
-            return _result(4, "alternating horseshoe realization", False,
-                           f"alternation not exact at n={n}", started)
+            return False, f"alternation not exact at n={n}"
         if cert.d != n - 1 or not validate_certificate(f, cert):
-            return _result(4, "alternating horseshoe realization", False,
-                           f"certificate invalid at n={n}", started)
+            return False, f"certificate invalid at n={n}"
         if cert.rate < math.log(n - 1) - 1e-12:
-            return _result(4, "alternating horseshoe realization", False,
-                           f"lower bound below log({n - 1})", started)
+            return False, f"lower bound below log({n - 1})"
         # sharpness partner: a degree-(n-1) polynomial stays below log(n-1)
         coeffs = [Fraction(rng.randint(-12, 12), 4) for _ in range(n)]
         if coeffs[-1] == 0:
@@ -185,11 +186,8 @@ def criterion_4(seed: int = 0) -> CheckResult:
         poly = cropped_polynomial(coeffs, -1, 1, n + 2)
         upper = entropy_upper_lap(poly, 1)
         if upper > math.log(n - 1) + 1e-9:
-            return _result(4, "alternating horseshoe realization", False,
-                           f"degree-{n - 1} upper bound {upper} too large", started)
-    return _result(4, "alternating horseshoe realization", True,
-                   "n = 3..8: exact alternation, certified log(n-1), sharp uppers",
-                   started)
+            return False, f"degree-{n - 1} upper bound {upper} too large"
+    return True, "n = 3..8: exact alternation, certified log(n-1), sharp uppers"
 
 
 def _random_unit_pl(rng: random.Random) -> PLMap:
@@ -200,8 +198,8 @@ def _random_unit_pl(rng: random.Random) -> PLMap:
     return make_pl(xs, ys)
 
 
-def criterion_5(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(5, "embedding isometry and linearity")
+def criterion_5(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed or 7)
     schedules = [geometric_schedule(Fraction(2, 3), 8),
                  hoelder_schedule(Fraction(1, 2), 8)]
@@ -212,73 +210,59 @@ def criterion_5(seed: int = 0) -> CheckResult:
         b = Fraction(rng.randint(-8, 8), 4)
         for sched in schedules:
             if sup_norm(psi(f, sched)) != sup_norm(f):
-                return _result(5, "embedding isometry and linearity", False,
-                               f"isometry failed at sample {i}", started)
+                return False, f"isometry failed at sample {i}"
             lhs = psi(linear_combination([a, b], [f, g]), sched)
             rhs = linear_combination([a, b], [psi(f, sched), psi(g, sched)])
             if not pl_equal(lhs, rhs):
-                return _result(5, "embedding isometry and linearity", False,
-                               f"linearity failed at sample {i}", started)
-    return _result(5, "embedding isometry and linearity", True,
-                   "50 random inputs, both schedules, exact equalities", started)
+                return False, f"linearity failed at sample {i}"
+    return True, "50 random inputs, both schedules, exact equalities"
 
 
-def criterion_6(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(6, "embedding unbounded horseshoes")
+def criterion_6(seed: int) -> tuple[bool, str]:
     sched = geometric_schedule(Fraction(2, 3), 16)
     g = psi(TENT, sched)
     for d in range(2, 7):
         cert = psi_horseshoe(TENT, sched, d)
         if cert.d != d or not validate_certificate(g, cert):
-            return _result(6, "embedding unbounded horseshoes", False,
-                           f"d={d} certificate failed", started)
-    return _result(6, "embedding unbounded horseshoes", True,
-                   "certified d = 2..6 with truncation 16, exact covering", started)
+            return False, f"d={d} certificate failed"
+    return True, "certified d = 2..6 with truncation 16, exact covering"
 
 
-def criterion_7(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(7, "sum-norm model and staged witness")
+def criterion_7(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed or 21)
     model = build_rademacher(8, Fraction(1, 4096))
     for i in range(100):
         coeffs = [Fraction(rng.randint(-24, 24), 8) for _ in range(8)]
         combo = linear_combination(coeffs, model.members)
         if sup_norm(combo) != sum(abs(c) for c in coeffs):
-            return _result(7, "sum-norm model and staged witness", False,
-                           f"isometry failed at sample {i}", started)
+            return False, f"isometry failed at sample {i}"
     pattern = [rng.choice((-1, 1)) for _ in range(8)]
     x = sign_point(model, pattern)
     if [eval_at(m, x) for m in model.members] != [Fraction(p) for p in pattern]:
-        return _result(7, "sum-norm model and staged witness", False,
-                       "sign point does not realize its pattern", started)
+        return False, "sign point does not realize its pattern"
     report = ell1_witness(Fraction(1, 4096), 3, gamma_schedule(3, 2))
     ds = [s.certificate.d for s in report.steps]
     if ds != [3, 4, 5]:
-        return _result(7, "sum-norm model and staged witness", False,
-                       f"certificate orders {ds}", started)
+        return False, f"certificate orders {ds}"
     for earlier, later in zip(report.steps, report.steps[1:]):
         if not (later.J.lo > earlier.J.lo and later.J.hi < earlier.J.hi):
-            return _result(7, "sum-norm model and staged witness", False,
-                           "witness intervals not nested", started)
+            return False, "witness intervals not nested"
     for step in report.steps:
         if not validate_certificate(report.f, step.certificate):
-            return _result(7, "sum-norm model and staged witness", False,
-                           f"step {step.m} certificate failed", started)
+            return False, f"step {step.m} certificate failed"
     if eval_at(report.f, report.x0) != report.x0:
-        return _result(7, "sum-norm model and staged witness", False,
-                       "witness does not fix its center", started)
+        return False, "witness does not fix its center"
     budget = sum(2 * (m + 3) * g for m, g in
                  enumerate(gamma_schedule(3, 2).gammas, start=1))
     if report.coefficient_l1_norm > budget:
-        return _result(7, "sum-norm model and staged witness", False,
-                       "coefficient mass over budget", started)
-    return _result(7, "sum-norm model and staged witness", True,
-                   "exact isometry, nested certificates d = 3, 4, 5, fixed center",
-                   started)
+        return False, "coefficient mass over budget"
+    return True, "exact isometry, nested certificates d = 3, 4, 5, fixed center"
 
 
-def criterion_8(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(8, "entropy dial")
+def criterion_8(seed: int) -> tuple[bool, str]:
     t = math.log(2)
     cfg = DialConfig(t=t, d=3, truncation=12, lambda_grid_size=21,
                      entropy_depth=8, tolerance=1e-2)
@@ -286,62 +270,49 @@ def criterion_8(seed: int = 0) -> CheckResult:
     cfg = with_a_star(cfg, a_star)
     est = r_of_a(a_star, cfg)
     if abs(est.value - t) > cfg.tolerance:
-        return _result(8, "entropy dial", False,
-                       f"|r(a*) - t| = {abs(est.value - t):.4f}", started)
+        return False, f"|r(a*) - t| = {abs(est.value - t):.4f}"
     records = dial_entropy_check(cfg, [Fraction(1, 2), Fraction(1), Fraction(2)])
     for rec in records:
         if rec.achieved is None:
-            return _result(8, "entropy dial", False,
-                           f"no active scale for lambda={rec.lam}", started)
+            return False, f"no active scale for lambda={rec.lam}"
         if rec.achieved.lower > t + 5e-2 or rec.achieved.upper < t - 5e-2:
-            return _result(8, "entropy dial", False,
-                           f"lambda={rec.lam}: bracket "
+            return False, (f"lambda={rec.lam}: bracket "
                            f"[{rec.achieved.lower:.4f}, {rec.achieved.upper:.4f}] "
-                           f"misses {t:.4f} by more than 0.05", started)
+                           f"misses {t:.4f} by more than 0.05")
     vanish = dial_entropy_check(cfg, [Fraction(8, 10) * Fraction(9, 10)])[0]
     for scale in vanish.scales:
         if scale.in_window:
             continue
         if scale.bounds.lower != 0.0 or scale.bounds.upper > 5e-2:
-            return _result(8, "entropy dial", False,
-                           f"out-of-window scale n={scale.n} reports "
-                           f"[{scale.bounds.lower}, {scale.bounds.upper}]", started)
-    return _result(
-        8, "entropy dial", True,
-        f"a* = {a_star}, |r - t| = {abs(est.value - t):.4f}; brackets for "
-        "lambda = 1/2, 1, 2 within 0.05 of t; off-window scales vanish", started)
+            return False, (f"out-of-window scale n={scale.n} reports "
+                           f"[{scale.bounds.lower}, {scale.bounds.upper}]")
+    return True, (f"a* = {a_star}, |r - t| = {abs(est.value - t):.4f}; brackets for "
+                  "lambda = 1/2, 1, 2 within 0.05 of t; off-window scales vanish")
 
 
-def criterion_9(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(9, "scaled-sine horseshoes")
+def criterion_9(seed: int) -> tuple[bool, str]:
     for d in (2, 3, 5):
         f = sin_scaled(2 * math.pi * d, 128)
         found, cert = horseshoe_max(f)
         if found < d or cert is None or not validate_certificate(f, cert):
-            return _result(9, "scaled-sine horseshoes", False,
-                           f"d={d}: found {found}", started)
-    return _result(9, "scaled-sine horseshoes", True,
-                   "amplitude 2 pi d yields at least d branches for d = 2, 3, 5",
-                   started)
+            return False, f"d={d}: found {found}"
+    return True, "amplitude 2 pi d yields at least d branches for d = 2, 3, 5"
 
 
-def criterion_10(seed: int = 0) -> CheckResult:
-    started = time.time()
+@_criterion(10, "rational enumeration")
+def criterion_10(seed: int) -> tuple[bool, str]:
     enum = rational_enumeration(400)
     if enum.terms[0] != 1:
-        return _result(10, "rational enumeration", False, "first term != 1", started)
+        return False, "first term != 1"
     for a, b in zip(enum.terms, enum.terms[1:]):
         if b > 2 * a:
-            return _result(10, "rational enumeration", False,
-                           f"ratio violation {a} -> {b}", started)
+            return False, f"ratio violation {a} -> {b}"
     targets = set(calkin_wilf(100))
     missing = targets - set(enum.terms)
     if missing:
-        return _result(10, "rational enumeration", False,
-                       f"{len(missing)} of the first 100 targets missing", started)
-    return _result(10, "rational enumeration", True,
-                   "first 100 targets present, every up-step at most doubles",
-                   started)
+        return False, f"{len(missing)} of the first 100 targets missing"
+    return True, "first 100 targets present, every up-step at most doubles"
 
 
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

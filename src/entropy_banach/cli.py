@@ -13,11 +13,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__, plmap
-from .checks import run_all
+from .checks import TENT, run_all
 from .dial import (
     DialConfig,
     build_dial_map,
@@ -29,7 +29,7 @@ from .dial import (
 from .ellone import ell1_witness, gamma_schedule
 from .entropy import entropy_bounds, horseshoe_max
 from .errors import EntropyBanachError, FormatError, ResourceLimitError
-from .plmap import PLMap, make_pl
+from .plmap import PLMap
 from .rational import parse_q, qstr
 from .serialize import (
     bounds_to_obj,
@@ -42,19 +42,6 @@ from .serialize import (
 )
 from .spaces import FunctionFamily, horseshoe_combination, independent_points
 from .universal import make_schedule, psi, psi_horseshoe
-
-TENT = make_pl([0, Fraction(1, 2), 1], [0, 1, 0])
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run did: command, parameters, files written, timing, version."""
-
-    subcommand: str
-    parameters: dict
-    outputs: list[str]
-    wall_time: float
-    library_version: str
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -71,13 +58,13 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError:
-        raise SystemExit(_fail(2, f"no such file: {path}"))
+    except FileNotFoundError as exc:
+        raise FormatError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise SystemExit(_fail(
-            2, f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}"))
-    except UnicodeDecodeError:
-        raise SystemExit(_fail(2, f"{path} is not UTF-8 text"))
+        raise FormatError(
+            f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text") from exc
 
 
 def _fail(code: int, message: str) -> int:
@@ -91,7 +78,7 @@ def _load_pl(path: str) -> PLMap:
 
 def _cmd_entropy(args) -> int:
     if args.depth < 1:
-        return _fail(2, f"--depth must be >= 1, got {args.depth}")
+        raise FormatError(f"--depth must be >= 1, got {args.depth}")
     f = _load_pl(args.input)
     eb = entropy_bounds(f, args.depth)
     _emit(dumps(bounds_to_obj(eb)), args.out)
@@ -108,7 +95,7 @@ def _cmd_horseshoe(args) -> int:
 def _cmd_thmb(args) -> int:
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
-        return _fail(2, f"{args.input}: a family needs a 'members' list")
+        raise FormatError(f"{args.input}: a family needs a 'members' list")
     members = tuple(pl_from_obj(m) for m in obj["members"])
     family = FunctionFamily(members=members, label=obj.get("label", ""))
     if args.grid:
@@ -173,17 +160,15 @@ def _cmd_ell1(args) -> int:
 
 
 def _cmd_dial(args) -> int:
+    a_star = parse_q(args.a_star) if args.a_star else None
+    lambdas = [parse_q(tok) for tok in args.check_lambdas.split(",")] \
+        if args.check_lambdas else []
     cfg = DialConfig(t=args.t, d=args.d, truncation=args.N,
                      lambda_grid_size=args.lambda_grid,
                      entropy_depth=args.depth, tolerance=args.tol)
-    if args.a_star:
-        cfg = with_a_star(cfg, parse_q(args.a_star))
-    else:
-        cfg = with_a_star(cfg, find_a_star(args.t, cfg))
+    cfg = with_a_star(cfg, find_a_star(args.t, cfg) if a_star is None else a_star)
     est = r_of_a(cfg.a_star, cfg)
     f = build_dial_map(cfg)
-    lambdas = [parse_q(tok) for tok in args.check_lambdas.split(",")] \
-        if args.check_lambdas else []
     records = dial_entropy_check(cfg, lambdas) if lambdas else []
     payload = {
         "config": dial_config_to_obj(cfg),
@@ -223,18 +208,10 @@ def _cmd_check(args) -> int:
     started = time.time()
     results = run_all(seed=args.seed)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} criterion {res.number}: {res.name} "
-              f"({res.detail}) [{res.seconds:.1f}s]")
-    manifest = RunManifest(
-        subcommand="check",
-        parameters={"seed": args.seed},
-        outputs=[],
-        wall_time=time.time() - started,
-        library_version=__version__,
-    )
-    body = {"manifest": asdict(manifest),
-            "results": [asdict(r) for r in results]}
+        print(res)
+    manifest = {"subcommand": "check", "parameters": {"seed": args.seed}, "outputs": [],
+                "wall_time": time.time() - started, "library_version": __version__}
+    body = {"manifest": manifest, "results": [asdict(r) for r in results]}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dumps(body))
@@ -340,11 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cap_breakpoints is not None:
-        if args.cap_breakpoints < 1:
-            return _fail(2, f"--cap-breakpoints must be >= 1, got {args.cap_breakpoints}")
-        plmap.BREAKPOINT_CAP = args.cap_breakpoints
     try:
+        if args.cap_breakpoints is not None:
+            if args.cap_breakpoints < 1:
+                raise FormatError(
+                    f"--cap-breakpoints must be >= 1, got {args.cap_breakpoints}")
+            plmap.BREAKPOINT_CAP = args.cap_breakpoints
         return args.func(args)
     except ResourceLimitError as exc:
         return _fail(3, str(exc))

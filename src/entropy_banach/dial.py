@@ -341,12 +341,14 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
     """
     if cfg.a_star is None:
         raise ConfigurationError("a_star must be set before checking entropies")
+    lams = [Fraction(raw) for raw in lambdas]
+    if 0 in lams:
+        raise DomainError("the zero multiplier has no scale analysis")
     terms = rational_enumeration(cfg.truncation).terms
+    est = r_of_a(cfg.a_star, cfg)
+    dense = rational_enumeration(max(DENSITY_TERMS, cfg.truncation)).terms
     records = []
-    for raw in lambdas:
-        lam = Fraction(raw)
-        if lam == 0:
-            raise DomainError("the zero multiplier has no scale analysis")
+    for lam in lams:
         # the map is even, so the dynamics of a negative multiple is conjugate
         # (via x -> -x) to that of its absolute value: identical bounds
         lam_abs = abs(lam)
@@ -363,8 +365,6 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
                 bounds=eb))
             if in_window and (achieved is None or eb.midpoint > achieved.midpoint):
                 achieved = eb
-        est = r_of_a(cfg.a_star, cfg)
-        dense = rational_enumeration(max(DENSITY_TERMS, cfg.truncation)).terms
         nearest = min(
             (lam_abs * term for term in dense
              if WINDOW_LO <= lam_abs * term <= WINDOW_HI),

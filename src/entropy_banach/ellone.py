@@ -223,24 +223,6 @@ def _block_sizes(M: int) -> list[int]:
     return sizes
 
 
-def _row_positions(n: int) -> dict[int, Fraction]:
-    """Relative position (in [0,1)) of each row's realization cell midpoint.
-
-    Row i of the sign matrix, as a -1/+1 bit pattern over levels 1..n, names
-    one level-n cell; odd rows sit near the right end, even rows near the
-    left, row 1 at the very left.
-    """
-    positions = {}
-    matrix = build_An(n)
-    for i in range(1, n + 1):
-        cell = 0
-        for lvl, s in enumerate(matrix.row(i), start=1):
-            if s == -1:
-                cell += 1 << (n - lvl)
-        positions[i] = Fraction(2 * cell + 1, 2 ** (n + 1))
-    return positions
-
-
 def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
     """Run the staged construction for M steps and certify every stage.
 
@@ -298,7 +280,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
 
         rows = tuple(range(2, m + 5))  # m+3 rows, row 1 stays zero
         matrix = build_An(n_m)
-        rel_pos = _row_positions(n_m)
+        rel_pos = {r: sign_point(block, matrix.row(r)) for r in rows}
         ordered = sorted(rows, key=lambda r: rel_pos[r])
         points = tuple(rel_pos[r] * window for r in ordered)
 

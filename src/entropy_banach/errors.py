@@ -12,7 +12,7 @@ class ConstructionError(EntropyBanachError):
 
 
 class FormatError(ConstructionError):
-    """Input data does not follow its JSON exchange format."""
+    """Input from outside (a file, a JSON document, a command-line value) is malformed."""
 
 
 class DomainError(EntropyBanachError):

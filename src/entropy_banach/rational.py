@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ConstructionError
+from .errors import ConstructionError, FormatError
 
 
 def qstr(x: Fraction) -> str:
@@ -29,12 +29,12 @@ def parse_q(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConstructionError(f"not a rational: {value!r}") from exc
+            raise FormatError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
-        raise ConstructionError(
+        raise FormatError(
             f"refusing to parse float {value!r} as exact rational; "
             "pass an int or a 'p/q' string")
-    raise ConstructionError(f"not a rational: {value!r}")
+    raise FormatError(f"not a rational: {value!r}")
 
 
 def q_from_float(x: float) -> Fraction:

@@ -15,7 +15,7 @@ from typing import IO
 from .dial import DialConfig
 from .ellone import WitnessReport, WitnessStep
 from .entropy import EntropyBounds, HorseshoeCertificate
-from .errors import ConstructionError, FormatError
+from .errors import FormatError
 from .plmap import IntervalQ, PLMap, eval_at, make_pl
 from .rational import parse_q, qstr
 
@@ -37,7 +37,7 @@ def pl_from_obj(obj) -> PLMap:
     try:
         xs = [parse_q(x) for x in obj["breakpoints"]]
         ys = [parse_q(y) for y in obj["values"]]
-    except ConstructionError as exc:
+    except FormatError as exc:
         raise FormatError(f"PL map: {exc}") from exc
     return make_pl(xs, ys)
 

@@ -168,17 +168,11 @@ def psi_horseshoe(f: PLMap, sched: ScaleSchedule, d: int) -> HorseshoeCertificat
     norm = sup_norm(f)
     if norm == 0:
         raise DomainError("the zero map admits no horseshoe")
-    N = sched.truncation
-    chosen = None
-    for n in range(max(d - 1, 0), N + 1):
-        if sched.q[n] * norm > Fraction(2) ** (d - n):
-            chosen = n
-            break
-    if chosen is None:
-        needed = minimal_truncation(norm, sched.kind, sched.ratio_or_alpha, d)
+    chosen = minimal_truncation(norm, sched.kind, sched.ratio_or_alpha, d)
+    if chosen > sched.truncation:
         raise TruncationError(
-            f"truncation N={N} too small for a {d}-horseshoe; need N >= {needed}",
-            minimal_n=needed)
+            f"truncation N={sched.truncation} too small for a {d}-horseshoe; "
+            f"need N >= {chosen}", minimal_n=chosen)
     positive_side = max(f.values) >= -min(f.values)
     intervals = []
     for i in range(chosen - d + 1, chosen + 1):

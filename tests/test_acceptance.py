@@ -17,9 +17,7 @@ BUDGETS = {1: 10, 2: 1, 3: 5, 4: 30, 5: 10, 6: 60, 7: 120, 8: 600, 9: 20, 10: 1}
                          ids=[f"criterion_{i}" for i in range(1, 11)])
 def test_acceptance(check):
     result = check(seed=0)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} criterion {result.number}: {result.name} "
-          f"({result.detail}) [{result.seconds:.1f}s]")
+    print(result)
     assert result.passed, f"criterion {result.number}: {result.detail}"
     budget = BUDGETS[result.number]
     assert result.seconds < budget, (

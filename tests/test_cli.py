@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_banach import cli
+from entropy_banach.checks import CheckResult
 
 CLI = [sys.executable, "-m", "entropy_banach.cli"]
 
@@ -147,16 +148,120 @@ def test_horseshoe_on_any_json_document(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(["horseshoe", str(path)])
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(["horseshoe", str(path)])
     assert code in (0, 1, 2, 3)
     if not (isinstance(doc, dict) and isinstance(doc.get("breakpoints"), list)
             and isinstance(doc.get("values"), list)):
         assert code == 2
     lines = err.getvalue().splitlines()
     assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+
+
+def _main(*argv):
+    """``cli.main`` in process: its return code, stdout and stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def _main_on_document(tmp_path_factory, doc, command, *flags):
+    """Any JSON input: a documented exit code and at most one error line."""
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    code, _, lines = _main(command, str(path), *flags)
+    assert code in (0, 1, 2, 3)
+    assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+    return code
+
+
+@pytest.mark.parametrize("command", [("entropy", "--depth", "2"), ("psi", "--N", "2")],
+                         ids=["entropy", "psi"])
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON)
+def test_map_commands_on_any_json_document(tmp_path_factory, command, doc):
+    code = _main_on_document(tmp_path_factory, doc, *command)
+    if not (isinstance(doc, dict) and isinstance(doc.get("breakpoints"), list)
+            and isinstance(doc.get("values"), list)):
+        assert code == 2
+
+
+_PL_MAPS = st.lists(st.tuples(st.integers(-4, 4), _RATIONALS), min_size=2, max_size=6,
+                   unique_by=lambda node: node[0]).map(sorted).map(
+    lambda nodes: {"breakpoints": [x for x, _ in nodes], "values": [y for _, y in nodes]})
+#: families of valid maps (most reach the horseshoe search), else any members or any JSON
+_FAMILIES = st.fixed_dictionaries(
+    {"members": st.lists(_PL_MAPS, min_size=3, max_size=4) | st.lists(_JSON, max_size=4)},
+    optional={"label": _ENTRIES}) | _JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAMILIES)
+def test_thmb_on_any_json_document(tmp_path_factory, doc):
+    code = _main_on_document(tmp_path_factory, doc, "thmB")
+    if not (isinstance(doc, dict) and isinstance(doc.get("members"), list)):
+        assert code == 2
+
+
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None),
+    ("bad.json", b'{"breakpoints": [0, 1], "values": [0,'),
+    ("latin1.json", b"\xff\xfe{"),
+], ids=["missing", "malformed_json", "not_utf8"])
+def test_unreadable_input_returns_2_in_process(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    code, out, lines = _main("horseshoe", str(path))
+    assert code == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dial", "--t", "0.5", "--a-star", "x"),
+    ("thmB", "FAMILY", "--grid", "x"),
+    ("psi", "MAP", "--ratio", "x"),
+    ("figure1", "--ratio", "x"),
+    ("psi", "MAP", "--schedule", "hoelder", "--alpha", "x"),
+    ("ell1", "--delta", "x"),
+    ("ell1", "--tail-factor", "x"),
+    # without --a-star: the bad multiplier must stop the run before the dial search
+    ("dial", "--t", "0.5", "--check-lambdas", "1,x"),
+], ids=["a_star", "grid", "psi_ratio", "figure1_ratio", "alpha", "delta", "tail_factor",
+        "check_lambdas"])
+def test_rational_flag_parse_error_exit_2(tmp_path, tent_path, argv):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"members": [json.loads(Path(tent_path).read_text())] * 3}))
+    argv = [{"MAP": tent_path, "FAMILY": str(family)}.get(arg, arg) for arg in argv]
+    code, out, lines = _main(*argv)
+    assert code == 2 and out == ""
+    assert lines == ["error: not a rational: 'x'"]
+
+
+def test_check_prints_and_writes_results(monkeypatch, tmp_path):
+    stubs = [CheckResult(1, "stub that passes", True, "all exact", 0.5),
+             CheckResult(2, "stub that fails", False, "off by one", 1.5)]
+    monkeypatch.setattr(cli, "run_all", lambda seed: stubs)
+    path = tmp_path / "check.json"
+    code, out, lines = _main("check", "--seed", "4", "--out", str(path))
+    assert code == 1 and lines == []
+    assert out.splitlines() == [
+        "PASS criterion 1: stub that passes (all exact) [0.5s]",
+        "FAIL criterion 2: stub that fails (off by one) [1.5s]",
+    ]
+    body = json.loads(path.read_text())
+    assert set(body) == {"manifest", "results"}
+    manifest = body["manifest"]
+    assert set(manifest) == {"subcommand", "parameters", "outputs", "wall_time",
+                             "library_version"}
+    assert (manifest["subcommand"], manifest["parameters"], manifest["outputs"]) == (
+        "check", {"seed": 4}, [])
+    assert body["results"] == [
+        {"number": 1, "name": "stub that passes", "passed": True, "detail": "all exact",
+         "seconds": 0.5},
+        {"number": 2, "name": "stub that fails", "passed": False, "detail": "off by one",
+         "seconds": 1.5},
+    ]
 
 
 def test_thmb_without_members_exit_2(tmp_path):
