@@ -266,7 +266,7 @@ def criterion_8(seed: int) -> tuple[bool, str]:
     t = math.log(2)
     cfg = DialConfig(t=t, d=3, truncation=12, lambda_grid_size=21,
                      entropy_depth=8, tolerance=1e-2)
-    a_star = find_a_star(t, cfg)
+    a_star = find_a_star(cfg)
     cfg = with_a_star(cfg, a_star)
     est = r_of_a(a_star, cfg)
     if abs(est.value - t) > cfg.tolerance:

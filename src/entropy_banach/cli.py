@@ -67,6 +67,12 @@ def _load_json(path: str):
         raise FormatError(f"{path} is not UTF-8 text") from exc
 
 
+def _polyline(f: PLMap, label: str, samples: int = 0) -> str:
+    buf = io.StringIO()
+    write_polyline(buf, f, label, samples=samples)
+    return buf.getvalue()
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -123,28 +129,19 @@ def _cmd_psi(args) -> int:
     sched = make_schedule(args.schedule, parameter, args.N)
     g = psi(f, sched)
     cert = psi_horseshoe(f, sched, args.horseshoe) if args.horseshoe else None
-    if args.format == "csv":
-        buf = io.StringIO()
-        write_polyline(buf, g, f"psi {args.schedule} N={args.N}")
-        _emit(buf.getvalue(), args.out)
-    else:
-        payload = {"embedded": pl_to_obj(g),
-                   "certificate": certificate_to_obj(cert)}
-        _emit(dumps(payload), args.out)
+    payload = {"embedded": pl_to_obj(g), "certificate": certificate_to_obj(cert)}
+    _emit(dumps(payload), args.out)
     if args.polyline:
-        with open(args.polyline, "w", encoding="utf-8") as handle:
-            write_polyline(handle, g, f"psi {args.schedule} N={args.N}")
+        _emit(_polyline(g, f"psi {args.schedule} N={args.N}"), args.polyline)
     return 0
 
 
 def _cmd_figure1(args) -> int:
     sched = make_schedule("geometric", parse_q(args.ratio), args.N)
     g = psi(TENT, sched)
-    buf = io.StringIO()
-    write_polyline(buf, TENT, "source tent map", samples=args.samples)
-    write_polyline(buf, g, f"embedded copy ladder ratio={args.ratio} N={args.N}",
-                   samples=args.samples)
-    _emit(buf.getvalue(), args.out)
+    _emit(_polyline(TENT, "source tent map", args.samples)
+          + _polyline(g, f"embedded copy ladder ratio={args.ratio} N={args.N}",
+                      args.samples), args.out)
     return 0
 
 
@@ -154,8 +151,7 @@ def _cmd_ell1(args) -> int:
     report = ell1_witness(parse_q(args.delta), args.steps, schedule)
     _emit(dumps(witness_to_obj(report)), args.out)
     if args.polyline:
-        with open(args.polyline, "w", encoding="utf-8") as handle:
-            write_polyline(handle, report.f, f"witness M={args.steps}")
+        _emit(_polyline(report.f, f"witness M={args.steps}"), args.polyline)
     return 0
 
 
@@ -166,7 +162,7 @@ def _cmd_dial(args) -> int:
     cfg = DialConfig(t=args.t, d=args.d, truncation=args.N,
                      lambda_grid_size=args.lambda_grid,
                      entropy_depth=args.depth, tolerance=args.tol)
-    cfg = with_a_star(cfg, find_a_star(args.t, cfg) if a_star is None else a_star)
+    cfg = with_a_star(cfg, find_a_star(cfg) if a_star is None else a_star)
     est = r_of_a(cfg.a_star, cfg)
     f = build_dial_map(cfg)
     records = dial_entropy_check(cfg, lambdas) if lambdas else []
@@ -189,7 +185,7 @@ def _cmd_dial(args) -> int:
                     {"n": s.n, "lambda_n": qstr(s.lambda_n),
                      "multiplier": qstr(s.multiplier),
                      "in_window": s.in_window,
-                     "diagonal_crossing": s.diagonal_crossing,
+                     "diagonal_crossing": s.in_window,
                      "bounds": bounds_to_obj(s.bounds)}
                     for s in rec.scales
                 ],
@@ -199,8 +195,7 @@ def _cmd_dial(args) -> int:
     }
     _emit(dumps(payload), args.out)
     if args.polyline:
-        with open(args.polyline, "w", encoding="utf-8") as handle:
-            write_polyline(handle, f, f"dial map t={args.t} d={args.d} N={args.N}")
+        _emit(_polyline(f, f"dial map t={args.t} d={args.d} N={args.N}"), args.polyline)
     return 0
 
 
@@ -218,6 +213,13 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise FormatError, so they take main's one exit path."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global flags, accepted both before and after the subcommand."""
     default = argparse.SUPPRESS if suppress else None
@@ -228,13 +230,17 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="seed for randomized checks")
     parser.add_argument("--cap-breakpoints", type=int, default=default,
                         help="override the composition breakpoint cap (>= 1)")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS if suppress else "json",
-                        help="output format where both make sense")
+
+
+def _subcommand(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    _add_common(p, suppress=True)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entropy-banach",
         description="exact piecewise-linear calculus with certified entropy "
                     "bounds, horseshoe builders, isometric embeddings, and an "
@@ -242,25 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", help="certified entropy bracket of a PL map")
+    p = _subcommand(sub, "entropy", _cmd_entropy, "certified entropy bracket of a PL map")
     p.add_argument("input", help="PL map JSON file")
     p.add_argument("--depth", type=int, default=8)
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("horseshoe", help="largest certified horseshoe of a PL map")
+    p = _subcommand(sub, "horseshoe", _cmd_horseshoe,
+                    "largest certified horseshoe of a PL map")
     p.add_argument("input", help="PL map JSON file")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_horseshoe)
 
-    p = sub.add_parser("thmB", help="alternating horseshoe combination "
-                                    "from a function family")
+    p = _subcommand(sub, "thmB", _cmd_thmb,
+                    "alternating horseshoe combination from a function family")
     p.add_argument("input", help="family JSON file: {label, members: [...]}")
     p.add_argument("--grid", help="comma-separated rational search grid")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_thmb)
 
-    p = sub.add_parser("psi", help="multiscale isometric embedding of a map on [0,1]")
+    p = _subcommand(sub, "psi", _cmd_psi,
+                    "multiscale isometric embedding of a map on [0,1]")
     p.add_argument("input", help="PL map JSON file")
     p.add_argument("--schedule", choices=("geometric", "hoelder"),
                    default="geometric")
@@ -270,30 +272,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horseshoe", type=int, default=0,
                    help="also certify a horseshoe of this order")
     p.add_argument("--polyline", help="also write a CSV polyline here")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_psi)
 
-    p = sub.add_parser("figure1", help="CSV polylines of the tent map and its "
-                                       "embedded copy ladder")
+    p = _subcommand(sub, "figure1", _cmd_figure1,
+                    "CSV polylines of the tent map and its embedded copy ladder")
     p.add_argument("--ratio", default="2/3")
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--samples", type=int, default=0,
                    help="resample the polylines at this many points")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_figure1)
 
-    p = sub.add_parser("ell1", help="staged infinite-entropy witness in the "
-                                    "sum-norm model")
+    p = _subcommand(sub, "ell1", _cmd_ell1,
+                    "staged infinite-entropy witness in the sum-norm model")
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--delta", default="1/4096",
                    help="relative ramp half-width of the sign model")
     p.add_argument("--tail-factor", default="2", dest="tail_factor")
     p.add_argument("--polyline", help="also write the witness polyline here")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_ell1)
 
-    p = sub.add_parser("dial", help="build the fixed-entropy dial map and "
-                                    "check multipliers")
+    p = _subcommand(sub, "dial", _cmd_dial,
+                    "build the fixed-entropy dial map and check multipliers")
     p.add_argument("--t", type=float, required=True, help="target entropy")
     p.add_argument("--d", type=int, default=3, help="odd branch count")
     p.add_argument("--N", type=int, default=12, help="number of scales")
@@ -305,19 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-lambdas", dest="check_lambdas", default="",
                    help="comma-separated multipliers to check, e.g. 1/2,1,2")
     p.add_argument("--polyline", help="also write the dial-map polyline here")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_dial)
 
-    p = sub.add_parser("check", help="run the full acceptance suite")
-    _add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_check)
-
+    _subcommand(sub, "check", _cmd_check, "run the full acceptance suite")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.cap_breakpoints is not None:
             if args.cap_breakpoints < 1:
                 raise FormatError(

@@ -172,16 +172,14 @@ def r_of_a(a, cfg: DialConfig) -> REstimate:
                      argmax=best_lam, warning=best_width > cfg.tolerance)
 
 
-def find_a_star(t: float, cfg: DialConfig) -> Fraction:
-    """Bisection on a for r(a) = t, using the bracket-midpoint estimator.
+def find_a_star(cfg: DialConfig) -> Fraction:
+    """Bisection on a for r(a) = cfg.t, using the bracket-midpoint estimator.
 
     Stops as soon as the residual drops below the tolerance, or once the
     bisection gap falls below the certification resolution (then the best
     candidate wins if it meets the tolerance).
     """
-    if not 0 < t < math.log(cfg.d):
-        raise ConfigurationError(
-            f"t must lie strictly between 0 and log {cfg.d}, got {t}")
+    t = cfg.t
     lo, hi = Fraction(0), Fraction(1)
     r_lo = r_of_a(lo, cfg)
     r_hi = r_of_a(hi, cfg)
@@ -275,8 +273,6 @@ def build_dial_map(cfg: DialConfig) -> PLMap:
     """
     if cfg.a_star is None:
         raise ConfigurationError("a_star must be set before building the map")
-    if cfg.truncation < 1:
-        raise ConfigurationError("need at least one scale")
     th = theta(cfg.a_star, cfg.d)
     lambdas = rational_enumeration(cfg.truncation).terms
     inner = [(x, y) for x, y in zip(th.breakpoints, th.values) if 9 <= x <= 10]
@@ -301,8 +297,9 @@ class ScaleRecord:
     n: int
     lambda_n: Fraction
     multiplier: Fraction
+    #: 9/10 <= multiplier <= 10/9, exactly when the box I_n x (lam f)(I_n)
+    #: meets the diagonal
     in_window: bool
-    diagonal_crossing: bool
     bounds: EntropyBounds
 
 
@@ -316,14 +313,6 @@ class DialCheckRecord:
     lambda_star: Fraction
     nearest_multiplier: Fraction | None
     tendency_lower: float
-
-
-def _diagonal_crossing(lam: Fraction, lam_n: Fraction, n: int) -> bool:
-    """Does the box I_n x (lam f)(I_n) meet the diagonal?"""
-    x_n = Fraction(1, 4) ** n
-    mu = lam * lam_n
-    lo, hi = Fraction(9, 10) * x_n, x_n
-    return mu * lo <= hi and mu * hi >= lo
 
 
 def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckRecord]:
@@ -360,9 +349,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
             depth = cfg.entropy_depth if in_window else VANISH_DEPTH
             eb = _scale_bounds(Fraction(cfg.a_star), mu, cfg.d, depth)
             scales.append(ScaleRecord(
-                n=n, lambda_n=terms[n - 1], multiplier=mu, in_window=in_window,
-                diagonal_crossing=_diagonal_crossing(lam_abs, terms[n - 1], n),
-                bounds=eb))
+                n=n, lambda_n=terms[n - 1], multiplier=mu, in_window=in_window, bounds=eb))
             if in_window and (achieved is None or eb.midpoint > achieved.midpoint):
                 achieved = eb
         nearest = min(

@@ -174,8 +174,9 @@ def gamma_schedule(M: int, tail_factor) -> GammaSchedule:
     if tail_factor <= 1:
         raise DomainError(f"tail factor must exceed 1, got {tail_factor}")
     gammas = [Fraction(1)] * M
+    tail = Fraction(0)
     for m in range(M - 1, 0, -1):
-        tail = sum(2 * (i + 3) * gammas[i - 1] for i in range(m + 1, M + 1))
+        tail += 2 * (m + 4) * gammas[m]  # the i = m + 1 term of tail(m)
         gammas[m - 1] = tail_factor * tail
     first = gammas[0]
     return GammaSchedule(M=M, gammas=tuple(g / first for g in gammas))
@@ -208,81 +209,66 @@ class WitnessReport:
     f: PLMap
     steps: tuple[WitnessStep, ...]
     coefficient_l1_norm: Fraction
-    basis: tuple[PLMap, ...]
     x0: Fraction = Fraction(0)
-
-
-def _block_sizes(M: int) -> list[int]:
-    """Matrix sizes per step: at least m+4 rows available, growing by >= 2."""
-    sizes = []
-    prev = 1
-    for m in range(1, M + 1):
-        n_m = max(m + 4, prev + 2)
-        sizes.append(n_m)
-        prev = n_m
-    return sizes
 
 
 def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
     """Run the staged construction for M steps and certify every stage.
 
     ``delta`` is the relative ramp half-width used inside each block's scaled
-    sign system.  Blocks are nested: block m is a copy of the n(m)-member
-    model compressed into a window [0, w_m] lying inside the all-plus plateau
-    of every earlier block, so earlier partial sums are exactly constant on
-    J(m) and later blocks contribute exactly zero at the step's points (their
-    coefficients sum to zero against a constant sign).
+    sign system.  Blocks are nested: block m is a copy of the (2m+3)-member
+    model compressed into the window [0, epsilon_m] lying inside the all-plus
+    plateau of every earlier block, so earlier partial sums are exactly
+    constant on J(m) and later blocks contribute exactly zero at the step's
+    points (their coefficients sum to zero against a constant sign).  The
+    partial sum g_m = g_{m-1} + block m is kept as one pruned map, which
+    holds exactly the domain ends and the kinks of the full sum.
     """
     if M < 1:
         raise DomainError(f"need M >= 1, got {M}")
     if schedule.M < M:
         raise BudgetError(f"schedule has {schedule.M} < {M} steps", stage=0)
     delta = Fraction(delta)
-    sizes = _block_sizes(M)
-    for m, n_m in enumerate(sizes, start=1):
-        limit = max_admissible_delta(n_m)
+    for m in range(1, M + 1):
+        limit = max_admissible_delta(2 * m + 3)
         if not 0 < delta < limit:
             raise BudgetError(
                 f"step {m} needs relative delta below {limit}, got {delta}",
                 stage=m, hint=f"pass delta < {limit}")
 
     x0 = Fraction(0)
-    basis: list[PLMap] = []
-    coeffs: list[Fraction] = []
+    l1 = Fraction(0)
     pending: list[dict] = []
-    g_prev: PLMap = make_pl([0, 1], [0, 0])  # x0 * f_1 vanishes at x0 = 0
-    epsilon_prev: Fraction | None = None
-    plateau_prev: Fraction | None = None
+    f: PLMap | None = None  # the partial sum g_{m-1}; g_0 = 0
+    epsilon_prev = plateau_prev = Fraction(0)
 
     for m in range(1, M + 1):
-        n_m = sizes[m - 1]
+        n_m = 2 * m + 3
         gamma_m = schedule.gammas[m - 1]
         tail = schedule.tail(m)
         slack = gamma_m - tail
         bound = slack / 2
-        if epsilon_prev is not None:
+        if f is not None:
             bound = min(bound, epsilon_prev / 4, plateau_prev / 2)
         epsilon = pow2_floor(bound)
         J = IntervalQ(x0 - epsilon, x0 + epsilon)
 
-        osc = oscillation(g_prev, J)
+        osc = Fraction(0) if f is None else oscillation(f, J)
         if not epsilon + osc < slack:
             raise BudgetError(
                 f"step {m}: oscillation condition fails "
                 f"({epsilon} + {osc} >= {slack})",
                 stage=m, hint="refine delta or the gamma schedule")
 
-        window = pow2_floor(epsilon)
         block = build_rademacher(n_m, delta)
-        members = tuple(
-            PLMap(tuple(x * window for x in g.breakpoints), g.values)
-            for g in block.members)
+        members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values)
+                   for g in block.members]
 
         rows = tuple(range(2, m + 5))  # m+3 rows, row 1 stays zero
         matrix = build_An(n_m)
         rel_pos = {r: sign_point(block, matrix.row(r)) for r in rows}
         ordered = sorted(rows, key=lambda r: rel_pos[r])
-        points = tuple(rel_pos[r] * window for r in ordered)
+        points = tuple(rel_pos[r] * epsilon for r in ordered)
 
         beta = [Fraction(0)] * n_m
         for rank, row in enumerate(ordered, start=1):
@@ -294,18 +280,17 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
                 f"step {m}: coefficients fail A alpha = beta, |alpha| <= gamma "
                 f"or at most {2 * (m + 3)} nonzeros")
 
-        basis.extend(members)
-        coeffs.extend(alpha)
-        g_prev = linear_combination(coeffs, basis)
+        head = [] if f is None else [f]
+        f = linear_combination([1] * len(head) + alpha, head + members)
+        l1 += sum(abs(a) for a in alpha)
         epsilon_prev = epsilon
-        plateau_prev = window * (Fraction(1, 2 ** n_m) - delta)
+        plateau_prev = epsilon * (Fraction(1, 2 ** n_m) - delta)
 
         pending.append(dict(
-            m=m, n_m=n_m, epsilon=epsilon, J=J, window=window,
+            m=m, n_m=n_m, epsilon=epsilon, J=J, window=epsilon,
             rows=ordered, points=points, beta=tuple(beta), alpha=tuple(alpha),
             oscillation_prev=osc, tail=tail))
 
-    f = g_prev
     steps: list[WitnessStep] = []
     for record in pending:
         pts = record["points"]
@@ -325,12 +310,10 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
         cert = certify(f, [IntervalQ(pts[i], pts[i + 1]) for i in range(len(pts) - 1)])
         steps.append(WitnessStep(certificate=cert, **record))
 
-    l1 = sum((abs(c) for c in coeffs), Fraction(0))
     budget = sum((2 * (m + 3) * schedule.gammas[m - 1] for m in range(1, M + 1)),
                  Fraction(0))
     if l1 > budget:
         raise ConstructionError("coefficient mass exceeded its schedule budget")
     if eval_at(f, x0) != x0:
         raise ConstructionError("witness does not fix x0")
-    return WitnessReport(f=f, steps=tuple(steps),
-                         coefficient_l1_norm=l1, basis=tuple(basis), x0=x0)
+    return WitnessReport(f=f, steps=tuple(steps), coefficient_l1_norm=l1, x0=x0)

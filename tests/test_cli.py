@@ -238,6 +238,24 @@ def test_rational_flag_parse_error_exit_2(tmp_path, tent_path, argv):
     assert lines == ["error: not a rational: 'x'"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("entropy", "MAP", "--depth", "two"), "argument --depth: invalid int value: 'two'"),
+    (("horseshoe", "MAP", "--bogus"), "unrecognized arguments: --bogus"),
+    ((), "the following arguments are required: command"),
+    (("psi", "MAP", "--format", "csv"), "unrecognized arguments: --format csv"),
+], ids=["depth_two", "unknown_flag", "no_subcommand", "format_flag"])
+def test_usage_error_returns_2_in_process(tent_path, argv, message):
+    code, out, lines = _main(*[tent_path if arg == "MAP" else arg for arg in argv])
+    assert code == 2 and out == ""
+    assert lines == [f"error: {message}"]
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc, redirect_stdout(io.StringIO()):
+        cli.main(["--help"])
+    assert exc.value.code == 0
+
+
 def test_check_prints_and_writes_results(monkeypatch, tmp_path):
     stubs = [CheckResult(1, "stub that passes", True, "all exact", 0.5),
              CheckResult(2, "stub that fails", False, "off by one", 1.5)]

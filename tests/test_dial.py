@@ -86,15 +86,13 @@ def test_r_of_a_monotone_trend():
 
 
 def test_find_a_star_converges():
-    a = find_a_star(math.log(2), FAST_CFG)
+    a = find_a_star(FAST_CFG)
     est = r_of_a(a, FAST_CFG)
     assert 0 < a < 1
     assert abs(est.value - math.log(2)) <= FAST_CFG.tolerance
 
 
 def test_find_a_star_rejects_out_of_range():
-    with pytest.raises(ConfigurationError):
-        find_a_star(math.log(3) + 0.1, FAST_CFG)
     with pytest.raises(ConfigurationError):
         DialConfig(t=math.log(4), d=3)
 
@@ -181,6 +179,14 @@ def set_check_depths(monkeypatch, vanish_depth, density_terms):
     monkeypatch.setattr(dial, "DENSITY_TERMS", density_terms)
 
 
+def _diagonal_crossing(lam, lam_n, n):
+    """Does the box I_n x (lam f)(I_n) meet the diagonal?  (The oracle for in_window.)"""
+    x_n = F(1, 4) ** n
+    mu = lam * lam_n
+    lo, hi = F(9, 10) * x_n, x_n
+    return mu * lo <= hi and mu * hi >= lo
+
+
 def test_dial_entropy_check_windows(monkeypatch, dial_cfg):
     set_check_depths(monkeypatch, 12, 64)
     records = dial_entropy_check(dial_cfg, [F(1)])
@@ -189,7 +195,8 @@ def test_dial_entropy_check_windows(monkeypatch, dial_cfg):
     for scale_rec in rec.scales:
         expected = F(9, 10) <= scale_rec.multiplier <= F(10, 9)
         assert scale_rec.in_window == expected
-        assert scale_rec.in_window == scale_rec.diagonal_crossing
+        assert scale_rec.in_window == _diagonal_crossing(
+            F(1), scale_rec.lambda_n, scale_rec.n)
         assert scale_rec.lambda_n == terms[scale_rec.n - 1]
     assert rec.achieved is not None
     assert rec.achieved.lower <= rec.achieved.upper
@@ -199,6 +206,8 @@ def test_dial_entropy_check_vanishing_scales(monkeypatch, dial_cfg):
     set_check_depths(monkeypatch, 24, 64)
     records = dial_entropy_check(dial_cfg, [F(18, 25)])
     for scale_rec in records[0].scales:
+        assert scale_rec.in_window == _diagonal_crossing(
+            F(18, 25), scale_rec.lambda_n, scale_rec.n)
         if not scale_rec.in_window:
             assert scale_rec.bounds.lower == 0.0
             assert scale_rec.bounds.upper <= 0.06

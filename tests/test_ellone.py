@@ -17,7 +17,7 @@ from entropy_banach.ellone import (
 )
 from entropy_banach.entropy import validate_certificate
 from entropy_banach.errors import BudgetError, DomainError, ParameterError
-from entropy_banach.plmap import eval_at, linear_combination, sup_norm
+from entropy_banach.plmap import PLMap, eval_at, linear_combination, sup_norm
 from entropy_banach.spaces import solve_linear_system
 
 A8_PRINTED = (
@@ -151,6 +151,14 @@ def test_gamma_schedule_tail_condition():
             assert s.gammas[m - 1] > s.tail(m)
 
 
+@pytest.mark.parametrize("tail_factor", [F(11, 10), F(3, 2), 2, 3])
+def test_gamma_schedule_is_tail_factor_times_tail(tail_factor):
+    for M in range(1, 13):
+        s = gamma_schedule(M, tail_factor)
+        for m in range(1, M):
+            assert s.gammas[m - 1] == tail_factor * s.tail(m)
+
+
 def test_gamma_schedule_rejects_bad_factor():
     with pytest.raises(DomainError):
         gamma_schedule(3, 1)
@@ -207,6 +215,36 @@ def test_witness_coefficient_budget(witness):
     schedule = gamma_schedule(3, 2)
     budget = sum(2 * (m + 3) * schedule.gammas[m - 1] for m in range(1, 4))
     assert witness.coefficient_l1_norm <= budget
+
+
+@pytest.fixture(scope="module", params=[(3, F(1, 4096)), (4, F(1, 16384))],
+                ids=["M3", "M4"])
+def witness_and_delta(request):
+    M, delta = request.param
+    return ell1_witness(delta, M, gamma_schedule(M, 2)), delta
+
+
+def test_witness_equals_full_resum(witness_and_delta):
+    # every block summed at once, the way the witness was defined, must give
+    # exactly the running sum's breakpoints and values
+    report, delta = witness_and_delta
+    coeffs, basis = [], []
+    for step in report.steps:
+        block = build_rademacher(2 * step.m + 3, delta)
+        basis += [PLMap(tuple(x * step.epsilon for x in g.breakpoints), g.values)
+                  for g in block.members]
+        coeffs += step.alpha
+    full = linear_combination(coeffs, basis)
+    assert full.breakpoints == report.f.breakpoints
+    assert full.values == report.f.values
+
+
+def test_witness_step_records(witness_and_delta):
+    report, _ = witness_and_delta
+    assert report.coefficient_l1_norm == sum(abs(a) for s in report.steps for a in s.alpha)
+    for step in report.steps:
+        assert step.n_m == 2 * step.m + 3
+        assert step.window == step.epsilon
 
 
 def test_witness_single_step():

@@ -86,7 +86,7 @@ def test_witness_four_steps():
 def test_dial_search_other_target():
     cfg = DialConfig(t=0.35, d=3, truncation=6, lambda_grid_size=7,
                      entropy_depth=6, tolerance=6e-2)
-    a = find_a_star(0.35, cfg)
+    a = find_a_star(cfg)
     assert abs(r_of_a(a, cfg).value - 0.35) <= cfg.tolerance
 
 
