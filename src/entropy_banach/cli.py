@@ -148,7 +148,9 @@ def _cmd_figure1(args) -> int:
 def _cmd_ell1(args) -> int:
     from .serialize import witness_to_obj
     schedule = gamma_schedule(args.steps, parse_q(args.tail_factor))
-    report = ell1_witness(parse_q(args.delta), args.steps, schedule)
+    delta = (Fraction(1, 2 ** max(12, 2 * args.steps + 6)) if args.delta is None
+             else parse_q(args.delta))
+    report = ell1_witness(delta, args.steps, schedule)
     _emit(dumps(witness_to_obj(report)), args.out)
     if args.polyline:
         _emit(_polyline(report.f, f"witness M={args.steps}"), args.polyline)
@@ -283,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "ell1", _cmd_ell1,
                     "staged infinite-entropy witness in the sum-norm model")
     p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--delta", default="1/4096",
-                   help="relative ramp half-width of the sign model")
+    p.add_argument("--delta", help="relative ramp half-width of the sign model; step m "
+                   "needs delta < 2^-(2m+5) (default 2^-max(12, 2*steps+6))")
     p.add_argument("--tail-factor", default="2", dest="tail_factor")
     p.add_argument("--polyline", help="also write the witness polyline here")
 

@@ -13,7 +13,7 @@ All covering checks are exact rational comparisons; only the final rates
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,11 +26,14 @@ from .plmap import (
     compose,
     crop,
     eval_at,
+    eval_many,
     image_interval,
     lap_count,
     make_pl,
     monotone_pieces,
+    rank,
     segment_preimages,
+    sort_exact,
 )
 
 #: horseshoe search is skipped on iterates with more monotone pieces than this
@@ -161,28 +164,20 @@ def entropy_upper_lap(f: PLMap, depth: int) -> float:
     return _lap_upper([lap_count(g) for g in _iterate_chain(f, depth)])
 
 
-def _piece_boxes(f: PLMap) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """(x_left, x_right, value_min, value_max) per maximal monotone piece."""
-    xs, ys = f.breakpoints, f.values
-    boxes = []
-    for (s, e) in monotone_pieces(f):
-        lo, hi = (ys[s], ys[e]) if ys[s] <= ys[e] else (ys[e], ys[s])
-        boxes.append((xs[s], xs[e], lo, hi))
-    return boxes
-
-
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
-    """The certified preimage subintervals of the covering branches of hull [u, v]."""
+    """The certified preimage subintervals of the covering branches of hull [u, v].
+
+    Each piece is cut to [u, v]; f is monotone there, so the cut piece's
+    image is the hull of f at its two ends.
+    """
+    xs = f.breakpoints
     level_u, level_v = _level_set(f, u), _level_set(f, v)
+    spans = [(max(xs[s], u), min(xs[e], v)) for s, e in monotone_pieces(f)]
+    spans = [(lo_x, hi_x) for lo_x, hi_x in spans if lo_x < hi_x]
+    ends = eval_many(f, [x for span in spans for x in span])
     intervals: list[IntervalQ] = []
-    for (s, e) in monotone_pieces(f):
-        xs = f.breakpoints
-        a, b = xs[s], xs[e]
-        lo_x, hi_x = max(a, u), min(b, v)
-        if lo_x >= hi_x:
-            continue
-        img = image_interval(f, IntervalQ(lo_x, hi_x))
-        if not (img.lo <= u and img.hi >= v):
+    for (lo_x, _), f_lo, f_hi in zip(spans, ends[::2], ends[1::2]):
+        if min(f_lo, f_hi) > u or max(f_lo, f_hi) < v:
             continue
         # the branch attains u and v on [lo_x, hi_x], so the first level
         # points from lo_x on lie inside it
@@ -218,50 +213,39 @@ def _hull_candidates(f: PLMap) -> list[Fraction]:
     # diagonal crossings: the zero set of x -> f(x) - x on f's breakpoints
     gap = PLMap(f.breakpoints, tuple(y - x for x, y in zip(f.breakpoints, f.values)))
     pts.update(_level_set(gap, Fraction(0)))
-    return sorted(pts)
+    return sort_exact(pts)
 
 
-def _hull_boxes(f: PLMap, pts: list[Fraction]) -> list[tuple[int, int, int, int]]:
+def _hull_boxes(f: PLMap, pts: list[Fraction]) -> np.ndarray:
     """Per covering branch, the rectangle (il, ir, jl, jr) of candidate indices
     such that the branch covers [pts[i], pts[j]] for il <= i <= ir, jl <= j <= jr.
 
     Every piece contributes to a hull either fully inside (x-extent within
     [u, v], value range containing it) or cut at one end; in each case the
     admissible (u, v) form such a rectangle.  Empty rectangles are left out.
+    Every comparison is a rank in the candidates: piece ends are candidates,
+    and a value v is <= pts[k] iff its bisect_left is <= k, >= pts[k] iff
+    its bisect_right is > k.  Returns an (m, 4) integer array.
     """
-    rects: list[tuple[int, int, int, int]] = []
-
-    def add_box(il, ir, jl, jr):
-        if il <= ir and jl <= jr:
-            rects.append((il, ir, jl, jr))
-
-    boxes = _piece_boxes(f)
-    for (a, b, lo, hi) in boxes:
-        if lo == hi:
-            continue
-        # fully inside: lo <= u <= a and b <= v <= hi
-        add_box(bisect_left(pts, lo), bisect_right(pts, a) - 1,
-                bisect_left(pts, b), bisect_right(pts, hi) - 1)
-    # boundary-cut branches: candidates strictly inside a piece
-    piece_idx = 0
-    for k, u in enumerate(pts):
-        while piece_idx < len(boxes) - 1 and boxes[piece_idx][1] <= u:
-            piece_idx += 1
-        a, b, lo, hi = boxes[piece_idx]
-        if not (a < u < b) or lo == hi:
-            continue
-        fu = eval_at(f, u)
-        # left-cut branch [u, b]: image hull of f(u) and the end value f(b)
-        end_val = eval_at(f, b)
-        img_lo, img_hi = (fu, end_val) if fu <= end_val else (end_val, fu)
-        if img_lo <= u:
-            add_box(k, k, bisect_left(pts, b), bisect_right(pts, img_hi) - 1)
-        # right-cut branch [a, u] seen from the v side: v = u here
-        start_val = eval_at(f, a)
-        img_lo, img_hi = (fu, start_val) if fu <= start_val else (start_val, fu)
-        if img_hi >= u:
-            add_box(bisect_left(pts, img_lo), bisect_right(pts, a) - 1, k, k)
-    return rects
+    xs, ys = f.breakpoints, f.values
+    pieces = [(s, e) for s, e in monotone_pieces(f) if ys[s] != ys[e]]
+    if not pieces:
+        return np.empty((0, 4), dtype=np.int64)
+    vl, vr = rank(pts, eval_many(f, pts))  # ranks of f at every candidate
+    ia, ib = rank(pts, [xs[i] for piece in pieces for i in piece])[0].reshape(-1, 2).T
+    # fully inside: lo <= u <= a and b <= v <= hi
+    inside = np.stack([np.minimum(vl[ia], vl[ib]), ia, ib, np.maximum(vr[ia], vr[ib]) - 1])
+    # boundary-cut branches: candidates k strictly inside a piece [a, b]
+    k = np.arange(len(pts))
+    p = np.minimum(np.searchsorted(ib, k, "right"), len(pieces) - 1)
+    cut = (ia[p] < k) & (k < ib[p])
+    k, a, b = k[cut], ia[p][cut], ib[p][cut]
+    # left-cut branch [u, b]: image hull of f(u) and the end value f(b)
+    left = np.stack([k, k, b, np.maximum(vr[k], vr[b]) - 1])[:, np.minimum(vl[k], vl[b]) <= k]
+    # right-cut branch [a, u] seen from the v side: v = u here
+    right = np.stack([np.minimum(vl[k], vl[a]), a, k, k])[:, np.maximum(vr[k], vr[a]) > k]
+    rects = np.concatenate([inside, left, right], axis=1).T
+    return rects[(rects[:, 0] <= rects[:, 1]) & (rects[:, 2] <= rects[:, 3])]
 
 
 def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
@@ -284,7 +268,7 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     n = len(pts)
     if n < 2:
         return 1, None
-    il, ir, jl, jr = np.array(_hull_boxes(f, pts), dtype=np.int64).reshape(-1, 4).T
+    il, ir, jl, jr = _hull_boxes(f, pts).T
     rows = np.concatenate((il, il, ir + 1, ir + 1))
     cols = np.concatenate((jl, jr + 1, jl, jr + 1))
     steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))
@@ -314,7 +298,7 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
 def _turning_positions(f: PLMap) -> list[Fraction]:
     """Domain ends and turning points of f, ascending."""
     xs = f.breakpoints
-    return sorted({xs[i] for piece in monotone_pieces(f) for i in piece})
+    return [xs[i] for i in sorted({i for piece in monotone_pieces(f) for i in piece})]
 
 
 def entropy_lower_markov(f: PLMap, refinement: int) -> float:
@@ -342,37 +326,50 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
 def _markov_scan(f: PLMap, refinement: int) -> tuple[float, int]:
     """Best covering-matrix bound over <= refinement+1 rounds; stops at the cap.
 
-    Returns (best bound so far, number of completed rounds).
+    Returns (best bound so far, number of completed rounds).  Round r+1's
+    partition is P_r plus the preimages of P_r; those of P_{r-1} are in P_r
+    already, so only the points the last round added are pulled back, and
+    they are merged into the ascending partition by their ranks in it.
     """
-    images = {x: eval_at(f, x) for x in _turning_positions(f)}
-    if len(images) < 2:
+    points = _turning_positions(f)
+    if len(points) < 2:
         return 0.0, refinement + 1
+    vals, added = eval_many(f, points), points
     best = 0.0
     for round_no in range(refinement + 1):
-        if len(images) - 1 > PARTITION_CAP:
+        if len(points) - 1 > PARTITION_CAP:
             return best, round_no
-        points = sorted(images)
-        best = max(best, _covering_log_radius(points, [images[x] for x in points]))
+        best = max(best, _covering_log_radius(points, vals))
         if round_no < refinement:
-            images = _pull_back(f, points, images)
+            images = _pull_back(f, added)
+            new = sort_exact(images)
+            at, past = rank(points, new)
+            fresh = at == past  # not a partition point yet
+            added = [x for x, keep in zip(new, fresh.tolist()) if keep]
+            # each added point goes right before the partition point at its rank
+            keys = np.concatenate([np.arange(len(points)), at[fresh] - 0.5])
+            order = np.argsort(keys, kind="stable").tolist()
+            merged, merged_vals = points + added, vals + [images[x] for x in added]
+            points, vals = [merged[j] for j in order], [merged_vals[j] for j in order]
     return best, refinement + 1
 
 
-def _pull_back(f: PLMap, points: list[Fraction],
-               images: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    """The partition (point -> image under f) plus all f-preimages of its points.
+def _pull_back(f: PLMap, targets: list[Fraction]) -> dict[Fraction, Fraction]:
+    """The f-preimages (point -> image under f) of the ascending ``targets``.
 
-    Segments are closed here: a node of f whose value is a partition point
-    joins when one of its segments is not flat.  The partition always holds
-    both ends of f's domain, so every preimage lies inside its hull.
+    Segments are closed here: a node of f whose value is a target joins
+    when one of its segments is not flat.  The partition always holds both
+    ends of f's domain, so every preimage lies inside its hull.
     """
     xs, ys = f.breakpoints, f.values
-    refined = dict(images)
-    for i, hits in enumerate(segment_preimages(f, points)):
+    left, right = rank(targets, ys)
+    on_target = (left < right).tolist()
+    found = {}
+    for i, hits in enumerate(segment_preimages(f, targets)):
         if ys[i] != ys[i + 1]:
-            refined.update((xs[k], ys[k]) for k in (i, i + 1) if ys[k] in images)
-        refined.update((x, points[j]) for x, j in hits)
-    return refined
+            found.update((xs[k], ys[k]) for k in (i, i + 1) if on_target[k])
+        found.update((x, targets[j]) for x, j in hits)
+    return found
 
 
 def _covering_log_radius(points: list[Fraction], vals: list[Fraction]) -> float:
@@ -384,15 +381,10 @@ def _covering_log_radius(points: list[Fraction], vals: list[Fraction]) -> float:
     window of cells; rows are stored as (start, stop) windows and the power
     iteration does its matvec with prefix sums.
     """
-    n = len(points) - 1
-    starts = np.empty(n, dtype=np.int64)
-    stops = np.empty(n, dtype=np.int64)  # exclusive
-    for i in range(n):
-        lo, hi = (vals[i], vals[i + 1]) if vals[i] <= vals[i + 1] else (vals[i + 1], vals[i])
-        jl = bisect_left(points, lo)
-        jr = bisect_right(points, hi) - 1  # last point index <= hi
-        starts[i] = jl
-        stops[i] = max(jr, jl)
+    left, right = rank(points, vals)
+    starts = np.minimum(left[:-1], left[1:])  # first point >= the image's low end
+    # exclusive: the last point <= the image's high end
+    stops = np.maximum(np.maximum(right[:-1], right[1:]) - 1, starts)
     radius = _interval_rows_radius(starts, stops)
     return math.log(radius) if radius > 1.0 else 0.0
 

@@ -8,15 +8,20 @@ maps agree as functions iff they evaluate equally on the union of their
 breakpoints, and images/oscillations/norms are attained at breakpoints.
 
 Everything is immutable and pure; values can be shared freely across
-workers.
+workers.  Orderings of rationals go through one float filter (:func:`rank`,
+:func:`sort_exact`): floats decide every comparison they decide without
+doubt, and only float ties are compared exactly.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericError, ResourceLimitError
 from .rational import q_from_float
@@ -63,7 +68,8 @@ class PLMap:
         if len(xs) != len(ys):
             raise ConstructionError(
                 f"breakpoints/values length mismatch: {len(xs)} vs {len(ys)}")
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
+        fx = _floats(xs)  # float order decides every pair but float ties
+        if any(xs[i] >= xs[i + 1] for i in np.flatnonzero(fx[:-1] >= fx[1:]).tolist()):
             raise ConstructionError("breakpoints must be strictly increasing")
 
     @property
@@ -75,6 +81,43 @@ class PLMap:
 
     def __len__(self) -> int:
         return len(self.breakpoints)
+
+
+def _as_float(q: Fraction) -> float:
+    """q rounded to nearest, which is monotone in q; +-inf beyond the float range.
+
+    Int true division rounds correctly, so float(a) < float(b) implies a < b.
+    """
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        return -math.inf if q.numerator < 0 else math.inf
+
+
+def _floats(qs: Sequence[Fraction]) -> np.ndarray:
+    return np.fromiter(map(_as_float, qs), float, len(qs))
+
+
+def rank(xs: Sequence[Fraction], qs: Sequence[Fraction]) -> tuple[np.ndarray, np.ndarray]:
+    """bisect_left and bisect_right of every q in the ascending xs, exactly.
+
+    Searching the floats brackets each answer by the window of xs whose
+    float equals q's (outside it the float order is the exact order); only
+    those windows are bisected over the rationals.
+    """
+    fx, fq = _floats(xs), _floats(qs)
+    left = np.searchsorted(fx, fq, "left")
+    right = np.searchsorted(fx, fq, "right")
+    for k in np.flatnonzero(left < right).tolist():
+        lo, hi = int(left[k]), int(right[k])
+        left[k] = bisect_left(xs, qs[k], lo, hi)
+        right[k] = bisect_right(xs, qs[k], int(left[k]), hi)
+    return left, right
+
+
+def sort_exact(qs: Iterable[Fraction]) -> list[Fraction]:
+    """sorted(qs); the float key decides first, so only float ties compare Fractions."""
+    return sorted(qs, key=lambda q: (_as_float(q), q))
 
 
 def make_pl(breakpoints: Sequence, values: Sequence) -> PLMap:
@@ -99,24 +142,19 @@ def eval_at(f: PLMap, x: Fraction) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def eval_many(f: PLMap, xs_sorted: Sequence[Fraction]) -> list[Fraction]:
-    """Evaluate at an ascending sequence of points with a single merge scan."""
+def eval_many(f: PLMap, qs: Sequence[Fraction]) -> list[Fraction]:
+    """Exact values at the points ``qs``, in any order, located by one :func:`rank`."""
     xs, ys = f.breakpoints, f.values
+    left, right = rank(xs, qs)
     out: list[Fraction] = []
-    i = 0
-    last = len(xs) - 1
-    for x in xs_sorted:
-        while i < last and xs[i + 1] <= x:
-            i += 1
-        if x <= xs[0]:
-            out.append(ys[0])
-        elif x >= xs[-1]:
-            out.append(ys[-1])
-        elif xs[i] == x:
+    for x, i, j in zip(qs, left.tolist(), right.tolist()):
+        if i < j or i == 0:  # x is a breakpoint, or left of the domain
             out.append(ys[i])
+        elif i == len(xs):
+            out.append(ys[-1])
         else:
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = ys[i], ys[i + 1]
+            x0, x1 = xs[i - 1], xs[i]
+            y0, y1 = ys[i - 1], ys[i]
             out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
     return out
 
@@ -125,17 +163,22 @@ def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple, tup
     """Drop interior nodes where the two adjacent segments share a slope.
 
     Purely a representation normalization: the function is unchanged, and all
-    kinks (turning points, slope changes) are preserved.
+    kinks (turning points, slope changes) are preserved.  A node whose two
+    neighbours lie strictly on one side of it in float order is a strict
+    turn and is kept unexamined: the pruned nodes before it lie on the line
+    from the last kept node, so that line falls (or rises) into it too.
     """
     if len(xs) <= 2:
         return tuple(xs), tuple(ys)
+    fy = _floats(ys)
+    before, mid, after = fy[:-2], fy[1:-1], fy[2:]
+    turns = (((before < mid) & (after < mid)) | ((before > mid) & (after > mid))).tolist()
     keep_x = [xs[0]]
     keep_y = [ys[0]]
     for i in range(1, len(xs) - 1):
         # cross-multiplied slope comparison avoids building new Fractions
-        lhs = (ys[i] - keep_y[-1]) * (xs[i + 1] - xs[i])
-        rhs = (ys[i + 1] - ys[i]) * (xs[i] - keep_x[-1])
-        if lhs != rhs:
+        if turns[i - 1] or ((ys[i] - keep_y[-1]) * (xs[i + 1] - xs[i])
+                            != (ys[i + 1] - ys[i]) * (xs[i] - keep_x[-1])):
             keep_x.append(xs[i])
             keep_y.append(ys[i])
     keep_x.append(xs[-1])
@@ -151,16 +194,16 @@ def segment_preimages(g: PLMap,
     Composition, the covering partition and certificates all use this loop.
     """
     xs, ys = g.breakpoints, g.values
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        # targets strictly inside the value range of this segment
-        a = bisect_right(targets, lo)
-        b = bisect_left(targets, hi)
+    left, right = rank(targets, ys)
+    # targets strictly inside the value range of each segment: bisect_right
+    # of its lower end value up to bisect_left of its upper one
+    starts = np.minimum(right[:-1], right[1:]).tolist()
+    stops = np.maximum(left[:-1], left[1:]).tolist()
+    for i, (a, b) in enumerate(zip(starts, stops)):
         if a >= b:  # every flat segment lands here too
             yield []
             continue
-        x0 = xs[i]
+        x0, y0, y1 = xs[i], ys[i], ys[i + 1]
         scale = (xs[i + 1] - x0) / (y1 - y0)
         # a falling segment meets ascending targets right to left
         order = range(a, b) if y0 < y1 else range(b - 1, a - 1, -1)
@@ -177,13 +220,13 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     """
     limit = BREAKPOINT_CAP
     gx, gy = g.breakpoints, g.values
-    fy = f.values
+    fy, fgy = f.values, eval_many(f, gy)
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     found = 0
     for i, hits in enumerate(segment_preimages(g, f.breakpoints)):
         xs.append(gx[i])
-        ys.append(eval_at(f, gy[i]))
+        ys.append(fgy[i])
         if not hits:
             continue
         found += len(hits)
@@ -193,7 +236,7 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
             ys.append(fy[j])
     _check_cap(len(gx) + found, limit)  # g alone may exceed it
     xs.append(gx[-1])
-    ys.append(eval_at(f, gy[-1]))
+    ys.append(fgy[-1])
     xs, ys = _prune_collinear(xs, ys)
     return PLMap(xs, ys)
 
@@ -209,22 +252,18 @@ def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
     """Maximal monotone runs as (start, end) index pairs into f.breakpoints.
 
     Constant runs merge into an adjacent run; an entirely constant map is a
-    single run.  Consecutive runs share their turning breakpoint.
+    single run.  Consecutive runs share their turning breakpoint.  Segment
+    slopes take their signs from the floats; float ties are compared exactly.
     """
-    xs, ys = f.breakpoints, f.values
-    pieces = []
-    start = 0
-    rising = None
-    for i in range(len(xs) - 1):
-        if ys[i + 1] == ys[i]:
-            continue
-        up = ys[i + 1] > ys[i]
-        if rising is not None and up != rising:
-            pieces.append((start, i))
-            start = i
-        rising = up
-    pieces.append((start, len(xs) - 1))
-    return pieces
+    ys = f.values
+    fy = _floats(ys)
+    signs = (fy[1:] > fy[:-1]).astype(np.int8) - (fy[1:] < fy[:-1])
+    for i in np.flatnonzero(signs == 0).tolist():
+        if ys[i + 1] != ys[i]:
+            signs[i] = 1 if ys[i + 1] > ys[i] else -1
+    moving = np.flatnonzero(signs)  # a flat segment joins the run before it
+    turns = moving[1:][signs[moving[1:]] != signs[moving[:-1]]].tolist()
+    return list(zip([0, *turns], [*turns, len(ys) - 1]))
 
 
 def lap_count(f: PLMap) -> int:
@@ -254,7 +293,7 @@ def linear_combination(coeffs: Sequence, fs: Sequence[PLMap]) -> PLMap:
     if not fs or len(coeffs) != len(fs):
         raise ConstructionError("need equally many coefficients and maps, at least one")
     cs = [Fraction(c) for c in coeffs]
-    all_x = sorted(set().union(*(f.breakpoints for f in fs)))
+    all_x = sort_exact(set().union(*(f.breakpoints for f in fs)))
     totals = [Fraction(0)] * len(all_x)
     for c, f in zip(cs, fs):
         if c == 0:
@@ -329,7 +368,7 @@ def sample_pl(h: Callable[[float], float], domain: IntervalQ, n: int) -> PLMap:
 
 def pl_equal(f: PLMap, g: PLMap) -> bool:
     """True iff f and g agree as functions on all of R."""
-    probe = sorted(set(f.breakpoints) | set(g.breakpoints))
+    probe = sort_exact(set(f.breakpoints) | set(g.breakpoints))
     fs = eval_many(f, probe)
     gs = eval_many(g, probe)
     return fs == gs

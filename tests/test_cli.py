@@ -77,6 +77,36 @@ def test_entropy_command(tent_path):
     assert payload["certificate"]["d"] == 2
 
 
+#: nodes and values 2^-70 apart round to the same floats: the bracket must
+#: come from exact ties, [log 3, log 3] with a 3-interval certificate
+NEAR_TIE = {"breakpoints": ["0", "1/3", "1180591620717411303427/3541774862152233910272", "2/3",
+                            "2361183241434822606851/3541774862152233910272", "1"],
+            "values": ["0", "1", "1180591620717411303423/1180591620717411303424",
+                       "1/1180591620717411303424", "0", "1"]}
+
+
+def test_entropy_near_float_ties(tmp_path):
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps(NEAR_TIE))
+    res = run_cli("entropy", str(path), "--depth", "5")
+    assert res.returncode == 0
+    assert_golden("entropy_near_tie_depth5.json", res.stdout)
+    payload = json.loads(res.stdout)
+    assert payload["lower"] == payload["upper"] == pytest.approx(math.log(3), abs=1e-12)
+    assert payload["certificate"]["d"] == 3
+
+
+def test_entropy_beyond_float_range(tmp_path):
+    big = 10 ** 400
+    path = tmp_path / "huge_tent.json"
+    path.write_text(json.dumps({"breakpoints": ["0", str(big), str(2 * big)],
+                                "values": ["0", str(2 * big), "0"]}))
+    res = run_cli("entropy", str(path), "--depth", "3")
+    assert (res.returncode, res.stderr) == (0, "")
+    payload = json.loads(res.stdout)
+    assert payload["lower"] == payload["upper"] == math.log(2)
+
+
 def test_entropy_missing_file_exit_2():
     res = run_cli("entropy", "/nonexistent/map.json")
     assert res.returncode == 2
@@ -364,6 +394,14 @@ def test_ell1_command(tmp_path):
     payload = json.loads(out.read_text())
     assert [s["certificate"]["d"] for s in payload["steps"]] == [3, 4]
     assert payload["x0"] == "0"
+
+
+def test_ell1_default_delta_admits_steps_4():
+    # the default delta follows --steps: 2^-14 here, below step 4's 2^-13
+    res = run_cli("ell1", "--steps", "4")
+    assert (res.returncode, res.stderr) == (0, "")
+    payload = json.loads(res.stdout)
+    assert [s["certificate"]["d"] for s in payload["steps"]] == [3, 4, 5, 6]
 
 
 def test_dial_command_fixed_a_star(tmp_path):

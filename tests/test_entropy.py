@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -38,11 +39,13 @@ from entropy_banach.plmap import (
     lap_count,
     linear_combination,
     make_pl,
+    monotone_pieces,
     pl_equal,
     sample_pl,
     scale,
 )
 from entropy_banach.rational import qstr
+from entropy_banach.spaces import sin_scaled
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 IDENT = make_pl([0, 1], [0, 1])
@@ -404,6 +407,70 @@ def test_markov_partitions_match_golden(monkeypatch, name):
     assert rounds == golden[name]
 
 
+def test_pull_back_gets_only_last_rounds_points(monkeypatch):
+    # round r+1 pulls back P_r minus P_(r-1), the points round r added
+    g = invariant_restriction(theta(F(37, 64), 3))
+    partitions, pulled = [], []
+    real_radius, real_pull_back = entropy._covering_log_radius, entropy._pull_back
+
+    def radius(points, vals):
+        partitions.append(list(points))
+        return real_radius(points, vals)
+
+    def pull_back(f, targets):
+        pulled.append(list(targets))
+        return real_pull_back(f, targets)
+
+    monkeypatch.setattr(entropy, "_covering_log_radius", radius)
+    monkeypatch.setattr(entropy, "_pull_back", pull_back)
+    entropy_lower_markov(g, 6)
+    assert len(pulled) == 6 and len(partitions) == 7
+    assert pulled[0] == partitions[0]
+    for r in range(1, 6):
+        assert pulled[r] == sorted(set(partitions[r]) - set(partitions[r - 1]))
+
+
+def covering_rows_oracle(points, vals):
+    """The covering rows before the rank kernel: two bisects per cell."""
+    starts, stops = [], []
+    for i in range(len(points) - 1):
+        lo, hi = sorted((vals[i], vals[i + 1]))
+        jl = bisect_left(points, lo)
+        starts.append(jl)
+        stops.append(max(bisect_right(points, hi) - 1, jl))
+    return starts, stops
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_MAPS))
+def test_covering_rows_match_oracle(monkeypatch, name):
+    g = invariant_restriction(PARTITION_MAPS[name])
+    seen = []
+    real_radius, real_rows = entropy._covering_log_radius, entropy._interval_rows_radius
+
+    def radius(points, vals):
+        seen.append(covering_rows_oracle(points, vals))
+        return real_radius(points, vals)
+
+    def rows(starts, stops):
+        assert (starts.tolist(), stops.tolist()) == seen[-1]
+        seen[-1] = None
+        return real_rows(starts, stops)
+
+    monkeypatch.setattr(entropy, "_covering_log_radius", radius)
+    monkeypatch.setattr(entropy, "_interval_rows_radius", rows)
+    entropy_lower_markov(g, 6)
+    assert seen and seen == [None] * len(seen)
+
+
+def test_bounds_beyond_float_range():
+    # node values past 1e308 overflow int-to-float division; the rank kernel
+    # orders them as +-inf and decides their ties exactly
+    big = 10 ** 400
+    eb = entropy_bounds(make_pl([0, big, 2 * big], [0, 2 * big, 0]), 3)
+    assert eb.lower == eb.upper == math.log(2)
+    assert eb.depth_used == 3
+
+
 @st.composite
 def interval_rows(draw):
     """Random interval-row 0/1 matrices: row i has ones in starts[i]:stops[i].
@@ -531,6 +598,67 @@ def test_horseshoe_max_matches_dense_grid(f):
         assert (d, hulls[0] if hulls else None) == (expected_d, hull)
         assert cert == (None if hull is None else real(g, *hull))
         g = compose(f, g)
+
+
+def hull_boxes_oracle(f, pts):
+    """_hull_boxes before the rank kernel: bisects and eval_at per candidate."""
+    xs, ys = f.breakpoints, f.values
+    boxes = [(xs[s], xs[e], min(ys[s], ys[e]), max(ys[s], ys[e])) for s, e in monotone_pieces(f)]
+    rects = []
+
+    def add_box(il, ir, jl, jr):
+        if il <= ir and jl <= jr:
+            rects.append((il, ir, jl, jr))
+
+    for a, b, lo, hi in boxes:
+        if lo != hi:
+            add_box(bisect_left(pts, lo), bisect_right(pts, a) - 1,
+                    bisect_left(pts, b), bisect_right(pts, hi) - 1)
+    piece = 0
+    for k, u in enumerate(pts):
+        while piece < len(boxes) - 1 and boxes[piece][1] <= u:
+            piece += 1
+        a, b, lo, hi = boxes[piece]
+        if not (a < u < b) or lo == hi:
+            continue
+        fu, fa, fb = eval_at(f, u), eval_at(f, a), eval_at(f, b)
+        if min(fu, fb) <= u:
+            add_box(k, k, bisect_left(pts, b), bisect_right(pts, max(fu, fb)) - 1)
+        if max(fu, fa) >= u:
+            add_box(bisect_left(pts, min(fu, fa)), bisect_right(pts, a) - 1, k, k)
+    return rects
+
+
+_TINY = F(1, 2 ** 70)
+
+
+@st.composite
+def near_tie_grid_maps(draw):
+    """grid_maps with every node and value moved by -1, 0 or +1 times 2^-70."""
+    f = draw(grid_maps())
+    shift = st.integers(-1, 1)
+    xs = sorted({x + draw(shift) * _TINY for x in f.breakpoints})
+    return make_pl(xs, [draw(_GRID) + draw(shift) * _TINY for _ in xs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grid_maps(), near_tie_grid_maps()))
+def test_hull_boxes_match_oracle(f):
+    g = f
+    for _ in range(3):
+        pts = entropy._hull_candidates(g)
+        assert sorted(map(tuple, entropy._hull_boxes(g, pts).tolist())) == \
+            sorted(hull_boxes_oracle(g, pts))
+        g = compose(f, g)
+
+
+def test_hull_boxes_match_oracle_on_reduced_candidates():
+    # above the candidate limit the candidates are not f's breakpoints
+    f = sin_scaled(2 * math.pi * 3, 1024)
+    pts = entropy._hull_candidates(f)
+    assert len(pts) < len(f.breakpoints)
+    assert sorted(map(tuple, entropy._hull_boxes(f, pts).tolist())) == \
+        sorted(hull_boxes_oracle(f, pts))
 
 
 # --- combined bounds ----------------------------------------------------------------

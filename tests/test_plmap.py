@@ -1,5 +1,6 @@
 """Exactness tests for the piecewise-linear calculus."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -20,10 +21,14 @@ from entropy_banach.plmap import (
     lap_count,
     linear_combination,
     make_pl,
+    monotone_pieces,
     oscillation,
     pl_equal,
+    rank,
     sample_pl,
     scale,
+    segment_preimages,
+    sort_exact,
     sup_norm,
 )
 
@@ -154,8 +159,32 @@ def pl_maps(draw, max_nodes=6):
     return make_pl(xs, ys)
 
 
+_TINY = F(1, 2 ** 70)
+
+
+@st.composite
+def near_tie_maps(draw, max_nodes=12):
+    """PL maps with flat runs, collinear runs and values 2^-70 apart."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    xs = sorted(draw(st.sets(st.builds(lambda k, j: F(k, 6) + j * _TINY,
+                                       st.integers(0, 12), st.integers(0, 2)),
+                             min_size=n, max_size=n)))
+    ys = [draw(st.builds(lambda k, j: F(k, 3) + j * _TINY, st.integers(0, 3), st.integers(-1, 1)))]
+    for i in range(1, n):
+        step = draw(st.integers(0, 3))
+        if step == 0:  # flat
+            ys.append(ys[-1])
+        elif step == 1 and i >= 2:  # collinear with the segment before
+            ys.append(ys[-1] + (ys[-1] - ys[-2]) * (xs[i] - xs[i - 1]) / (xs[i - 1] - xs[i - 2]))
+        else:
+            ys.append(draw(st.builds(lambda k, j: F(k, 3) + j * _TINY,
+                                     st.integers(0, 3), st.integers(-1, 1))))
+    return make_pl(xs, ys)
+
+
 @settings(max_examples=60, deadline=None)
-@given(pl_maps(), pl_maps(), st.fractions(min_value=-5, max_value=5, max_denominator=16))
+@given(st.one_of(pl_maps(), near_tie_maps()), st.one_of(pl_maps(), near_tie_maps()),
+       st.fractions(min_value=-5, max_value=5, max_denominator=16))
 def test_exact_composition_law(f, g, x):
     h = compose(f, g)
     assert eval_at(h, x) == eval_at(f, eval_at(g, x))
@@ -348,3 +377,128 @@ def test_sample_pl_rejects_non_finite():
 def test_eval_many_agrees_with_eval_at():
     xs = [F(k, 7) - 1 for k in range(20)]
     assert eval_many(TENT, xs) == [eval_at(TENT, x) for x in xs]
+
+
+# --- the float-filtered rank kernel ------------------------------------------
+
+#: rationals that collide in float: k/3 + j 2^-80, huge denominators,
+#: negatives, and values around and beyond the largest float (about 1.8e308)
+_COLLIDING = st.one_of(
+    st.builds(lambda k, j: F(k, 3) + F(j, 2 ** 80), st.integers(-6, 6), st.integers(-3, 3)),
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(10 ** 25, 10 ** 30)),
+    st.builds(lambda s, k, j: s * (F(2 ** 1024) + k * 2 ** 969 + F(j, 3)),
+              st.sampled_from([-1, 1]), st.integers(-2, 2), st.integers(-1, 1)),
+    st.builds(lambda s, k: s * F(10 ** (308 + k)), st.sampled_from([-1, 1]), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COLLIDING, max_size=25), st.lists(_COLLIDING, max_size=25), st.data())
+def test_rank_equals_bisect(xs, qs, data):
+    xs = sorted(xs)  # duplicates kept
+    qs = qs + data.draw(st.lists(st.sampled_from(xs), max_size=10)) if xs else qs
+    left, right = rank(xs, qs)
+    assert left.tolist() == [bisect_left(xs, q) for q in qs]
+    assert right.tolist() == [bisect_right(xs, q) for q in qs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COLLIDING, max_size=40))
+def test_sort_exact_equals_sorted(qs):
+    assert sort_exact(qs) == sorted(qs)
+    assert sort_exact(set(qs)) == sorted(set(qs))
+
+
+def prune_collinear_oracle(xs, ys):
+    """The pruning loop before the float filter: every interior node is
+    compared, cross-multiplied, against the last kept node."""
+    if len(xs) <= 2:
+        return tuple(xs), tuple(ys)
+    keep_x, keep_y = [xs[0]], [ys[0]]
+    for i in range(1, len(xs) - 1):
+        lhs = (ys[i] - keep_y[-1]) * (xs[i + 1] - xs[i])
+        rhs = (ys[i + 1] - ys[i]) * (xs[i] - keep_x[-1])
+        if lhs != rhs:
+            keep_x.append(xs[i])
+            keep_y.append(ys[i])
+    keep_x.append(xs[-1])
+    keep_y.append(ys[-1])
+    return tuple(keep_x), tuple(keep_y)
+
+
+def segment_preimages_oracle(g, targets):
+    """segment_preimages before the rank kernel: two bisects per segment."""
+    xs, ys = g.breakpoints, g.values
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
+        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
+        a, b = bisect_right(targets, lo), bisect_left(targets, hi)
+        if a >= b:
+            yield []
+            continue
+        x0 = xs[i]
+        slope_inv = (xs[i + 1] - x0) / (y1 - y0)
+        order = range(a, b) if y0 < y1 else range(b - 1, a - 1, -1)
+        yield [(x0 + (targets[j] - y0) * slope_inv, j) for j in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)))
+def test_prune_collinear_matches_oracle(f):
+    xs, ys = list(f.breakpoints), list(f.values)
+    assert plmap._prune_collinear(xs, ys) == prune_collinear_oracle(xs, ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
+def test_segment_preimages_matches_oracle(g, data):
+    extra = data.draw(st.lists(st.builds(lambda k, j: F(k, 3) + j * _TINY,
+                                         st.integers(-1, 4), st.integers(-1, 1)), max_size=6))
+    targets = sorted(set(extra) | set(data.draw(st.lists(st.sampled_from(g.values)))))
+    assert list(segment_preimages(g, targets)) == list(segment_preimages_oracle(g, targets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
+def test_eval_many_any_order_matches_eval_at(f, data):
+    # unsorted points, repeats, points outside the domain and float ties
+    qs = data.draw(st.lists(st.one_of(
+        st.sampled_from(f.breakpoints),
+        st.builds(lambda k, j: F(k, 6) + j * _TINY, st.integers(-3, 15), st.integers(-1, 1)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=16)), max_size=20))
+    assert eval_many(f, qs) == [eval_at(f, q) for q in qs]
+
+
+def monotone_pieces_oracle(f):
+    """monotone_pieces before the float signs: two comparisons per segment."""
+    ys, pieces, start, rising = f.values, [], 0, None
+    for i in range(len(ys) - 1):
+        if ys[i + 1] == ys[i]:
+            continue
+        up = ys[i + 1] > ys[i]
+        if rising is not None and up != rising:
+            pieces.append((start, i))
+            start = i
+        rising = up
+    pieces.append((start, len(ys) - 1))
+    return pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)))
+def test_monotone_pieces_match_oracle(f):
+    assert monotone_pieces(f) == monotone_pieces_oracle(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COLLIDING, min_size=1, max_size=12), st.booleans())
+def test_breakpoint_order_check_on_float_ties(xs, ascending):
+    # accepted iff strictly increasing, also where neighbours share a float
+    xs = sorted(xs) if ascending else xs
+    increasing = all(a < b for a, b in zip(xs, xs[1:]))
+    try:
+        make_pl(xs, [0] * len(xs))
+    except ConstructionError:
+        assert not increasing
+    else:
+        assert increasing
