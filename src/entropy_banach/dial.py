@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import entropy, plmap
 from .entropy import EntropyBounds, entropy_bounds
-from .errors import ConfigurationError, ConstructionError, DomainError
+from .errors import ConstructionError, DomainError
 from .plmap import PLMap, even_extension, linear_combination, make_pl, scale
 
 WINDOW_LO = Fraction(9, 10)
@@ -88,14 +88,14 @@ class DialConfig:
 
     def __post_init__(self):
         if self.d < 3 or self.d % 2 == 0:
-            raise ConfigurationError(f"d must be odd and >= 3, got {self.d}")
+            raise DomainError(f"d must be odd and >= 3, got {self.d}")
         if not 0 < self.t < math.log(self.d):
-            raise ConfigurationError(
+            raise DomainError(
                 f"t must lie in (0, log {self.d} = {math.log(self.d):.4f}), got {self.t}")
         if self.truncation < 1 or self.lambda_grid_size < 3 or self.entropy_depth < 1:
-            raise ConfigurationError("truncation, grid size and depth must be positive")
+            raise DomainError("truncation, grid size and depth must be positive")
         if self.tolerance <= 0:
-            raise ConfigurationError("tolerance must be positive")
+            raise DomainError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def find_a_star(cfg: DialConfig) -> Fraction:
     r_lo = r_of_a(lo, cfg)
     r_hi = r_of_a(hi, cfg)
     if not r_lo.value < t < r_hi.value:
-        raise ConfigurationError(
+        raise ConstructionError(
             f"r does not bracket t at the endpoints: r(0)={r_lo.value:.4f}, "
             f"r(1)={r_hi.value:.4f}, t={t:.4f}")
     best_a, best_res = lo, abs(r_lo.value - t)
@@ -207,7 +207,7 @@ def find_a_star(cfg: DialConfig) -> Fraction:
             hi = mid
     if best_res <= cfg.tolerance:
         return best_a
-    raise ConfigurationError(
+    raise ConstructionError(
         f"bisection stalled with residual {best_res:.4f} > tolerance {cfg.tolerance}")
 
 
@@ -272,7 +272,7 @@ def build_dial_map(cfg: DialConfig) -> PLMap:
     it is the constant 10.
     """
     if cfg.a_star is None:
-        raise ConfigurationError("a_star must be set before building the map")
+        raise DomainError("a_star must be set before building the map")
     th = theta(cfg.a_star, cfg.d)
     lambdas = rational_enumeration(cfg.truncation).terms
     inner = [(x, y) for x, y in zip(th.breakpoints, th.values) if 9 <= x <= 10]
@@ -329,7 +329,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
     its certified lower bound.
     """
     if cfg.a_star is None:
-        raise ConfigurationError("a_star must be set before checking entropies")
+        raise DomainError("a_star must be set before checking entropies")
     lams = [Fraction(raw) for raw in lambdas]
     if 0 in lams:
         raise DomainError("the zero multiplier has no scale analysis")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .entropy import HorseshoeCertificate, certify
-from .errors import BudgetError, ConstructionError, DomainError, ParameterError
+from .errors import ConstructionError, DomainError
 from .plmap import (
     IntervalQ,
     PLMap,
@@ -114,9 +114,7 @@ def build_rademacher(N: int, delta) -> RademacherModel:
     delta = Fraction(delta)
     limit = max_admissible_delta(N)
     if not 0 < delta < limit:
-        raise ParameterError(
-            f"delta must lie in (0, {limit}) for N={N}, got {delta}",
-            admissible=limit)
+        raise DomainError(f"delta must lie in (0, {limit}) for N={N}, got {delta}")
     members = tuple(_sign_member(i, delta) for i in range(1, N + 1))
     return RademacherModel(N=N, delta=delta, members=members)
 
@@ -227,14 +225,12 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
     if M < 1:
         raise DomainError(f"need M >= 1, got {M}")
     if schedule.M < M:
-        raise BudgetError(f"schedule has {schedule.M} < {M} steps", stage=0)
+        raise DomainError(f"schedule has {schedule.M} < {M} steps")
     delta = Fraction(delta)
     for m in range(1, M + 1):
         limit = max_admissible_delta(2 * m + 3)
         if not 0 < delta < limit:
-            raise BudgetError(
-                f"step {m} needs relative delta below {limit}, got {delta}",
-                stage=m, hint=f"pass delta < {limit}")
+            raise DomainError(f"step {m} needs relative delta below {limit}, got {delta}")
 
     x0 = Fraction(0)
     l1 = Fraction(0)
@@ -255,10 +251,9 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
 
         osc = Fraction(0) if f is None else oscillation(f, J)
         if not epsilon + osc < slack:
-            raise BudgetError(
+            raise ConstructionError(
                 f"step {m}: oscillation condition fails "
-                f"({epsilon} + {osc} >= {slack})",
-                stage=m, hint="refine delta or the gamma schedule")
+                f"({epsilon} + {osc} >= {slack})")
 
         block = build_rademacher(n_m, delta)
         members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values)

@@ -39,6 +39,10 @@ from .plmap import (
 #: horseshoe search is skipped on iterates with more monotone pieces than this
 HORSESHOE_LAP_BUDGET = 1500
 
+#: horseshoe_max refuses maps with more breakpoints than this (its time is
+#: quadratic: about 2 s at the cap on a 2-core VM)
+HORSESHOE_CAP = 32_768
+
 #: covering-matrix partitions refuse to grow beyond this many cells
 PARTITION_CAP = 4096
 
@@ -134,16 +138,17 @@ def _horseshoe_scan(chain: list[PLMap],
                     laps: list[int]) -> tuple[float, HorseshoeCertificate | None]:
     """max over k of log(horseshoe_max(f^k)) / k, with its certificate.
 
-    Iterates with more than HORSESHOE_LAP_BUDGET laps are skipped (the search
-    on an iterate with n breakpoints, at least its lap count, takes O(n^2)
-    time), and so are iterates whose lap-based ceiling cannot beat the
-    current best; skipping only weakens, never falsifies, the returned lower
-    bound.
+    Iterates with more than HORSESHOE_LAP_BUDGET laps or HORSESHOE_CAP
+    breakpoints are skipped (the search on an iterate with n breakpoints,
+    at least its lap count, takes O(n^2) time), and so are iterates whose
+    lap-based ceiling cannot beat the current best; skipping only weakens,
+    never falsifies, the returned lower bound.
     """
     best = 0.0
     best_cert: HorseshoeCertificate | None = None
     for k, (g, n) in enumerate(zip(chain, laps), start=1):
-        if math.log(n) / k <= best + 1e-12 or n > HORSESHOE_LAP_BUDGET:
+        if (math.log(n) / k <= best + 1e-12 or n > HORSESHOE_LAP_BUDGET
+                or len(g) > HORSESHOE_CAP):
             continue
         d, cert = horseshoe_max(g)
         if d >= 2 and math.log(d) / k > best:
@@ -201,42 +206,27 @@ def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
     return out
 
 
-#: full breakpoint-pair search above this many candidates falls back to a
-#: reduced (turning + diagonal-crossing) candidate set
-_HULL_CANDIDATE_LIMIT = 4000
-
-
-def _hull_candidates(f: PLMap) -> list[Fraction]:
-    if len(f.breakpoints) <= _HULL_CANDIDATE_LIMIT:
-        return list(f.breakpoints)
-    pts = set(_turning_positions(f))
-    # diagonal crossings: the zero set of x -> f(x) - x on f's breakpoints
-    gap = PLMap(f.breakpoints, tuple(y - x for x, y in zip(f.breakpoints, f.values)))
-    pts.update(_level_set(gap, Fraction(0)))
-    return sort_exact(pts)
-
-
-def _hull_boxes(f: PLMap, pts: list[Fraction]) -> np.ndarray:
-    """Per covering branch, the rectangle (il, ir, jl, jr) of candidate indices
-    such that the branch covers [pts[i], pts[j]] for il <= i <= ir, jl <= j <= jr.
+def _hull_boxes(f: PLMap) -> np.ndarray:
+    """Per covering branch, the rectangle (il, ir, jl, jr) of breakpoint indices
+    such that the branch covers [xs[i], xs[j]] for il <= i <= ir, jl <= j <= jr.
 
     Every piece contributes to a hull either fully inside (x-extent within
     [u, v], value range containing it) or cut at one end; in each case the
     admissible (u, v) form such a rectangle.  Empty rectangles are left out.
-    Every comparison is a rank in the candidates: piece ends are candidates,
-    and a value v is <= pts[k] iff its bisect_left is <= k, >= pts[k] iff
-    its bisect_right is > k.  Returns an (m, 4) integer array.
+    Every comparison is a rank in the breakpoints: a piece end's rank is its
+    index, and a value v is <= xs[k] iff its bisect_left is <= k, >= xs[k]
+    iff its bisect_right is > k.  Returns an (m, 4) integer array.
     """
     xs, ys = f.breakpoints, f.values
     pieces = [(s, e) for s, e in monotone_pieces(f) if ys[s] != ys[e]]
     if not pieces:
         return np.empty((0, 4), dtype=np.int64)
-    vl, vr = rank(pts, eval_many(f, pts))  # ranks of f at every candidate
-    ia, ib = rank(pts, [xs[i] for piece in pieces for i in piece])[0].reshape(-1, 2).T
+    vl, vr = rank(xs, ys)  # ranks of f at every breakpoint
+    ia, ib = np.array(pieces, dtype=np.int64).T
     # fully inside: lo <= u <= a and b <= v <= hi
     inside = np.stack([np.minimum(vl[ia], vl[ib]), ia, ib, np.maximum(vr[ia], vr[ib]) - 1])
-    # boundary-cut branches: candidates k strictly inside a piece [a, b]
-    k = np.arange(len(pts))
+    # boundary-cut branches: breakpoints k strictly inside a piece [a, b]
+    k = np.arange(len(xs))
     p = np.minimum(np.searchsorted(ib, k, "right"), len(pieces) - 1)
     cut = (ia[p] < k) & (k < ib[p])
     k, a, b = k[cut], ia[p][cut], ib[p][cut]
@@ -251,24 +241,27 @@ def _hull_boxes(f: PLMap, pts: list[Fraction]) -> np.ndarray:
 def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     """Largest d such that some hull [u, v] has d covering monotone branches.
 
-    Hulls run over pairs of breakpoints (for oversized maps: turning points
-    plus diagonal crossings, which is where boundary-branch covering can
-    switch).  Each branch covers the hulls of a rectangle of candidate
-    index pairs (:func:`_hull_boxes`).  A row sweep counts them: a rectangle
-    adds 1 to its columns from its first row on and takes it away after
-    its last, so one column-difference row is kept and only rows where some
-    rectangle starts or ends are visited.  A row without such an event
-    repeats the row above on a shorter suffix and cannot hold a new
-    maximum.  Memory is O(n + rectangles) for n candidates, time O(n) per
-    event row.  The first maximum in row-major order wins.  The
-    certificate returned has passed :func:`certify`; (1, None) is returned
-    when no 2-horseshoe exists at this resolution.
+    Hulls run over pairs of breakpoints.  Each branch covers the hulls of a
+    rectangle of breakpoint index pairs (:func:`_hull_boxes`).  A row sweep
+    counts them: a rectangle adds 1 to its columns from its first row on and
+    takes it away after its last, so one column-difference row is kept and
+    only rows where some rectangle starts or ends are visited.  A row
+    without such an event repeats the row above on a shorter suffix and
+    cannot hold a new maximum.  Memory is O(n + rectangles) for n
+    breakpoints, time O(n) per event row, so maps above HORSESHOE_CAP
+    breakpoints raise :class:`ResourceLimitError`.  The first maximum in
+    row-major order wins.  The certificate returned has passed
+    :func:`certify`; (1, None) is returned when no 2-horseshoe exists at
+    this resolution.
     """
-    pts = _hull_candidates(f)
-    n = len(pts)
+    n = len(f)
+    if n > HORSESHOE_CAP:
+        raise ResourceLimitError(
+            f"horseshoe search over {n} breakpoints exceeds the cap of {HORSESHOE_CAP}",
+            needed=n, cap=HORSESHOE_CAP)
     if n < 2:
         return 1, None
-    il, ir, jl, jr = _hull_boxes(f, pts).T
+    il, ir, jl, jr = _hull_boxes(f).T
     rows = np.concatenate((il, il, ir + 1, ir + 1))
     cols = np.concatenate((jl, jr + 1, jl, jr + 1))
     steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))
@@ -288,7 +281,7 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
             best_d, best_i, best_j = int(counts[j]), row, row + 1 + j
     if best_d < 2:
         return 1, None
-    cert = _branch_certificate(f, pts[best_i], pts[best_j])
+    cert = _branch_certificate(f, f.breakpoints[best_i], f.breakpoints[best_j])
     if cert.d != best_d:
         raise RuntimeError(f"horseshoe search counted {best_d} covering branches "
                            f"but extracted {cert.d}")

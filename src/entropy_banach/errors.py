@@ -8,7 +8,7 @@ class EntropyBanachError(Exception):
 
 
 class ConstructionError(EntropyBanachError):
-    """Invalid data handed to a constructor (unsorted breakpoints, length mismatch...)."""
+    """Invalid data handed to a constructor, or a construction that failed."""
 
 
 class FormatError(ConstructionError):
@@ -16,11 +16,7 @@ class FormatError(ConstructionError):
 
 
 class DomainError(EntropyBanachError):
-    """An argument violates a domain precondition (e.g. crop with a >= b)."""
-
-
-class NumericError(EntropyBanachError):
-    """A sampled value is not finite."""
+    """An argument violates a precondition (e.g. crop with a >= b, delta too large)."""
 
 
 class ResourceLimitError(EntropyBanachError):
@@ -42,47 +38,8 @@ class ResourceLimitError(EntropyBanachError):
 
 
 class DependencyError(EntropyBanachError):
-    """A function family turned out linearly dependent on the search grid.
-
-    ``relation`` holds coefficients of the discovered linear relation.
-    """
+    """A function family is linearly dependent; ``relation`` holds the coefficients."""
 
     def __init__(self, message: str, relation: tuple):
         super().__init__(message)
         self.relation = relation
-
-
-class TruncationError(EntropyBanachError):
-    """A construction was truncated too early for the request.
-
-    ``minimal_n`` reports the truncation level that would suffice.
-    """
-
-    def __init__(self, message: str, minimal_n: int):
-        super().__init__(message)
-        self.minimal_n = minimal_n
-
-
-class ParameterError(EntropyBanachError):
-    """A numeric parameter is out of its admissible range."""
-
-    def __init__(self, message: str, admissible=None):
-        super().__init__(message)
-        self.admissible = admissible
-
-
-class BudgetError(EntropyBanachError):
-    """A staged construction ran out of resolution budget at some stage."""
-
-    def __init__(self, message: str, *, stage: int | None = None, hint: str = ""):
-        super().__init__(message)
-        self.stage = stage
-        self.hint = hint
-
-
-class ConfigurationError(EntropyBanachError):
-    """A configuration is inconsistent (e.g. a root search that cannot bracket)."""
-
-
-class ResolutionError(EntropyBanachError):
-    """Adaptive sampling failed to stabilize within its cap."""

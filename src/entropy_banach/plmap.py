@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, NumericError, ResourceLimitError
+from .errors import ConstructionError, DomainError, ResourceLimitError
 from .rational import q_from_float
 
 #: ceiling on breakpoints produced by a single composition; read at call time
@@ -362,7 +362,7 @@ def sample_pl(h: Callable[[float], float], domain: IntervalQ, n: int) -> PLMap:
         try:
             ys.append(q_from_float(v))
         except ConstructionError as exc:
-            raise NumericError(f"sample at x={x} is not finite: {v!r}") from exc
+            raise DomainError(f"sample at x={x} is not finite: {v!r}") from exc
     return PLMap(tuple(xs), tuple(ys))
 
 

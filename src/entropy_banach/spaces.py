@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .entropy import HorseshoeCertificate, certify
-from .errors import ConstructionError, DependencyError, DomainError, ResolutionError
+from .errors import ConstructionError, DependencyError, DomainError
 from .plmap import (
     IntervalQ,
     PLMap,
@@ -196,7 +196,7 @@ def cropped_polynomial(coeffs: Sequence, a, b, resolution: int) -> PLMap:
         if refined_laps == laps and laps <= max(degree, 1):
             return refined
         f, laps = refined, refined_laps
-    raise ResolutionError(
+    raise ConstructionError(
         f"lap count failed to stabilize below {_POLY_RESOLUTION_CAP} nodes")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropy import HorseshoeCertificate, certify
-from .errors import ConstructionError, DomainError, TruncationError
+from .errors import ConstructionError, DomainError
 from .plmap import IntervalQ, PLMap, sup_norm
 from .rational import dyadic_pow_ceil
 
@@ -170,9 +170,9 @@ def psi_horseshoe(f: PLMap, sched: ScaleSchedule, d: int) -> HorseshoeCertificat
         raise DomainError("the zero map admits no horseshoe")
     chosen = minimal_truncation(norm, sched.kind, sched.ratio_or_alpha, d)
     if chosen > sched.truncation:
-        raise TruncationError(
+        raise DomainError(
             f"truncation N={sched.truncation} too small for a {d}-horseshoe; "
-            f"need N >= {chosen}", minimal_n=chosen)
+            f"need N >= {chosen}")
     positive_side = max(f.values) >= -min(f.values)
     intervals = []
     for i in range(chosen - d + 1, chosen + 1):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_banach import cli
+from entropy_banach import cli, entropy
 from entropy_banach.checks import CheckResult
 
 CLI = [sys.executable, "-m", "entropy_banach.cli"]
@@ -330,6 +330,18 @@ def test_horseshoe_command(tent_path):
     assert payload["certificate"]["intervals"] == [["0", "1/2"], ["1/2", "1"]]
 
 
+def test_horseshoe_above_cap_exit_3(tmp_path):
+    n = entropy.HORSESHOE_CAP + 1
+    path = tmp_path / "zigzag.json"
+    path.write_text(json.dumps({"breakpoints": list(range(n)),
+                                "values": [k % 2 for k in range(n)]}))
+    res = run_cli("horseshoe", str(path))
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [
+        f"error: horseshoe search over {n} breakpoints exceeds the cap of "
+        f"{entropy.HORSESHOE_CAP}"]
+
+
 def test_thmb_command(tmp_path):
     family = {
         "label": "mixed",
@@ -423,7 +435,7 @@ def test_cap_override_exit_3(tent_path):
     # depth truncation is graceful, so force the cap through iterate instead
     assert res.returncode == 0  # entropy degrades gracefully
     assert_golden("entropy_tent_cap4_depth9.json", res.stdout)
-    # horseshoe never composes, so no cap can stop it
+    # horseshoe never composes, so no breakpoint cap can stop it
     res = run_cli("--cap-breakpoints", "1", "horseshoe", tent_path)
     assert res.returncode == 0
     assert_golden("horseshoe_tent.json", res.stdout)

@@ -19,7 +19,7 @@ from entropy_banach.dial import (
     with_a_star,
 )
 from entropy_banach.entropy import entropy_bounds, horseshoe_max
-from entropy_banach.errors import ConfigurationError, DomainError
+from entropy_banach.errors import DomainError
 from entropy_banach.plmap import IntervalQ, eval_at, image_interval, lap_count
 
 FAST_CFG = DialConfig(t=math.log(2), d=3, truncation=8, lambda_grid_size=7,
@@ -93,7 +93,7 @@ def test_find_a_star_converges():
 
 
 def test_find_a_star_rejects_out_of_range():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         DialConfig(t=math.log(4), d=3)
 
 
@@ -168,7 +168,7 @@ def test_dial_map_scale_conjugacy(dial_cfg, dial_map):
 
 
 def test_build_requires_a_star():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         build_dial_map(FAST_CFG)
 
 

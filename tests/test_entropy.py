@@ -45,7 +45,6 @@ from entropy_banach.plmap import (
     scale,
 )
 from entropy_banach.rational import qstr
-from entropy_banach.spaces import sin_scaled
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 IDENT = make_pl([0, 1], [0, 1])
@@ -550,12 +549,12 @@ def dense_horseshoe_argmax(f):
     """Oracle: the (n+1)^2 difference grid horseshoe_max accumulated before its
     row sweep.  Returns d and the hull [u, v] of the first maximum in
     row-major order over u < v, or (1, None) below 2."""
-    pts = entropy._hull_candidates(f)
+    pts = list(f.breakpoints)
     n = len(pts)
     if n < 2:
         return 1, None
     grid = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for il, ir, jl, jr in entropy._hull_boxes(f, pts):
+    for il, ir, jl, jr in entropy._hull_boxes(f):
         grid[il, jl] += 1
         grid[il, jr + 1] -= 1
         grid[ir + 1, jl] -= 1
@@ -593,8 +592,7 @@ def test_horseshoe_max_matches_dense_grid(f):
             d, cert = horseshoe_max(g)
         expected_d, hull = dense_horseshoe_argmax(g)
         # every rectangle lies above the diagonal: its hulls all have u < v
-        pts = entropy._hull_candidates(g)
-        assert all(ir < jl for _, ir, jl, _ in entropy._hull_boxes(g, pts))
+        assert all(ir < jl for _, ir, jl, _ in entropy._hull_boxes(g))
         assert (d, hulls[0] if hulls else None) == (expected_d, hull)
         assert cert == (None if hull is None else real(g, *hull))
         g = compose(f, g)
@@ -646,19 +644,10 @@ def near_tie_grid_maps(draw):
 def test_hull_boxes_match_oracle(f):
     g = f
     for _ in range(3):
-        pts = entropy._hull_candidates(g)
-        assert sorted(map(tuple, entropy._hull_boxes(g, pts).tolist())) == \
+        pts = list(g.breakpoints)
+        assert sorted(map(tuple, entropy._hull_boxes(g).tolist())) == \
             sorted(hull_boxes_oracle(g, pts))
         g = compose(f, g)
-
-
-def test_hull_boxes_match_oracle_on_reduced_candidates():
-    # above the candidate limit the candidates are not f's breakpoints
-    f = sin_scaled(2 * math.pi * 3, 1024)
-    pts = entropy._hull_candidates(f)
-    assert len(pts) < len(f.breakpoints)
-    assert sorted(map(tuple, entropy._hull_boxes(f, pts).tolist())) == \
-        sorted(hull_boxes_oracle(f, pts))
 
 
 # --- combined bounds ----------------------------------------------------------------

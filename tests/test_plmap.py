@@ -369,8 +369,7 @@ def test_sample_pl_sin_accuracy():
 
 
 def test_sample_pl_rejects_non_finite():
-    from entropy_banach.errors import NumericError
-    with pytest.raises(NumericError):
+    with pytest.raises(DomainError):
         sample_pl(lambda x: float("nan"), IntervalQ(F(0), F(1)), 3)
 
 

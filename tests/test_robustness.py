@@ -1,7 +1,8 @@
-"""Stress and degradation paths: caps, fallbacks, deeper constructions."""
+"""Stress and degradation paths: caps, deeper constructions."""
 
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,8 +15,10 @@ from entropy_banach.ellone import ell1_witness, gamma_schedule
 from entropy_banach.entropy import (
     entropy_bounds,
     horseshoe_max,
+    invariant_restriction,
     validate_certificate,
 )
+from entropy_banach.errors import ResourceLimitError
 from entropy_banach.plmap import IntervalQ, compose, eval_at, make_pl, sample_pl
 from entropy_banach.serialize import certificate_to_obj
 from entropy_banach.spaces import sin_scaled
@@ -23,27 +26,44 @@ from entropy_banach.spaces import sin_scaled
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_horseshoe_reduced_candidate_fallback():
-    # above the candidate limit the search drops to turning points plus
-    # diagonal crossings; the dense sine sample must still certify d branches
+def test_horseshoe_sin_3_1024_golden():
+    # a dense sine sample: the search over all 6,470 breakpoint pairs must
+    # certify d branches
     f = sin_scaled(2 * math.pi * 3, 1024)
-    assert len(f.breakpoints) > 4000
     d, cert = horseshoe_max(f)
     assert d >= 3
     assert validate_certificate(f, cert)
-    # pinned: 6,470 breakpoints, 25 reduced candidates, d = 11
+    # pinned: 6,470 breakpoints, d = 11
     assert len(f.breakpoints) == 6470
-    assert len(entropy._hull_candidates(f)) == 25
     golden = json.loads((GOLDEN / "horseshoe_sin_3_1024.json").read_text())
     assert {"d": d, "certificate": certificate_to_obj(cert)} == golden
 
 
+def test_horseshoe_cap_raises_resource_limit():
+    n = entropy.HORSESHOE_CAP + 1
+    f = make_pl(range(n), [k % 2 for k in range(n)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        horseshoe_max(f)
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.needed, err.value.cap) == (n, entropy.HORSESHOE_CAP)
+
+
+def test_entropy_bounds_skip_horseshoe_above_cap():
+    # 51,760 breakpoints and 13 laps: the Markov bound still brackets the
+    # entropy, and the horseshoe search is skipped instead of raising
+    f = sin_scaled(2 * math.pi * 3, 8192)
+    assert len(invariant_restriction(f)) > entropy.HORSESHOE_CAP
+    eb = entropy_bounds(f, 1)
+    assert (eb.lower, eb.upper) == (2.4789763859824325, 2.5649493574615367)
+    assert eb.lower_witness is None and eb.depth_used == 1
+
+
 def test_horseshoe_full_pair_search_memory():
-    # just under the candidate limit every breakpoint pair is a hull; the
-    # search must hold O(n) counts, not one per pair (3,871^2 of them)
+    # every breakpoint pair is a hull; the search must hold O(n) counts,
+    # not one per pair (3,871^2 of them)
     f = sin_scaled(94, 128)
     assert len(f.breakpoints) == 3871
-    assert len(entropy._hull_candidates(f)) == 3871
     tracemalloc.start()
     try:
         d, cert = horseshoe_max(f)

@@ -1,5 +1,6 @@
 """Tests for the multiscale isometric embedding."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_banach.entropy import validate_certificate
-from entropy_banach.errors import ConstructionError, DomainError, TruncationError
+from entropy_banach.errors import ConstructionError, DomainError
 from entropy_banach.plmap import (
     eval_at,
     linear_combination,
@@ -134,9 +135,8 @@ def test_psi_horseshoe_minimal_level():
 
 
 def test_psi_horseshoe_truncation_error():
-    with pytest.raises(TruncationError) as err:
+    with pytest.raises(DomainError, match=r"need N >= 8$"):
         psi_horseshoe(TENT, geometric_schedule(F(2, 3), 4), 3)
-    assert err.value.minimal_n == 8
 
 
 def test_psi_horseshoe_zero_map_rejected():
@@ -193,9 +193,9 @@ def test_holder_quotient_stabilizes_across_truncations():
 
 
 def test_psi_horseshoe_succeeds_at_reported_minimum():
-    with pytest.raises(TruncationError) as err:
+    with pytest.raises(DomainError) as err:
         psi_horseshoe(TENT, geometric_schedule(F(2, 3), 4), 3)
-    needed = err.value.minimal_n
+    needed = int(re.search(r"need N >= (\d+)$", str(err.value)).group(1))
     sched = geometric_schedule(F(2, 3), needed)
     cert = psi_horseshoe(TENT, sched, 3)
     assert validate_certificate(psi(TENT, sched), cert)
