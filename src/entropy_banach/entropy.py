@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -118,44 +119,16 @@ def iterate(f: PLMap, k: int) -> PLMap:
     return result
 
 
-def _iterate_chain(f: PLMap, depth: int) -> list[PLMap]:
-    """[f, f^2, ..., f^depth], stopping early (never failing) at the cap."""
-    chain = [f]
+def _iterates(f: PLMap, depth: int) -> Iterator[PLMap]:
+    """f, f^2, ..., f^depth, stopping early (never failing) at the breakpoint cap."""
+    g = f
+    yield g
     for _ in range(depth - 1):
         try:
-            chain.append(compose(f, chain[-1]))
+            g = compose(f, g)
         except ResourceLimitError:
-            break
-    return chain
-
-
-def _lap_upper(laps: list[int]) -> float:
-    """min over k of log(laps of f^k) / k, from the lap counts of the chain."""
-    return min(math.log(n) / k for k, n in enumerate(laps, start=1))
-
-
-def _horseshoe_scan(chain: list[PLMap],
-                    laps: list[int]) -> tuple[float, HorseshoeCertificate | None]:
-    """max over k of log(horseshoe_max(f^k)) / k, with its certificate.
-
-    Iterates with more than HORSESHOE_LAP_BUDGET laps or HORSESHOE_CAP
-    breakpoints are skipped (the search on an iterate with n breakpoints,
-    at least its lap count, takes O(n^2) time), and so are iterates whose
-    lap-based ceiling cannot beat the current best; skipping only weakens,
-    never falsifies, the returned lower bound.
-    """
-    best = 0.0
-    best_cert: HorseshoeCertificate | None = None
-    for k, (g, n) in enumerate(zip(chain, laps), start=1):
-        if (math.log(n) / k <= best + 1e-12 or n > HORSESHOE_LAP_BUDGET
-                or len(g) > HORSESHOE_CAP):
-            continue
-        d, cert = horseshoe_max(g)
-        if d >= 2 and math.log(d) / k > best:
-            best = math.log(d) / k
-            # certified on g = f^k already; relabelled as a certificate of f
-            best_cert = HorseshoeCertificate(d=d, intervals=cert.intervals, iterate=k)
-    return best, best_cert
+            return
+        yield g
 
 
 def entropy_upper_lap(f: PLMap, depth: int) -> float:
@@ -166,7 +139,7 @@ def entropy_upper_lap(f: PLMap, depth: int) -> float:
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    return _lap_upper([lap_count(g) for g in _iterate_chain(f, depth)])
+    return min(math.log(lap_count(g)) / k for k, g in enumerate(_iterates(f, depth), start=1))
 
 
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
@@ -304,34 +277,23 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     which makes the value non-decreasing in ``refinement``.  When the
     partition outgrows PARTITION_CAP cells first, :class:`ResourceLimitError`
     is raised with the completed rounds in ``achieved`` and their best bound,
-    still valid, in ``bound``.
+    still valid, in ``bound``.  Round r+1's partition is P_r plus the
+    preimages of P_r; those of P_{r-1} are in P_r already, so only the
+    points the last round added are pulled back, and they are merged into
+    the ascending partition by their ranks in it.
     """
     if refinement < 0:
         raise DomainError(f"refinement must be >= 0, got {refinement}")
-    best, rounds_done = _markov_scan(f, refinement)
-    if rounds_done <= refinement:
-        raise ResourceLimitError(
-            f"covering partition exceeded {PARTITION_CAP} cells",
-            achieved=rounds_done, cap=PARTITION_CAP, bound=best)
-    return best
-
-
-def _markov_scan(f: PLMap, refinement: int) -> tuple[float, int]:
-    """Best covering-matrix bound over <= refinement+1 rounds; stops at the cap.
-
-    Returns (best bound so far, number of completed rounds).  Round r+1's
-    partition is P_r plus the preimages of P_r; those of P_{r-1} are in P_r
-    already, so only the points the last round added are pulled back, and
-    they are merged into the ascending partition by their ranks in it.
-    """
     points = _turning_positions(f)
     if len(points) < 2:
-        return 0.0, refinement + 1
+        return 0.0
     vals, added = eval_many(f, points), points
     best = 0.0
     for round_no in range(refinement + 1):
         if len(points) - 1 > PARTITION_CAP:
-            return best, round_no
+            raise ResourceLimitError(
+                f"covering partition exceeded {PARTITION_CAP} cells",
+                achieved=round_no, cap=PARTITION_CAP, bound=best)
         best = max(best, _covering_log_radius(points, vals))
         if round_no < refinement:
             images = _pull_back(f, added)
@@ -344,7 +306,7 @@ def _markov_scan(f: PLMap, refinement: int) -> tuple[float, int]:
             order = np.argsort(keys, kind="stable").tolist()
             merged, merged_vals = points + added, vals + [images[x] for x in added]
             points, vals = [merged[j] for j in order], [merged_vals[j] for j in order]
-    return best, refinement + 1
+    return best
 
 
 def _pull_back(f: PLMap, targets: list[Fraction]) -> dict[Fraction, Fraction]:
@@ -512,10 +474,22 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     if len(g) == 1 or g.domain.width == 0:
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
-    chain = _iterate_chain(g, depth)
-    laps = [lap_count(gk) for gk in chain]
-    upper = _lap_upper(laps)
-    lower_h, cert = _horseshoe_scan(chain, laps)
+    upper, lower_h, cert = math.inf, 0.0, None
+    for k, gk in enumerate(_iterates(g, depth), start=1):
+        laps = lap_count(gk)
+        upper = min(upper, math.log(laps) / k)
+        # the search on an iterate with n breakpoints (at least its lap
+        # count) takes O(n^2) time, so large iterates are skipped, and so
+        # are those whose lap ceiling cannot beat the best; skipping only
+        # weakens, never falsifies, the lower bound
+        if (math.log(laps) / k <= lower_h + 1e-12 or laps > HORSESHOE_LAP_BUDGET
+                or len(gk) > HORSESHOE_CAP):
+            continue
+        d, found = horseshoe_max(gk)
+        if d >= 2 and math.log(d) / k > lower_h:
+            lower_h = math.log(d) / k
+            # certified on gk = g^k already; relabelled as a certificate of g
+            cert = HorseshoeCertificate(d=d, intervals=found.intervals, iterate=k)
     try:
         lower_m = entropy_lower_markov(g, depth)
     except ResourceLimitError as exc:
@@ -527,4 +501,4 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
         lower = lower_m
         cert = None
     lower = min(lower, upper)  # guard against float rounding at exact equality
-    return EntropyBounds(lower, upper, cert, depth_used=len(chain))
+    return EntropyBounds(lower, upper, cert, depth_used=k)

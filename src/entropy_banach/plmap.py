@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ResourceLimitError
-from .rational import q_from_float
 
 #: ceiling on breakpoints produced by a single composition; read at call time
 BREAKPOINT_CAP = 2_000_000
@@ -359,16 +358,13 @@ def sample_pl(h: Callable[[float], float], domain: IntervalQ, n: int) -> PLMap:
     ys = []
     for x in xs:
         v = h(float(x))
-        try:
-            ys.append(q_from_float(v))
-        except ConstructionError as exc:
-            raise DomainError(f"sample at x={x} is not finite: {v!r}") from exc
+        if not math.isfinite(v):
+            raise DomainError(f"sample at x={x} is not finite: {v!r}")
+        ys.append(Fraction(v))
     return PLMap(tuple(xs), tuple(ys))
 
 
 def pl_equal(f: PLMap, g: PLMap) -> bool:
     """True iff f and g agree as functions on all of R."""
-    probe = sort_exact(set(f.breakpoints) | set(g.breakpoints))
-    fs = eval_many(f, probe)
-    gs = eval_many(g, probe)
-    return fs == gs
+    probe = f.breakpoints + g.breakpoints
+    return eval_many(f, probe) == eval_many(g, probe)

@@ -3,12 +3,12 @@
 All function data in this library is carried by ``Fraction`` (always stored
 in lowest terms with positive denominator, which gives the normalization
 invariant for free).  Rates, tolerances and entropy values live in ordinary
-floats; the only conversions between the two worlds happen here.
+floats, converted where they are used: ``plmap`` rounds rationals to floats
+to order them and reads sampled floats exactly, for example.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ConstructionError, FormatError
@@ -35,13 +35,6 @@ def parse_q(value) -> Fraction:
             f"refusing to parse float {value!r} as exact rational; "
             "pass an int or a 'p/q' string")
     raise FormatError(f"not a rational: {value!r}")
-
-
-def q_from_float(x: float) -> Fraction:
-    """Exact binary expansion of a finite float."""
-    if not math.isfinite(x):
-        raise ConstructionError(f"not finite: {x!r}")
-    return Fraction(x)
 
 
 def pow2_floor(x: Fraction) -> Fraction:

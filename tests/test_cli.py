@@ -430,9 +430,9 @@ def test_dial_command_fixed_a_star(tmp_path):
     assert payload["checks"][0]["achieved"] is not None
 
 
-def test_cap_override_exit_3(tent_path):
+def test_cap_override_truncates_entropy_depth(tent_path):
+    # the tent's square has 5 breakpoints, so the golden reports depth 1
     res = run_cli("--cap-breakpoints", "4", "entropy", tent_path, "--depth", "9")
-    # depth truncation is graceful, so force the cap through iterate instead
     assert res.returncode == 0  # entropy degrades gracefully
     assert_golden("entropy_tent_cap4_depth9.json", res.stdout)
     # horseshoe never composes, so no breakpoint cap can stop it

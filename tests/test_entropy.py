@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entropy_banach import entropy, plmap
@@ -148,11 +148,63 @@ def test_horseshoe_tent():
     assert validate_certificate(TENT, cert)
 
 
+# Oracles: the iterate chain built as a list that the lap and horseshoe
+# bounds each walk again; entropy_bounds takes one pass and must agree.
+
+def iterate_chain(f, depth):
+    """[f, f^2, ..., f^depth], stopping early (never failing) at the cap."""
+    chain = [f]
+    for _ in range(depth - 1):
+        try:
+            chain.append(compose(f, chain[-1]))
+        except ResourceLimitError:
+            break
+    return chain
+
+
+def lap_upper(laps):
+    """min over k of log(laps of f^k) / k, from the lap counts of the chain."""
+    return min(math.log(n) / k for k, n in enumerate(laps, start=1))
+
+
+def horseshoe_scan(chain, laps):
+    """max over k of log(horseshoe_max(f^k)) / k, with its certificate; the
+    same iterates as in entropy_bounds are skipped."""
+    best, best_cert = 0.0, None
+    for k, (g, n) in enumerate(zip(chain, laps), start=1):
+        if (math.log(n) / k <= best + 1e-12 or n > entropy.HORSESHOE_LAP_BUDGET
+                or len(g) > entropy.HORSESHOE_CAP):
+            continue
+        d, cert = horseshoe_max(g)
+        if d >= 2 and math.log(d) / k > best:
+            best = math.log(d) / k
+            best_cert = HorseshoeCertificate(d=d, intervals=cert.intervals, iterate=k)
+    return best, best_cert
+
+
 def lower_horseshoe(f, depth):
     """max over k <= depth of log(horseshoe_max(f^k)) / k with its certificate:
     the horseshoe side of entropy_bounds on f itself."""
-    chain = entropy._iterate_chain(f, depth)
-    return entropy._horseshoe_scan(chain, [lap_count(g) for g in chain])
+    chain = iterate_chain(f, depth)
+    return horseshoe_scan(chain, [lap_count(g) for g in chain])
+
+
+def bracket_oracle(f, depth):
+    """(lower, upper, certificate, depth used) of entropy_bounds from the oracles."""
+    g = invariant_restriction(f)
+    if len(g) == 1 or g.domain.width == 0:
+        return 0.0, 0.0, None, depth
+    chain = iterate_chain(g, depth)
+    laps = [lap_count(gk) for gk in chain]
+    upper = lap_upper(laps)
+    lower, cert = horseshoe_scan(chain, laps)
+    try:
+        lower_m = entropy_lower_markov(g, depth)
+    except ResourceLimitError as exc:
+        lower_m = exc.bound
+    if cert is None or lower < lower_m - 1e-15:
+        lower, cert = lower_m, None
+    return min(lower, upper), upper, cert, len(chain)
 
 
 def test_lower_horseshoe_tent():
@@ -696,6 +748,25 @@ def test_bracket_validity_on_tent_family(a):
     if eb.lower_witness is not None:
         g = invariant_restriction(f)
         assert validate_certificate(g, eb.lower_witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_maps(), st.integers(1, 6), st.sampled_from([None, 4, 8, 16, 32]))
+@example(TENT, 9, 4)  # the tent's square has 5 breakpoints: depth 1 is reported
+# log(laps)/k is 0.7083 at k = 4 and 0.7111 at k = 5: the last rate is not the least
+@example(make_pl([0, F(2, 3), F(3, 4), 1], [1, 0, F(1, 2), 0]), 5, None)
+def test_bounds_match_chain_oracle(f, depth, cap):
+    # a small breakpoint cap ends the stream of iterates early
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(plmap, "BREAKPOINT_CAP", cap)
+        eb = entropy_bounds(f, depth)
+        lower, upper, cert, depth_used = bracket_oracle(f, depth)
+        assert eb.lower == lower
+        assert eb.upper == upper
+        assert eb.lower_witness == cert
+        assert eb.depth_used == depth_used
+        assert eb.upper == entropy_upper_lap(invariant_restriction(f), depth)
 
 
 def test_lower_horseshoe_monotone_in_depth():
