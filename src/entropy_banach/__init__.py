@@ -82,5 +82,4 @@ from .dial import (  # noqa: F401
     r_of_a,
     rational_enumeration,
     theta,
-    with_a_star,
 )

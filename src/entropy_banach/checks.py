@@ -12,7 +12,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -23,7 +23,6 @@ from .dial import (
     find_a_star,
     r_of_a,
     rational_enumeration,
-    with_a_star,
 )
 from .ellone import build_An, build_rademacher, ell1_witness, gamma_schedule, sign_point, solve_An
 from .entropy import entropy_bounds, entropy_upper_lap, horseshoe_max, validate_certificate
@@ -267,7 +266,7 @@ def criterion_8(seed: int) -> tuple[bool, str]:
     cfg = DialConfig(t=t, d=3, truncation=12, lambda_grid_size=21,
                      entropy_depth=8, tolerance=1e-2)
     a_star = find_a_star(cfg)
-    cfg = with_a_star(cfg, a_star)
+    cfg = replace(cfg, a_star=a_star)
     est = r_of_a(a_star, cfg)
     if abs(est.value - t) > cfg.tolerance:
         return False, f"|r(a*) - t| = {abs(est.value - t):.4f}"

@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import __version__, plmap
@@ -24,7 +24,6 @@ from .dial import (
     dial_entropy_check,
     find_a_star,
     r_of_a,
-    with_a_star,
 )
 from .ellone import ell1_witness, gamma_schedule
 from .entropy import entropy_bounds, horseshoe_max
@@ -164,7 +163,7 @@ def _cmd_dial(args) -> int:
     cfg = DialConfig(t=args.t, d=args.d, truncation=args.N,
                      lambda_grid_size=args.lambda_grid,
                      entropy_depth=args.depth, tolerance=args.tol)
-    cfg = with_a_star(cfg, find_a_star(cfg) if a_star is None else a_star)
+    cfg = replace(cfg, a_star=find_a_star(cfg) if a_star is None else a_star)
     est = r_of_a(cfg.a_star, cfg)
     f = build_dial_map(cfg)
     records = dial_entropy_check(cfg, lambdas) if lambdas else []
@@ -309,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    cap = plmap.BREAKPOINT_CAP
     try:
         args = build_parser().parse_args(argv)
         if args.cap_breakpoints is not None:
@@ -325,6 +325,8 @@ def main(argv=None) -> int:
         return _fail(1, str(exc))
     except OSError as exc:
         return _fail(2, str(exc))
+    finally:
+        plmap.BREAKPOINT_CAP = cap  # the flag holds for this call only
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ Three ingredients:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -364,8 +364,3 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
             lambda_star=est.argmax, nearest_multiplier=nearest,
             tendency_lower=tendency))
     return records
-
-
-def with_a_star(cfg: DialConfig, a_star: Fraction) -> DialConfig:
-    return replace(cfg, a_star=a_star)
-

@@ -34,7 +34,6 @@ from .plmap import (
     monotone_pieces,
     rank,
     segment_preimages,
-    sort_exact,
 )
 
 #: horseshoe search is skipped on iterates with more monotone pieces than this
@@ -108,15 +107,11 @@ def iterate(f: PLMap, k: int) -> PLMap:
     """Exact PL representation of the k-th iterate f^k."""
     if k < 1:
         raise DomainError(f"iterate needs k >= 1, got {k}")
-    result = f
-    for step in range(2, k + 1):
-        try:
-            result = compose(f, result)
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"breakpoint cap hit while building iterate {step}",
-                achieved=step - 1, needed=exc.needed, cap=exc.cap) from exc
-    return result
+    for s, g in enumerate(_iterates(f, k), start=1):
+        pass
+    if s < k:
+        raise ResourceLimitError(f"breakpoint cap hit while building iterate {s + 1}", achieved=s)
+    return g
 
 
 def _iterates(f: PLMap, depth: int) -> Iterator[PLMap]:
@@ -296,35 +291,41 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
                 achieved=round_no, cap=PARTITION_CAP, bound=best)
         best = max(best, _covering_log_radius(points, vals))
         if round_no < refinement:
-            images = _pull_back(f, added)
-            new = sort_exact(images)
+            new, images = _pull_back(f, added)
             at, past = rank(points, new)
-            fresh = at == past  # not a partition point yet
-            added = [x for x, keep in zip(new, fresh.tolist()) if keep]
+            fresh = np.flatnonzero(at == past).tolist()  # not partition points yet
+            added = [new[k] for k in fresh]
             # each added point goes right before the partition point at its rank
-            keys = np.concatenate([np.arange(len(points)), at[fresh] - 0.5])
-            order = np.argsort(keys, kind="stable").tolist()
-            merged, merged_vals = points + added, vals + [images[x] for x in added]
-            points, vals = [merged[j] for j in order], [merged_vals[j] for j in order]
+            points = np.insert(np.array(points, dtype=object), at[fresh], added).tolist()
+            vals = np.insert(np.array(vals, dtype=object), at[fresh],
+                             [images[k] for k in fresh]).tolist()
     return best
 
 
-def _pull_back(f: PLMap, targets: list[Fraction]) -> dict[Fraction, Fraction]:
-    """The f-preimages (point -> image under f) of the ascending ``targets``.
+def _pull_back(f: PLMap, targets: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """The f-preimages of the ascending ``targets``, ascending, and their images.
 
     Segments are closed here: a node of f whose value is a target joins
-    when one of its segments is not flat.  The partition always holds both
-    ends of f's domain, so every preimage lies inside its hull.
+    when one of its segments is not flat.  One walk over the segments in x
+    order emits such a node once, before the hits inside its right-hand
+    segment, so the preimages come out ascending and distinct.  The
+    partition always holds both ends of f's domain, so every preimage lies
+    inside its hull.
     """
     xs, ys = f.breakpoints, f.values
     left, right = rank(targets, ys)
     on_target = (left < right).tolist()
-    found = {}
-    for i, hits in enumerate(segment_preimages(f, targets)):
-        if ys[i] != ys[i + 1]:
-            found.update((xs[k], ys[k]) for k in (i, i + 1) if on_target[k])
-        found.update((x, targets[j]) for x, j in hits)
-    return found
+    # moving[i]: the segment left of node i is not flat; none lies beyond the ends
+    moving = [False, *(a != b for a, b in zip(ys, ys[1:])), False]
+    points, images = [], []
+    # node i, then the hits inside segment i; the last node has no segment
+    for i, hits in enumerate([*segment_preimages(f, targets), []]):
+        if on_target[i] and (moving[i] or moving[i + 1]):
+            points.append(xs[i])
+            images.append(ys[i])
+        points.extend(x for x, _ in hits)
+        images.extend(targets[j] for _, j in hits)
+    return points, images
 
 
 def _covering_log_radius(points: list[Fraction], vals: list[Fraction]) -> float:
@@ -471,7 +472,7 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     g = invariant_restriction(f)
-    if len(g) == 1 or g.domain.width == 0:
+    if len(g) == 1:
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
     upper, lower_h, cert = math.inf, 0.0, None

@@ -43,10 +43,6 @@ class IntervalQ:
     def contains(self, other: "IntervalQ") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class PLMap:
@@ -74,9 +70,6 @@ class PLMap:
     @property
     def domain(self) -> IntervalQ:
         return IntervalQ(self.breakpoints[0], self.breakpoints[-1])
-
-    def __call__(self, x) -> Fraction:
-        return eval_at(self, Fraction(x))
 
     def __len__(self) -> int:
         return len(self.breakpoints)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_banach import cli, entropy
-from entropy_banach.checks import CheckResult
+from entropy_banach import cli, entropy, plmap
+from entropy_banach.checks import TENT, CheckResult
 
 CLI = [sys.executable, "-m", "entropy_banach.cli"]
 
@@ -138,7 +138,9 @@ def test_entropy_depth_zero_exit_2(tent_path):
     ([0, 1], "a PL map object needs 'breakpoints' and 'values' lists"),
     ({"breakpoints": 5, "values": 5}, "a PL map object needs 'breakpoints' and 'values' lists"),
     ({"breakpoints": ["a", 1], "values": [0, 1]}, "PL map: not a rational: 'a'"),
-], ids=["not_an_object", "without_lists", "non_rational_entry"])
+    # bool is an int subclass in Python; JSON booleans are not rationals
+    ({"breakpoints": [False, True], "values": [True, False]}, "PL map: not a rational: False"),
+], ids=["not_an_object", "without_lists", "non_rational_entry", "boolean_entries"])
 def test_malformed_map_exit_2(tmp_path, doc, message):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(doc))
@@ -450,6 +452,15 @@ def test_cap_reaches_dial(tmp_path):
                   "--a-star", "37/64", "--check-lambdas", "1", "--out", str(out))
     assert res.returncode == 0
     assert_golden("dial_cap3_a_star_37_64.json", out.read_text())
+
+
+def test_cap_flag_holds_for_one_call(monkeypatch, tent_path):
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", plmap.BREAKPOINT_CAP)  # undone even on failure
+    cap = plmap.BREAKPOINT_CAP
+    code, out, _ = _main("--cap-breakpoints", "4", "entropy", tent_path, "--depth", "9")
+    assert code == 0 and json.loads(out)["depth"] == 1
+    assert plmap.BREAKPOINT_CAP == cap
+    assert entropy.entropy_bounds(TENT, 6).depth_used == 6
 
 
 @pytest.mark.parametrize("cap", ["-1", "0"])

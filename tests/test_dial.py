@@ -1,6 +1,7 @@
 """Tests for the fixed-entropy dial construction."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,6 @@ from entropy_banach.dial import (
     r_of_a,
     rational_enumeration,
     theta,
-    with_a_star,
 )
 from entropy_banach.entropy import entropy_bounds, horseshoe_max
 from entropy_banach.errors import DomainError
@@ -128,7 +128,7 @@ def test_calkin_wilf_order():
 
 @pytest.fixture(scope="module")
 def dial_cfg():
-    return with_a_star(FAST_CFG, F(37, 64))
+    return replace(FAST_CFG, a_star=F(37, 64))
 
 
 @pytest.fixture(scope="module")

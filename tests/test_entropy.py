@@ -41,8 +41,11 @@ from entropy_banach.plmap import (
     make_pl,
     monotone_pieces,
     pl_equal,
+    rank,
     sample_pl,
     scale,
+    segment_preimages,
+    sort_exact,
 )
 from entropy_banach.rational import qstr
 
@@ -67,7 +70,7 @@ def test_invariant_restriction_tent_unchanged():
 
 def test_invariant_restriction_constant():
     g = invariant_restriction(make_pl([0, 1], [5, 5]))
-    assert g.domain.width == 0
+    assert g.domain.lo == g.domain.hi
     assert eval_at(g, F(5)) == 5
 
 
@@ -192,7 +195,7 @@ def lower_horseshoe(f, depth):
 def bracket_oracle(f, depth):
     """(lower, upper, certificate, depth used) of entropy_bounds from the oracles."""
     g = invariant_restriction(f)
-    if len(g) == 1 or g.domain.width == 0:
+    if len(g) == 1 or g.domain.lo == g.domain.hi:
         return 0.0, 0.0, None, depth
     chain = iterate_chain(g, depth)
     laps = [lap_count(gk) for gk in chain]
@@ -239,7 +242,7 @@ def pairwise_valid(f, cert):
     """The quadratic reference check: every interval, every pair, every image."""
     g = iterate(f, cert.iterate)
     ivs = cert.intervals
-    if any(iv.width == 0 for iv in ivs):
+    if any(iv.lo == iv.hi for iv in ivs):
         return False
     for i in range(len(ivs)):
         for j in range(i + 1, len(ivs)):
@@ -479,6 +482,49 @@ def test_pull_back_gets_only_last_rounds_points(monkeypatch):
     assert pulled[0] == partitions[0]
     for r in range(1, 6):
         assert pulled[r] == sorted(set(partitions[r]) - set(partitions[r - 1]))
+
+
+def pull_back_oracle(f, targets):
+    """_pull_back before the left-to-right walk: a dict point -> image,
+    deduplicating nodes reached from both of their segments."""
+    xs, ys = f.breakpoints, f.values
+    left, right = rank(targets, ys)
+    on_target = (left < right).tolist()
+    found = {}
+    for i, hits in enumerate(segment_preimages(f, targets)):
+        if ys[i] != ys[i + 1]:
+            found.update((xs[k], ys[k]) for k in (i, i + 1) if on_target[k])
+        found.update((x, targets[j]) for x, j in hits)
+    return found
+
+
+@st.composite
+def pull_back_cases(draw):
+    """A map and ascending targets: flat runs, flat end segments, collinear
+    (also flat) nodes, and targets at node values or 2^-70 from them."""
+    f = draw(st.one_of(grid_maps(), near_tie_grid_maps()))
+    xs, ys = list(f.breakpoints), list(f.values)
+    if draw(st.booleans()):
+        ys[0] = ys[1]
+    if draw(st.booleans()):
+        ys[-1] = ys[-2]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(xs) - 2))
+        xs.insert(i + 1, (xs[i] + xs[i + 1]) / 2)
+        ys.insert(i + 1, (ys[i] + ys[i + 1]) / 2)  # collinear; flat on a flat segment
+    near = st.builds(lambda y, j: y + j * _TINY, st.sampled_from(ys), st.integers(-1, 1))
+    targets = draw(st.sets(st.sampled_from(ys) | near | _GRID, max_size=8))
+    return make_pl(xs, ys), sorted(targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pull_back_cases())
+def test_pull_back_walk_matches_oracle(case):
+    f, targets = case
+    expected = pull_back_oracle(f, targets)
+    points, images = entropy._pull_back(f, targets)
+    assert points == sort_exact(expected)
+    assert images == [expected[x] for x in points]
 
 
 def covering_rows_oracle(points, vals):
