@@ -31,6 +31,7 @@ from .plmap import PLMap, eval_at, linear_combination, make_pl, pl_equal, sup_no
 from .spaces import (
     FunctionFamily,
     cropped_polynomial,
+    gauss_jordan,
     horseshoe_combination,
     independent_points,
     sin_scaled,
@@ -78,32 +79,16 @@ def _criterion(number: int, name: str):
     return decorate
 
 
-def _gauss_jordan_inverse(rows) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination (the independent oracle)."""
-    n = len(rows)
-    m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 @_criterion(1, "sign-matrix solver vs elimination")
 def criterion_1(seed: int) -> tuple[bool, str]:
     """solve_An equals elimination on random inputs, with the max bound."""
     rng = random.Random(seed or 12345)
     cases = 0
     for n in range(2, 51):
-        matrix = build_An(n)
-        inverse = _gauss_jordan_inverse(matrix.entries)
-        doubled = [[e * 2 for e in row] for row in inverse]
+        rows = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
+                for i, row in enumerate(build_An(n).entries)]
+        pivots, _ = gauss_jordan(rows, n)  # [A_n | I] reduces to [I | A_n^-1]
+        doubled = [[e * 2 for e in rows[r][n:]] for r in pivots]
         if any(x.denominator != 1 for row in doubled for x in row):
             return False, f"inverse of A_{n} not half-integer"
         int2 = [[int(x) for x in row] for row in doubled]

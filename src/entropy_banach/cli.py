@@ -136,6 +136,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
+    if args.samples < 0:
+        raise FormatError(f"--samples must be >= 0, got {args.samples}")
     sched = make_schedule("geometric", parse_q(args.ratio), args.N)
     g = psi(TENT, sched)
     _emit(_polyline(TENT, "source tent map", args.samples)
@@ -226,9 +228,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--out", default=default,
                         help="write the primary output to this file")
-    parser.add_argument("--seed", type=int,
-                        default=argparse.SUPPRESS if suppress else 0,
-                        help="seed for randomized checks")
     parser.add_argument("--cap-breakpoints", type=int, default=default,
                         help="override the composition breakpoint cap (>= 1)")
 
@@ -303,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated multipliers to check, e.g. 1/2,1,2")
     p.add_argument("--polyline", help="also write the dial-map polyline here")
 
-    _subcommand(sub, "check", _cmd_check, "run the full acceptance suite")
+    p = _subcommand(sub, "check", _cmd_check, "run the full acceptance suite")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     return parser
 
 

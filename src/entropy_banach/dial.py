@@ -43,7 +43,6 @@ VANISH_DEPTH = 32
 DENSITY_TERMS = 1024
 
 _GOLDEN_ITERS = 8
-_BISECTION_MAX = 40
 
 
 def full_horseshoe_map(d: int) -> PLMap:
@@ -94,7 +93,7 @@ class DialConfig:
                 f"t must lie in (0, log {self.d} = {math.log(self.d):.4f}), got {self.t}")
         if self.truncation < 1 or self.lambda_grid_size < 3 or self.entropy_depth < 1:
             raise DomainError("truncation, grid size and depth must be positive")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN included
             raise DomainError("tolerance must be positive")
 
 
@@ -191,7 +190,7 @@ def find_a_star(cfg: DialConfig) -> Fraction:
     if abs(r_hi.value - t) < best_res:
         best_a, best_res = hi, abs(r_hi.value - t)
     gap_floor = Fraction(1, 1 << 24)
-    for _ in range(_BISECTION_MAX):
+    while True:  # the gap halves from 1, so this ends after at most 26 midpoints
         mid = (lo + hi) / 2
         est = r_of_a(mid, cfg)
         res = abs(est.value - t)

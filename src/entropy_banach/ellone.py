@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import plmap
 from .entropy import HorseshoeCertificate, certify
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, ResourceLimitError
 from .plmap import (
     IntervalQ,
     PLMap,
@@ -92,6 +93,14 @@ def max_admissible_delta(N: int) -> Fraction:
     return Fraction(1, 2 ** (N + 2))
 
 
+def _check_sign_cap(N: int) -> None:
+    """The level-N sign member has 2^(N+1) breakpoints; the breakpoint cap bounds them."""
+    needed, cap = 2 ** (N + 1), plmap.BREAKPOINT_CAP
+    if needed > cap:
+        raise ResourceLimitError(f"the level-{N} sign member needs {needed} breakpoints, "
+                                 f"above the cap of {cap}", needed=needed, cap=cap)
+
+
 def _sign_member(level: int, delta: Fraction) -> PLMap:
     cells = 2 ** level
     xs = [Fraction(0)]
@@ -115,6 +124,7 @@ def build_rademacher(N: int, delta) -> RademacherModel:
     limit = max_admissible_delta(N)
     if not 0 < delta < limit:
         raise DomainError(f"delta must lie in (0, {limit}) for N={N}, got {delta}")
+    _check_sign_cap(N)
     members = tuple(_sign_member(i, delta) for i in range(1, N + 1))
     return RademacherModel(N=N, delta=delta, members=members)
 
@@ -231,6 +241,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
         limit = max_admissible_delta(2 * m + 3)
         if not 0 < delta < limit:
             raise DomainError(f"step {m} needs relative delta below {limit}, got {delta}")
+    _check_sign_cap(2 * M + 3)
 
     x0 = Fraction(0)
     l1 = Fraction(0)

@@ -7,10 +7,10 @@ continuous function on the whole real line.  All operations are exact: two
 maps agree as functions iff they evaluate equally on the union of their
 breakpoints, and images/oscillations/norms are attained at breakpoints.
 
-Everything is immutable and pure; values can be shared freely across
-workers.  Orderings of rationals go through one float filter (:func:`rank`,
-:func:`sort_exact`): floats decide every comparison they decide without
-doubt, and only float ties are compared exactly.
+Everything is immutable and pure.  Orderings of rationals go through one
+float filter (:func:`rank`, :func:`sort_exact`) that leaves only float ties
+to exact comparison, except in :func:`eval_at`, :func:`crop` and
+:func:`image_interval`, which bisect the Fractions directly.
 """
 
 from __future__ import annotations

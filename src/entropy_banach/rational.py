@@ -21,8 +21,6 @@ def qstr(x: Fraction) -> str:
 
 def parse_q(value) -> Fraction:
     """Parse a rational from ``"p/q"`` strings, plain ints, or int strings."""
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int) and not isinstance(value, bool):  # a bool is no rational
         return Fraction(value)
     if isinstance(value, str):

@@ -21,7 +21,7 @@ from .errors import ConstructionError, DependencyError, DomainError
 from .plmap import (
     IntervalQ,
     PLMap,
-    eval_at,
+    eval_many,
     lap_count,
     linear_combination,
     make_pl,
@@ -62,77 +62,78 @@ class IndependencePoints:
             raise ConstructionError("independence points must be strictly increasing")
 
 
+def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Reduce the first ``ncols`` columns of ``rows`` in place, without row swaps.
+
+    Column c pivots on the first row, in the given order, that has not
+    pivoted yet and is nonzero at c; that row is scaled to 1 at c and c is
+    cleared from every other row.  The pass stops at the first column with
+    no pivot.  Returns the pivot rows, one per reduced column, and the
+    product of the pivots, which is the determinant of the pivot rows'
+    reduced columns taken in pivot order.
+    """
+    pivots: list[int] = []
+    product = Fraction(1)
+    for c in range(ncols):
+        r = next((r for r, row in enumerate(rows) if row[c] != 0 and r not in pivots), None)
+        if r is None:
+            break
+        pivots.append(r)
+        pivot = rows[r][c]
+        product *= pivot
+        pivot_row = rows[r] = [a / pivot for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b for a, b in zip(row, pivot_row)]
+    return pivots, product
+
+
+def _order_sign(seq: Sequence) -> int:
+    """Sign of the permutation that sorts the distinct items of ``seq``."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
 def solve_linear_system(matrix: list[list[Fraction]],
                         rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Exact (determinant, solution) of a square system by Gauss-Jordan with pivoting.
+    """Exact (determinant, solution) of a square system by one Gauss-Jordan pass.
 
     Raises :class:`ConstructionError` when the matrix is singular.
     """
     n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ConstructionError("singular system")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det, [m[r][n] for r in range(n)]
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    pivots, product = gauss_jordan(rows, n)
+    if len(pivots) < n:
+        raise ConstructionError("singular system")
+    return _order_sign(pivots) * product, [rows[r][n] for r in pivots]
 
 
 def independent_points(fs: FunctionFamily, grid: Sequence) -> IndependencePoints:
     """Greedy rank extension over the grid, one point per family member.
 
-    Maintains points x_1..x_k with invertible k x k evaluation matrix; the
-    next point is any grid point where f_{k+1} breaks the unique linear
-    relation fitted on the current points.  If none exists the family is
-    dependent on the grid and the relation's coefficients are reported.
+    One Gauss-Jordan pass over the evaluation matrix, a row per grid point.
+    Once columns 0..k-1 are reduced, a row that has not pivoted holds f_k(x)
+    minus the relation fitted on the points chosen so far, and the pivot
+    rows hold its coefficients; if no row breaks the relation, the family is
+    dependent on the grid and the relation is reported.
     """
     grid_q = [Fraction(x) for x in grid]
     if not grid_q:
         raise ConstructionError("independence search needs a nonempty grid")
-    members = fs.members
-    points: list[Fraction] = []
-    for k, f in enumerate(members):
-        if k == 0:
-            found = next((x for x in grid_q if eval_at(f, x) != 0), None)
-            if found is None:
-                raise DependencyError(
-                    "first member vanishes on the whole grid", relation=(Fraction(1),))
-            points.append(found)
-            continue
-        matrix = [[eval_at(members[j], points[i]) for j in range(k)]
-                  for i in range(k)]
-        rhs = [eval_at(f, points[i]) for i in range(k)]
-        _, coeffs = solve_linear_system(matrix, rhs)
-        found = None
-        for x in grid_q:
-            if x in points:
-                continue
-            predicted = sum(c * eval_at(members[j], x) for j, c in enumerate(coeffs))
-            if eval_at(f, x) != predicted:
-                found = x
-                break
-        if found is None:
-            relation = tuple(coeffs) + (Fraction(-1),)
-            raise DependencyError(
-                f"member {k} is a grid-wide combination of the previous ones",
-                relation=relation)
-        points.append(found)
-    points.sort()
-    n = len(members)
-    eval_matrix = [[eval_at(members[j], points[i]) for j in range(n)]
-                   for i in range(n)]
-    det, _ = solve_linear_system(eval_matrix, [Fraction(0)] * n)
-    return IndependencePoints(points=tuple(points), gram_determinant=det)
+    n = len(fs)
+    rows = list(zip(*(eval_many(f, grid_q) for f in fs.members)))
+    pivots, product = gauss_jordan(rows, n)
+    if not pivots:
+        raise DependencyError(
+            "first member vanishes on the whole grid", relation=(Fraction(1),))
+    k = len(pivots)
+    if k < n:
+        raise DependencyError(
+            f"member {k} is a grid-wide combination of the previous ones",
+            relation=tuple(rows[r][k] for r in pivots) + (Fraction(-1),))
+    points = [grid_q[r] for r in pivots]
+    return IndependencePoints(points=tuple(sorted(points)),
+                              gram_determinant=_order_sign(points) * product)
 
 
 def horseshoe_combination(
@@ -150,11 +151,11 @@ def horseshoe_combination(
     if len(pts.points) != n:
         raise ConstructionError("points and family sizes differ")
     xs = pts.points
-    matrix = [[eval_at(fs.members[j], xs[i]) for j in range(n)] for i in range(n)]
+    matrix = list(zip(*(eval_many(f, xs) for f in fs.members)))
     targets = [xs[0] if (i + 1) % 2 == 1 else xs[-1] for i in range(n)]
     _, coeffs = solve_linear_system(matrix, targets)
     f = linear_combination(coeffs, fs.members)
-    if any(eval_at(f, xs[i]) != targets[i] for i in range(n)):
+    if eval_many(f, xs) != targets:
         raise ConstructionError("alternating combination misses its targets")
     return f, certify(f, [IntervalQ(xs[i], xs[i + 1]) for i in range(n - 1)])
 
@@ -186,16 +187,14 @@ def cropped_polynomial(coeffs: Sequence, a, b, resolution: int) -> PLMap:
         xs = [a + k * step for k in range(nodes)]
         return make_pl(xs, [poly(x) for x in xs])
 
-    nodes = resolution
-    f = sample(nodes)
-    laps = lap_count(f)
+    nodes, laps = resolution, lap_count(sample(resolution))
     while nodes <= _POLY_RESOLUTION_CAP:
         nodes *= 2
         refined = sample(nodes)
         refined_laps = lap_count(refined)
         if refined_laps == laps and laps <= max(degree, 1):
             return refined
-        f, laps = refined, refined_laps
+        laps = refined_laps
     raise ConstructionError(
         f"lap count failed to stabilize below {_POLY_RESOLUTION_CAP} nodes")
 

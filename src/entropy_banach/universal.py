@@ -114,26 +114,17 @@ def psi(f: PLMap, sched: ScaleSchedule) -> PLMap:
     """
     _require_unit_domain(f)
     N = sched.truncation
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-
-    def add(x: Fraction, y: Fraction):
-        if xs and xs[-1] == x:
-            if ys[-1] != y:
-                raise ConstructionError("inconsistent node in embedding assembly")
-            return
-        xs.append(x)
-        ys.append(y)
-
+    # copies on [3/4, 5/4] p_n between zeros at 2/3 p_n and 4/3 p_n: no node repeats
     core = Fraction(2, 3) * sched.p[N]
-    add(-core, Fraction(0))
-    add(core, Fraction(0))
+    xs = [-core, core]
+    ys = [Fraction(0), Fraction(0)]
     for n in range(N, -1, -1):
         p_n, q_n = sched.p[n], sched.q[n]
-        # window boundary already added (shared with finer scale), now the copy
         for u, v in zip(f.breakpoints, f.values):
-            add(p_n * (Fraction(u) / 2 + Fraction(3, 4)), q_n * v)
-        add(Fraction(4, 3) * p_n, Fraction(0))
+            xs.append(p_n * (Fraction(u) / 2 + Fraction(3, 4)))
+            ys.append(q_n * v)
+        xs.append(Fraction(4, 3) * p_n)
+        ys.append(Fraction(0))
     # even reflection of everything right of the core
     mirror_x = [-x for x in reversed(xs) if x > core]
     mirror_y = [y for x, y in zip(reversed(xs), reversed(ys)) if x > core]

@@ -282,6 +282,44 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     assert lines == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("dial", "--t", "0.5", "--d", "4"), 1),
+    (("dial", "--t", "0.5", "--tol", "0"), 1),
+    (("dial", "--t", "0.5", "--tol", "nan"), 1),
+    (("dial", "--t", "0.5", "--lambda-grid", "2"), 1),
+    (("dial", "--t", "0.5", "--depth", "0"), 1),
+    (("dial", "--t", "0.5", "--N", "0"), 1),
+    (("dial", "--t", "5"), 1),
+    (("dial", "--t", "0.5", "--a-star", "2"), 1),
+    (("ell1", "--steps", "0"), 1),
+    (("ell1", "--tail-factor", "1"), 1),
+    (("ell1", "--delta", "1"), 1),
+    (("ell1", "--steps", "9"), 3),
+    (("--cap-breakpoints", "1000", "ell1", "--steps", "3"), 3),
+    (("psi", "MAP", "--N", "-1"), 1),
+    (("psi", "MAP", "--ratio", "1/3"), 1),
+    (("psi", "MAP", "--schedule", "hoelder", "--alpha", "2"), 1),
+    (("psi", "MAP", "--horseshoe", "1"), 1),
+    (("figure1", "--N", "-1"), 1),
+    (("figure1", "--samples", "-3"), 2),
+    (("entropy", "MAP", "--seed", "3"), 2),
+], ids=["dial_d", "dial_tol", "dial_tol_nan", "dial_lambda_grid", "dial_depth", "dial_N",
+        "dial_t", "dial_a_star", "ell1_steps", "ell1_tail_factor", "ell1_delta",
+        "ell1_steps_above_cap", "ell1_cap_1000", "psi_N", "psi_ratio", "psi_alpha",
+        "psi_horseshoe", "figure1_N", "figure1_samples", "seed_off_check"])
+def test_out_of_range_flag_exits_with_one_line(tent_path, argv, code):
+    # each fails before any long computation: a NaN tolerance must not reach the
+    # dial search, nor a sign model above the cap get built
+    result, out, lines = _main(*[tent_path if arg == "MAP" else arg for arg in argv])
+    assert (result, out) == (code, "")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_ell1_at_the_cap_prints_the_default_output():
+    # step 3's largest sign member has 2^10 = 1024 breakpoints, exactly the cap here
+    assert _main("--cap-breakpoints", "1024", "ell1", "--steps", "3") == _main("ell1")
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as exc, redirect_stdout(io.StringIO()):
         cli.main(["--help"])

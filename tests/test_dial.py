@@ -97,6 +97,13 @@ def test_find_a_star_rejects_out_of_range():
         DialConfig(t=math.log(4), d=3)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-2, float("nan")])
+def test_config_rejects_tolerance_that_is_not_positive(tolerance):
+    # NaN fails every comparison, so it must not slip past the check into the search
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        DialConfig(t=math.log(2), d=3, tolerance=tolerance)
+
+
 # --- the rational enumeration ----------------------------------------------------------
 
 def test_enumeration_starts_at_one():

@@ -17,7 +17,8 @@ from entropy_banach.ellone import (
     solve_An,
 )
 from entropy_banach.entropy import validate_certificate
-from entropy_banach.errors import DomainError
+from entropy_banach import plmap
+from entropy_banach.errors import DomainError, ResourceLimitError
 from entropy_banach.plmap import PLMap, eval_at, linear_combination, sup_norm
 from entropy_banach.spaces import solve_linear_system
 
@@ -130,6 +131,16 @@ def test_model_isometry_random(coeffs):
 def test_model_delta_guard():
     with pytest.raises(DomainError, match=re.escape(f"in (0, {max_admissible_delta(4)}) ")):
         build_rademacher(4, F(1, 32))
+
+
+def test_model_breakpoint_cap(monkeypatch):
+    # the level-N member has 2^(N+1) breakpoints: 32 at N = 4
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 32)
+    assert len(build_rademacher(4, F(1, 128)).members[-1]) == 32
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 31)
+    with pytest.raises(ResourceLimitError) as err:
+        build_rademacher(4, F(1, 128))
+    assert (err.value.needed, err.value.cap) == (32, 31)
 
 
 # --- gamma schedules ----------------------------------------------------------------
@@ -257,3 +268,12 @@ def test_witness_single_step():
 def test_witness_delta_budget_error():
     with pytest.raises(DomainError, match=r"^step 1 "):
         ell1_witness(F(1, 8), 3, gamma_schedule(3, 2))
+
+
+def test_witness_checks_its_last_step_against_the_cap_up_front(monkeypatch):
+    # step 3 builds a level-9 member with 1024 breakpoints; nothing is built before the check
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 1023)
+    monkeypatch.setattr("entropy_banach.ellone._sign_member", None)
+    with pytest.raises(ResourceLimitError) as err:
+        ell1_witness(F(1, 4096), 3, gamma_schedule(3, 2))
+    assert (err.value.needed, err.value.cap) == (1024, 1023)

@@ -4,13 +4,25 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropy_banach.entropy import entropy_upper_lap, horseshoe_max, validate_certificate
 from entropy_banach.errors import ConstructionError, DependencyError, DomainError
-from entropy_banach.plmap import IntervalQ, eval_at, lap_count, make_pl, sample_pl, sup_norm
+from entropy_banach.plmap import (
+    IntervalQ,
+    eval_at,
+    lap_count,
+    linear_combination,
+    make_pl,
+    sample_pl,
+    sup_norm,
+)
 from entropy_banach.spaces import (
     FunctionFamily,
+    IndependencePoints,
     cropped_polynomial,
+    gauss_jordan,
     horseshoe_combination,
     independent_points,
     sin_scaled,
@@ -37,7 +49,139 @@ def brute_force_invertible_triple(members, grid):
     return False
 
 
+def pivoting_solve(matrix, rhs):
+    """Oracle for the solver: Gauss-Jordan with row swaps, the determinant from the swaps."""
+    n = len(matrix)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    det = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ConstructionError("singular system")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        m[col] = [a * inv for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det, [m[r][n] for r in range(n)]
+
+
+def greedy_independent_points(fs, grid):
+    """Oracle for the independence search: one k x k solve per member, then one for
+    the determinant, with every value from a single-point ``eval_at``."""
+    grid_q = [F(x) for x in grid]
+    if not grid_q:
+        raise ConstructionError("independence search needs a nonempty grid")
+    members = fs.members
+    points = []
+    for k, f in enumerate(members):
+        if k == 0:
+            found = next((x for x in grid_q if eval_at(f, x) != 0), None)
+            if found is None:
+                raise DependencyError(
+                    "first member vanishes on the whole grid", relation=(F(1),))
+            points.append(found)
+            continue
+        matrix = [[eval_at(members[j], points[i]) for j in range(k)] for i in range(k)]
+        rhs = [eval_at(f, points[i]) for i in range(k)]
+        _, coeffs = pivoting_solve(matrix, rhs)
+        found = None
+        for x in grid_q:
+            if x in points:
+                continue
+            predicted = sum(c * eval_at(members[j], x) for j, c in enumerate(coeffs))
+            if eval_at(f, x) != predicted:
+                found = x
+                break
+        if found is None:
+            raise DependencyError(
+                f"member {k} is a grid-wide combination of the previous ones",
+                relation=tuple(coeffs) + (F(-1),))
+        points.append(found)
+    points.sort()
+    n = len(members)
+    eval_matrix = [[eval_at(members[j], points[i]) for j in range(n)] for i in range(n)]
+    det, _ = pivoting_solve(eval_matrix, [F(0)] * n)
+    return IndependencePoints(points=tuple(points), gram_determinant=det)
+
+
+def _outcome(search, fam, grid):
+    """Points and determinant, or the dependency's message and relation."""
+    try:
+        pts = search(fam, grid)
+    except DependencyError as err:
+        return str(err), err.relation
+    return pts.points, pts.gram_determinant
+
+
+_SMALL_Q = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def _families_and_grids(draw):
+    """Families with zero members and combinations of earlier members; grids that
+    repeat points, come unsorted and reach past the members' domains."""
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 9))  # mostly fresh maps, so most families reach n
+        if kind == 0 and members:
+            coeffs = draw(st.lists(_SMALL_Q, min_size=len(members), max_size=len(members)))
+            members.append(linear_combination(coeffs, members))
+        elif kind == 1:
+            members.append(make_pl([0, 1], [0, 0]))
+        else:
+            xs = draw(st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True))
+            ys = draw(st.lists(st.integers(-8, 8), min_size=len(xs), max_size=len(xs)))
+            members.append(make_pl([F(x, 8) for x in sorted(xs)], [F(y, 4) for y in ys]))
+    grid = draw(st.lists(st.integers(-2, 10).map(lambda k: F(k, 8)),
+                         min_size=2 * len(members), max_size=14))
+    return FunctionFamily(members=tuple(members)), grid
+
+
+# --- the eliminator ----------------------------------------------------------------
+
+def test_gauss_jordan_pivots_in_row_order_without_swaps():
+    rows = [[F(0), F(1)], [F(2), F(3)], [F(4), F(6)]]
+    assert gauss_jordan(rows, 2) == ([1, 0], F(2))
+    assert rows == [[0, 1], [1, 0], [0, 0]]
+
+
+def test_gauss_jordan_stops_at_the_first_column_without_pivot():
+    rows = [[F(1), F(2), F(5)], [F(2), F(4), F(7)]]
+    assert gauss_jordan(rows, 3) == ([0], F(1))
+    assert rows == [[1, 2, 5], [0, 0, -3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2).map(F), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(_SMALL_Q, min_size=n, max_size=n))))
+def test_solve_linear_system_matches_pivoting_oracle(system):
+    matrix, rhs = system
+    try:
+        expected = pivoting_solve(matrix, rhs)
+    except ConstructionError:
+        with pytest.raises(ConstructionError, match="singular system"):
+            solve_linear_system(matrix, rhs)
+        return
+    assert solve_linear_system(matrix, rhs) == expected
+
+
 # --- independence -------------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(_families_and_grids())
+def test_independent_points_matches_greedy_oracle(case):
+    fam, grid = case
+    assert _outcome(independent_points, fam, grid) == _outcome(
+        greedy_independent_points, fam, grid)
+
 
 def test_independent_points_vandermonde():
     fam = FunctionFamily(members=(ONE, X), label="affine")
