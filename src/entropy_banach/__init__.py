@@ -25,7 +25,7 @@ from .plmap import (  # noqa: F401
     crop,
     eval_at,
     even_extension,
-    image_interval,
+    image_intervals,
     lap_count,
     linear_combination,
     make_pl,

@@ -25,7 +25,7 @@ from .dial import (
     find_a_star,
     r_of_a,
 )
-from .ellone import ell1_witness, gamma_schedule
+from .ellone import _check_sign_cap, ell1_witness, gamma_schedule
 from .entropy import entropy_bounds, horseshoe_max
 from .errors import EntropyBanachError, FormatError, ResourceLimitError
 from .plmap import PLMap
@@ -148,6 +148,7 @@ def _cmd_figure1(args) -> int:
 
 def _cmd_ell1(args) -> int:
     from .serialize import witness_to_obj
+    _check_sign_cap(2 * args.steps + 3)  # before the schedule, whose size grows with steps
     schedule = gamma_schedule(args.steps, parse_q(args.tail_factor))
     delta = (Fraction(1, 2 ** max(12, 2 * args.steps + 6)) if args.delta is None
              else parse_q(args.delta))
@@ -228,13 +229,15 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--out", default=default,
                         help="write the primary output to this file")
-    parser.add_argument("--cap-breakpoints", type=int, default=default,
-                        help="override the composition breakpoint cap (>= 1)")
 
 
-def _subcommand(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+def _subcommand(sub, name: str, func, summary: str,
+                capped: bool = False) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary)
     _add_common(p, suppress=True)
+    if capped:  # only where the breakpoint cap bounds the work
+        p.add_argument("--cap-breakpoints", type=int,
+                       help="override the composition breakpoint cap (>= 1)")
     p.set_defaults(func=func)
     return p
 
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "entropy", _cmd_entropy, "certified entropy bracket of a PL map")
+    p = _subcommand(sub, "entropy", _cmd_entropy, "certified entropy bracket of a PL map",
+                    capped=True)
     p.add_argument("input", help="PL map JSON file")
     p.add_argument("--depth", type=int, default=8)
 
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resample the polylines at this many points")
 
     p = _subcommand(sub, "ell1", _cmd_ell1,
-                    "staged infinite-entropy witness in the sum-norm model")
+                    "staged infinite-entropy witness in the sum-norm model", capped=True)
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--delta", help="relative ramp half-width of the sign model; step m "
                    "needs delta < 2^-(2m+5) (default 2^-max(12, 2*steps+6))")
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polyline", help="also write the witness polyline here")
 
     p = _subcommand(sub, "dial", _cmd_dial,
-                    "build the fixed-entropy dial map and check multipliers")
+                    "build the fixed-entropy dial map and check multipliers", capped=True)
     p.add_argument("--t", type=float, required=True, help="target entropy")
     p.add_argument("--d", type=int, default=3, help="odd branch count")
     p.add_argument("--N", type=int, default=12, help="number of scales")
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated multipliers to check, e.g. 1/2,1,2")
     p.add_argument("--polyline", help="also write the dial-map polyline here")
 
-    p = _subcommand(sub, "check", _cmd_check, "run the full acceptance suite")
+    p = _subcommand(sub, "check", _cmd_check, "run the full acceptance suite", capped=True)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     return parser
 
@@ -311,11 +315,11 @@ def main(argv=None) -> int:
     cap = plmap.BREAKPOINT_CAP
     try:
         args = build_parser().parse_args(argv)
-        if args.cap_breakpoints is not None:
-            if args.cap_breakpoints < 1:
-                raise FormatError(
-                    f"--cap-breakpoints must be >= 1, got {args.cap_breakpoints}")
-            plmap.BREAKPOINT_CAP = args.cap_breakpoints
+        override = getattr(args, "cap_breakpoints", None)
+        if override is not None:
+            if override < 1:
+                raise FormatError(f"--cap-breakpoints must be >= 1, got {override}")
+            plmap.BREAKPOINT_CAP = override
         return args.func(args)
     except ResourceLimitError as exc:
         return _fail(3, str(exc))

@@ -28,6 +28,7 @@ from .plmap import (
     IntervalQ,
     PLMap,
     eval_at,
+    eval_many,
     linear_combination,
     make_pl,
     oscillation,
@@ -303,8 +304,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
         m = record["m"]
         gamma_m = schedule.gammas[m - 1]
         epsilon = record["epsilon"]
-        for rank, p in enumerate(pts, start=1):
-            value = eval_at(f, p)
+        for rank, value in enumerate(eval_many(f, pts), start=1):
             expected_center = Fraction((-1) ** rank) * gamma_m
             if value != expected_center:
                 raise ConstructionError(

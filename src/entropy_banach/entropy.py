@@ -13,7 +13,6 @@ All covering checks are exact rational comparisons; only the final rates
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -28,7 +27,7 @@ from .plmap import (
     crop,
     eval_at,
     eval_many,
-    image_interval,
+    image_intervals,
     lap_count,
     make_pl,
     monotone_pieces,
@@ -97,7 +96,7 @@ def invariant_restriction(f: PLMap) -> PLMap:
     With constant extension f(R) is the image of f's domain, and it is
     f-invariant as it stands: f maps everything, so also f(R), into f(R).
     """
-    hull = image_interval(f, f.domain)
+    hull, = image_intervals(f, [f.domain])
     if hull.lo == hull.hi:
         return make_pl([hull.lo], [eval_at(f, hull.lo)])
     return crop(f, hull.lo, hull.hi)
@@ -148,17 +147,12 @@ def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertific
     spans = [(max(xs[s], u), min(xs[e], v)) for s, e in monotone_pieces(f)]
     spans = [(lo_x, hi_x) for lo_x, hi_x in spans if lo_x < hi_x]
     ends = eval_many(f, [x for span in spans for x in span])
-    intervals: list[IntervalQ] = []
-    for (lo_x, _), f_lo, f_hi in zip(spans, ends[::2], ends[1::2]):
-        if min(f_lo, f_hi) > u or max(f_lo, f_hi) < v:
-            continue
-        # the branch attains u and v on [lo_x, hi_x], so the first level
-        # points from lo_x on lie inside it
-        t_u = level_u[bisect_left(level_u, lo_x)]
-        t_v = level_v[bisect_left(level_v, lo_x)]
-        lo_t, hi_t = (t_u, t_v) if t_u <= t_v else (t_v, t_u)
-        intervals.append(IntervalQ(lo_t, hi_t))
-    return certify(f, intervals)
+    firsts = [lo_x for (lo_x, _), f_lo, f_hi in zip(spans, ends[::2], ends[1::2])
+              if min(f_lo, f_hi) <= u and max(f_lo, f_hi) >= v]
+    # each such branch attains u and v on [lo_x, hi_x], so the first level
+    # points from lo_x on lie inside it
+    at_u, at_v = (rank(level, firsts)[0].tolist() for level in (level_u, level_v))
+    return certify(f, [IntervalQ(*sorted((level_u[i], level_v[j]))) for i, j in zip(at_u, at_v)])
 
 
 def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
@@ -295,6 +289,8 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
             at, past = rank(points, new)
             fresh = np.flatnonzero(at == past).tolist()  # not partition points yet
             added = [new[k] for k in fresh]
+            if not added:
+                break  # the partition is closed: later rounds repeat this one
             # each added point goes right before the partition point at its rank
             points = np.insert(np.array(points, dtype=object), at[fresh], added).tolist()
             vals = np.insert(np.array(vals, dtype=object), at[fresh],
@@ -445,7 +441,7 @@ def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
     if any(iv.lo == iv.hi for iv in ivs) or any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
         return False
     hull = IntervalQ(ivs[0].lo, max(iv.hi for iv in ivs))
-    return all(image_interval(g, src).contains(hull) for src in ivs)
+    return all(img.contains(hull) for img in image_intervals(g, ivs))
 
 
 def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:

@@ -9,8 +9,7 @@ breakpoints, and images/oscillations/norms are attained at breakpoints.
 
 Everything is immutable and pure.  Orderings of rationals go through one
 float filter (:func:`rank`, :func:`sort_exact`) that leaves only float ties
-to exact comparison, except in :func:`eval_at`, :func:`crop` and
-:func:`image_interval`, which bisect the Fractions directly.
+to exact comparison.
 """
 
 from __future__ import annotations
@@ -121,25 +120,21 @@ def make_pl(breakpoints: Sequence, values: Sequence) -> PLMap:
 
 def eval_at(f: PLMap, x: Fraction) -> Fraction:
     """Exact value of the extended function at ``x``."""
-    xs, ys = f.breakpoints, f.values
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    i = bisect_right(xs, x) - 1
-    if xs[i] == x:
-        return ys[i]
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[i], ys[i + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return eval_many(f, [x])[0]
 
 
 def eval_many(f: PLMap, qs: Sequence[Fraction]) -> list[Fraction]:
     """Exact values at the points ``qs``, in any order, located by one :func:`rank`."""
+    left, right = rank(f.breakpoints, qs)
+    return _values_at(f, qs, left.tolist(), right.tolist())
+
+
+def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
+               right: list[int]) -> list[Fraction]:
+    """Values at ``qs`` from their bisect_left and bisect_right in f.breakpoints."""
     xs, ys = f.breakpoints, f.values
-    left, right = rank(xs, qs)
     out: list[Fraction] = []
-    for x, i, j in zip(qs, left.tolist(), right.tolist()):
+    for x, i, j in zip(qs, left, right):
         if i < j or i == 0:  # x is a breakpoint, or left of the domain
             out.append(ys[i])
         elif i == len(xs):
@@ -273,11 +268,10 @@ def crop(f: PLMap, a, b) -> PLMap:
     if a >= b:
         raise DomainError(f"crop needs a < b, got [{a}, {b}]")
     xs, ys = f.breakpoints, f.values
-    lo = bisect_right(xs, a)
-    hi = bisect_left(xs, b)
-    new_x = [a] + list(xs[lo:hi]) + [b]
-    new_y = [eval_at(f, a)] + list(ys[lo:hi]) + [eval_at(f, b)]
-    return PLMap(tuple(new_x), tuple(new_y))
+    left, right = (r.tolist() for r in rank(xs, [a, b]))
+    f_a, f_b = _values_at(f, [a, b], left, right)
+    inner = slice(right[0], left[1])  # the breakpoints strictly inside (a, b)
+    return PLMap((a, *xs[inner], b), (f_a, *ys[inner], f_b))
 
 
 def linear_combination(coeffs: Sequence, fs: Sequence[PLMap]) -> PLMap:
@@ -303,19 +297,23 @@ def scale(f: PLMap, c) -> PLMap:
     return PLMap(f.breakpoints, tuple(c * y for y in f.values))
 
 
-def image_interval(f: PLMap, J: IntervalQ) -> IntervalQ:
-    """Exact [min, max] of f over J (attained at breakpoints in J or at its ends)."""
-    xs = f.breakpoints
-    vals = [eval_at(f, J.lo), eval_at(f, J.hi)]
-    a = bisect_right(xs, J.lo)
-    b = bisect_left(xs, J.hi)
-    vals.extend(f.values[a:b])
-    return IntervalQ(min(vals), max(vals))
+def image_intervals(f: PLMap, Js: Sequence[IntervalQ]) -> list[IntervalQ]:
+    """Exact [min, max] of f over each J (attained at breakpoints in J or at its ends).
+
+    One :func:`rank` locates every end; the breakpoints strictly inside J
+    lie between its lower end's bisect_right and its upper end's bisect_left.
+    """
+    ends = [q for J in Js for q in (J.lo, J.hi)]
+    left, right = (r.tolist() for r in rank(f.breakpoints, ends))
+    vals = _values_at(f, ends, left, right)
+    spans = [[vals[k], vals[k + 1], *f.values[right[k]:left[k + 1]]]
+             for k in range(0, len(ends), 2)]
+    return [IntervalQ(min(span), max(span)) for span in spans]
 
 
 def oscillation(f: PLMap, J: IntervalQ) -> Fraction:
     """sup over x, y in J of |f(x) - f(y)|."""
-    img = image_interval(f, J)
+    img, = image_intervals(f, [J])
     return img.hi - img.lo
 
 

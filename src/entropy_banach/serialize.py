@@ -16,7 +16,7 @@ from .dial import DialConfig
 from .ellone import WitnessReport, WitnessStep
 from .entropy import EntropyBounds, HorseshoeCertificate
 from .errors import FormatError
-from .plmap import IntervalQ, PLMap, eval_at, make_pl
+from .plmap import IntervalQ, PLMap, eval_many, make_pl
 from .rational import parse_q, qstr
 
 
@@ -114,6 +114,6 @@ def write_polyline(stream: IO[str], f: PLMap, label: str,
         step = (hi - lo) / samples
         points = [lo + k * step for k in range(samples + 1)]
     else:
-        points = list(f.breakpoints)
-    for x in points:
-        stream.write(f"{float(x)!r},{float(eval_at(f, x))!r}\n")
+        points = f.breakpoints
+    for x, y in zip(points, eval_many(f, points)):
+        stream.write(f"{float(x)!r},{float(y)!r}\n")

@@ -275,7 +275,14 @@ def test_rational_flag_parse_error_exit_2(tmp_path, tent_path, argv):
     (("horseshoe", "MAP", "--bogus"), "unrecognized arguments: --bogus"),
     ((), "the following arguments are required: command"),
     (("psi", "MAP", "--format", "csv"), "unrecognized arguments: --format csv"),
-], ids=["depth_two", "unknown_flag", "no_subcommand", "format_flag"])
+    # the breakpoint cap bounds no work of these four, and no flag goes first
+    (("horseshoe", "MAP", "--cap-breakpoints", "1"), "unrecognized arguments: --cap-breakpoints 1"),
+    (("thmB", "MAP", "--cap-breakpoints", "1"), "unrecognized arguments: --cap-breakpoints 1"),
+    (("psi", "MAP", "--cap-breakpoints", "1"), "unrecognized arguments: --cap-breakpoints 1"),
+    (("figure1", "--cap-breakpoints", "1"), "unrecognized arguments: --cap-breakpoints 1"),
+    (("--cap-breakpoints=4", "entropy", "MAP"), "unrecognized arguments: --cap-breakpoints=4"),
+], ids=["depth_two", "unknown_flag", "no_subcommand", "format_flag", "cap_horseshoe",
+        "cap_thmB", "cap_psi", "cap_figure1", "cap_before_command"])
 def test_usage_error_returns_2_in_process(tent_path, argv, message):
     code, out, lines = _main(*[tent_path if arg == "MAP" else arg for arg in argv])
     assert code == 2 and out == ""
@@ -295,7 +302,7 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("ell1", "--tail-factor", "1"), 1),
     (("ell1", "--delta", "1"), 1),
     (("ell1", "--steps", "9"), 3),
-    (("--cap-breakpoints", "1000", "ell1", "--steps", "3"), 3),
+    (("ell1", "--steps", "3", "--cap-breakpoints", "1000"), 3),
     (("psi", "MAP", "--N", "-1"), 1),
     (("psi", "MAP", "--ratio", "1/3"), 1),
     (("psi", "MAP", "--schedule", "hoelder", "--alpha", "2"), 1),
@@ -317,7 +324,19 @@ def test_out_of_range_flag_exits_with_one_line(tent_path, argv, code):
 
 def test_ell1_at_the_cap_prints_the_default_output():
     # step 3's largest sign member has 2^10 = 1024 breakpoints, exactly the cap here
-    assert _main("--cap-breakpoints", "1024", "ell1", "--steps", "3") == _main("ell1")
+    assert _main("ell1", "--steps", "3", "--cap-breakpoints", "1024") == _main("ell1")
+
+
+def test_ell1_checks_the_cap_before_the_schedule(monkeypatch):
+    # step 800's sign member needs 2^1608 breakpoints: the run exits 3
+    # without building the 800-term schedule or the default delta
+    def no_schedule(*args):
+        raise AssertionError("gamma_schedule ran before the cap check")
+
+    monkeypatch.setattr(cli, "gamma_schedule", no_schedule)
+    code, out, lines = _main("ell1", "--steps", "800")
+    assert (code, out) == (3, "")
+    assert len(lines) == 1 and lines[0].startswith("error: the level-1603 sign member needs ")
 
 
 def test_help_exits_0():
@@ -472,20 +491,16 @@ def test_dial_command_fixed_a_star(tmp_path):
 
 def test_cap_override_truncates_entropy_depth(tent_path):
     # the tent's square has 5 breakpoints, so the golden reports depth 1
-    res = run_cli("--cap-breakpoints", "4", "entropy", tent_path, "--depth", "9")
+    res = run_cli("entropy", tent_path, "--depth", "9", "--cap-breakpoints", "4")
     assert res.returncode == 0  # entropy degrades gracefully
     assert_golden("entropy_tent_cap4_depth9.json", res.stdout)
-    # horseshoe never composes, so no breakpoint cap can stop it
-    res = run_cli("--cap-breakpoints", "1", "horseshoe", tent_path)
-    assert res.returncode == 0
-    assert_golden("horseshoe_tent.json", res.stdout)
 
 
 def test_cap_reaches_dial(tmp_path):
-    # the cap holds for every subcommand: here it cuts the in-window
-    # brackets of the dial to depth 1, which the uncapped run does not
+    # the cap reaches the dial: it cuts the in-window brackets to
+    # depth 1, which the uncapped run does not
     out = tmp_path / "dial.json"
-    res = run_cli("--cap-breakpoints", "3", "dial", "--t", str(math.log(2)),
+    res = run_cli("dial", "--cap-breakpoints", "3", "--t", str(math.log(2)),
                   "--N", "4", "--lambda-grid", "3", "--depth", "5", "--tol", "0.2",
                   "--a-star", "37/64", "--check-lambdas", "1", "--out", str(out))
     assert res.returncode == 0
@@ -495,7 +510,7 @@ def test_cap_reaches_dial(tmp_path):
 def test_cap_flag_holds_for_one_call(monkeypatch, tent_path):
     monkeypatch.setattr(plmap, "BREAKPOINT_CAP", plmap.BREAKPOINT_CAP)  # undone even on failure
     cap = plmap.BREAKPOINT_CAP
-    code, out, _ = _main("--cap-breakpoints", "4", "entropy", tent_path, "--depth", "9")
+    code, out, _ = _main("entropy", tent_path, "--depth", "9", "--cap-breakpoints", "4")
     assert code == 0 and json.loads(out)["depth"] == 1
     assert plmap.BREAKPOINT_CAP == cap
     assert entropy.entropy_bounds(TENT, 6).depth_used == 6
@@ -503,13 +518,18 @@ def test_cap_flag_holds_for_one_call(monkeypatch, tent_path):
 
 @pytest.mark.parametrize("cap", ["-1", "0"])
 def test_cap_below_one_exit_2(tent_path, cap):
-    for args in (["entropy", tent_path], ["horseshoe", tent_path], ["thmB", tent_path],
-                 ["psi", tent_path], ["figure1"], ["ell1"], ["dial", "--t", "0.5"],
-                 ["check"]):
-        res = run_cli("--cap-breakpoints", cap, *args)
+    for args in (["entropy", tent_path], ["ell1"], ["dial", "--t", "0.5"], ["check"]):
+        res = run_cli(*args, "--cap-breakpoints", cap)
         assert res.returncode == 2, args
         assert res.stderr.splitlines() == [f"error: --cap-breakpoints must be >= 1, got {cap}"]
         assert res.stdout == ""
+
+
+def test_figure1_resampled_polylines():
+    # the only polylines evaluated off the breakpoints
+    code, out, lines = _main("figure1", "--N", "3", "--samples", "40")
+    assert (code, lines) == (0, [])
+    assert_golden("figure1_N3_samples40.csv", out)
 
 
 def test_figure1_single_copy():

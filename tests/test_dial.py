@@ -20,7 +20,7 @@ from entropy_banach.dial import (
 )
 from entropy_banach.entropy import entropy_bounds, horseshoe_max
 from entropy_banach.errors import DomainError
-from entropy_banach.plmap import IntervalQ, eval_at, image_interval, lap_count
+from entropy_banach.plmap import IntervalQ, eval_at, image_intervals, lap_count
 
 FAST_CFG = DialConfig(t=math.log(2), d=3, truncation=8, lambda_grid_size=7,
                       entropy_depth=6, tolerance=5e-2)
@@ -53,7 +53,7 @@ def test_theta_identity_off_the_window():
 def test_theta_window_invariance_dense_grid():
     for k in range(0, 17):
         a = F(k, 16)
-        img = image_interval(theta(a, 3), IntervalQ(F(9), F(10)))
+        img, = image_intervals(theta(a, 3), [IntervalQ(F(9), F(10))])
         assert img.lo >= 9 and img.hi <= 10
 
 

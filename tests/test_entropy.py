@@ -35,7 +35,7 @@ from entropy_banach.plmap import (
     compose,
     crop,
     eval_at,
-    image_interval,
+    image_intervals,
     lap_count,
     linear_combination,
     make_pl,
@@ -249,7 +249,7 @@ def pairwise_valid(f, cert):
             if not interior_disjoint(ivs[i], ivs[j]):
                 return False
     for src in ivs:
-        img = image_interval(g, src)
+        img, = image_intervals(g, [src])
         for dst in ivs:
             if not (img.lo <= dst.lo and dst.hi <= img.hi):
                 return False
@@ -403,6 +403,21 @@ def test_markov_never_exceeds_lap_bound():
         low = entropy_lower_markov(f, 4)
         up = entropy_upper_lap(f, 10)
         assert low <= up + 1e-9
+
+
+def test_markov_scan_stops_when_the_partition_closes(monkeypatch):
+    # round 1 adds 1/2, the preimage of the end 1; pulling 1/2 back gives
+    # only 0, so every later round would repeat round 1's partition
+    calls = []
+    real = entropy._covering_log_radius
+
+    def radius(points, vals):
+        calls.append(points)
+        return real(points, vals)
+
+    monkeypatch.setattr(entropy, "_covering_log_radius", radius)
+    assert entropy_lower_markov(make_pl([0, F(1, 2), 1], [F(1, 2), 1, 1]), 5) == 0.0
+    assert calls == [[0, 1], [0, F(1, 2), 1]]
 
 
 def test_markov_partition_cap(monkeypatch):

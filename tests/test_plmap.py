@@ -17,7 +17,7 @@ from entropy_banach.plmap import (
     eval_at,
     eval_many,
     even_extension,
-    image_interval,
+    image_intervals,
     lap_count,
     linear_combination,
     make_pl,
@@ -278,14 +278,15 @@ def test_linear_combination_matches_pointwise(f, g, a, b):
 # --- images, oscillation, norm --------------------------------------------------
 
 def test_image_interval_tent():
-    assert image_interval(TENT, IntervalQ(F(0), F(1))) == IntervalQ(F(0), F(1))
-    assert image_interval(TENT, IntervalQ(F(0), F(1, 4))) == IntervalQ(F(0), F(1, 2))
+    assert image_intervals(TENT, [IntervalQ(F(0), F(1)), IntervalQ(F(0), F(1, 4))]) == [
+        IntervalQ(F(0), F(1)), IntervalQ(F(0), F(1, 2))]
+    assert image_intervals(TENT, []) == []
 
 
 def test_image_interval_identity():
     J = IntervalQ(F(-1, 3), F(5, 7))
     f = make_pl([-1, 1], [-1, 1])
-    assert image_interval(f, J) == J
+    assert image_intervals(f, [J]) == [J]
 
 
 @settings(max_examples=50, deadline=None)
@@ -296,7 +297,7 @@ def test_image_interval_matches_exhaustive_minmax(f, a, b):
     if a > b:
         a, b = b, a
     J = IntervalQ(a, b)
-    img = image_interval(f, J)
+    img, = image_intervals(f, [J])
     lo, hi = brute_image(f, J)
     assert (img.lo, img.hi) == (lo, hi)
 
@@ -375,7 +376,7 @@ def test_sample_pl_rejects_non_finite():
 
 def test_eval_many_agrees_with_eval_at():
     xs = [F(k, 7) - 1 for k in range(20)]
-    assert eval_many(TENT, xs) == [eval_at(TENT, x) for x in xs]
+    assert eval_many(TENT, xs) == [eval_at_oracle(TENT, x) for x in xs]
 
 
 # --- the float-filtered rank kernel ------------------------------------------
@@ -457,15 +458,76 @@ def test_segment_preimages_matches_oracle(g, data):
     assert list(segment_preimages(g, targets)) == list(segment_preimages_oracle(g, targets))
 
 
+def eval_at_oracle(f, x):
+    """eval_at before the rank kernel: one Fraction bisect."""
+    xs, ys = f.breakpoints, f.values
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect_right(xs, x) - 1
+    if xs[i] == x:
+        return ys[i]
+    x0, x1 = xs[i], xs[i + 1]
+    y0, y1 = ys[i], ys[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def image_interval_oracle(f, J):
+    """One interval's image before the rank kernel: two Fraction bisects."""
+    xs = f.breakpoints
+    vals = [eval_at_oracle(f, J.lo), eval_at_oracle(f, J.hi)]
+    vals.extend(f.values[bisect_right(xs, J.lo):bisect_left(xs, J.hi)])
+    return IntervalQ(min(vals), max(vals))
+
+
+def crop_oracle(f, a, b):
+    """crop before the rank kernel: two Fraction bisects."""
+    xs, ys = f.breakpoints, f.values
+    lo, hi = bisect_right(xs, a), bisect_left(xs, b)
+    return make_pl([a, *xs[lo:hi], b], [eval_at_oracle(f, a), *ys[lo:hi], eval_at_oracle(f, b)])
+
+
+def probe_points(f):
+    """f's breakpoints, rationals 2^-70 apart (one float), and points off f's domain."""
+    return st.one_of(
+        st.sampled_from(f.breakpoints),
+        st.builds(lambda k, j: F(k, 6) + j * _TINY, st.integers(-3, 15), st.integers(-1, 1)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=16),
+        st.builds(lambda s, k: s * (5 + F(k, 3)), st.sampled_from([-1, 1]), st.integers(0, 3)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
 def test_eval_many_any_order_matches_eval_at(f, data):
     # unsorted points, repeats, points outside the domain and float ties
-    qs = data.draw(st.lists(st.one_of(
-        st.sampled_from(f.breakpoints),
-        st.builds(lambda k, j: F(k, 6) + j * _TINY, st.integers(-3, 15), st.integers(-1, 1)),
-        st.fractions(min_value=-5, max_value=5, max_denominator=16)), max_size=20))
-    assert eval_many(f, qs) == [eval_at(f, q) for q in qs]
+    qs = data.draw(st.lists(probe_points(f), max_size=20))
+    expected = [eval_at_oracle(f, q) for q in qs]
+    assert eval_many(f, qs) == expected
+    assert [eval_at(f, q) for q in qs] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
+def test_image_intervals_match_bisect_oracle(f, data):
+    # ends on breakpoints and on float ties, degenerate intervals, and
+    # intervals partly or wholly off the domain, where f is constant
+    pts = probe_points(f)
+    ends = data.draw(st.lists(st.tuples(pts, pts, st.booleans()), max_size=8))
+    Js = [IntervalQ(min(a, b), min(a, b) if point else max(a, b)) for a, b, point in ends]
+    assert image_intervals(f, Js) == [image_interval_oracle(f, J) for J in Js]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
+def test_crop_matches_bisect_oracle(f, data):
+    pts = probe_points(f)
+    a, b = sorted((data.draw(pts), data.draw(pts)))
+    if a == b:
+        with pytest.raises(DomainError):
+            crop(f, a, b)
+    else:
+        assert crop(f, a, b) == crop_oracle(f, a, b)
 
 
 def monotone_pieces_oracle(f):
