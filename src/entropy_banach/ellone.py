@@ -96,10 +96,10 @@ def max_admissible_delta(N: int) -> Fraction:
 
 def _check_sign_cap(N: int) -> None:
     """The level-N sign member has 2^(N+1) breakpoints; the breakpoint cap bounds them."""
-    needed, cap = 2 ** (N + 1), plmap.BREAKPOINT_CAP
-    if needed > cap:
-        raise ResourceLimitError(f"the level-{N} sign member needs {needed} breakpoints, "
-                                 f"above the cap of {cap}", needed=needed, cap=cap)
+    cap = plmap.BREAKPOINT_CAP
+    if N + 1 >= cap.bit_length():  # 2^(N+1) > cap, compared without the count's digits
+        raise ResourceLimitError(f"the level-{N} sign member needs 2^{N + 1} breakpoints, "
+                                 f"above the cap of {cap}", needed=2 ** (N + 1), cap=cap)
 
 
 def _sign_member(level: int, delta: Fraction) -> PLMap:

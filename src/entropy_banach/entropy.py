@@ -13,7 +13,7 @@ All covering checks are exact rational comparisons; only the final rates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
 
@@ -159,12 +159,10 @@ def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
     """Ascending: the nodes of f equal to target, and the crossings inside segments."""
     xs, ys = f.breakpoints, f.values
     out = []
-    for i, hits in enumerate(segment_preimages(f, [target])):
+    for i, hits in enumerate([*segment_preimages(f, [target]), []]):
         if ys[i] == target:
             out.append(xs[i])
         out.extend(x for x, _ in hits)
-    if ys[-1] == target:
-        out.append(xs[-1])
     return out
 
 
@@ -200,8 +198,8 @@ def _hull_boxes(f: PLMap) -> np.ndarray:
     return rects[(rects[:, 0] <= rects[:, 1]) & (rects[:, 2] <= rects[:, 3])]
 
 
-def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
-    """Largest d such that some hull [u, v] has d covering monotone branches.
+def _widest_hull(f: PLMap) -> tuple[int, int, int]:
+    """(d, i, j): the most covering branches d of any hull [xs[i], xs[j]], i < j.
 
     Hulls run over pairs of breakpoints.  Each branch covers the hulls of a
     rectangle of breakpoint index pairs (:func:`_hull_boxes`).  A row sweep
@@ -212,17 +210,14 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     cannot hold a new maximum.  Memory is O(n + rectangles) for n
     breakpoints, time O(n) per event row, so maps above HORSESHOE_CAP
     breakpoints raise :class:`ResourceLimitError`.  The first maximum in
-    row-major order wins.  The certificate returned has passed
-    :func:`certify`; (1, None) is returned when no 2-horseshoe exists at
-    this resolution.
+    row-major order wins; d is 1 (and i = j = 0) when no hull has two.
     """
     n = len(f)
     if n > HORSESHOE_CAP:
         raise ResourceLimitError(
             f"horseshoe search over {n} breakpoints exceeds the cap of {HORSESHOE_CAP}",
             needed=n, cap=HORSESHOE_CAP)
-    if n < 2:
-        return 1, None
+    best_d, best_i, best_j = 1, 0, 0
     il, ir, jl, jr = _hull_boxes(f).T
     rows = np.concatenate((il, il, ir + 1, ir + 1))
     cols = np.concatenate((jl, jr + 1, jl, jr + 1))
@@ -232,7 +227,6 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     event_rows, starts = np.unique(rows, return_index=True)
     ends = [*starts[1:].tolist(), len(rows)]
     diff = np.zeros(n + 1, dtype=np.int64)  # column differences of the current row
-    best_d, best_i, best_j = 1, 0, 0
     for row, lo, hi in zip(event_rows.tolist(), starts.tolist(), ends):
         if row >= n - 1:
             break  # no v above this u
@@ -241,13 +235,23 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
         j = int(counts.argmax())
         if counts[j] > best_d:
             best_d, best_i, best_j = int(counts[j]), row, row + 1 + j
-    if best_d < 2:
+    return best_d, best_i, best_j
+
+
+def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
+    """Largest d such that some hull [u, v] has d covering monotone branches.
+
+    The hull is :func:`_widest_hull`'s, and the certificate returned has passed
+    :func:`certify`; (1, None) when no 2-horseshoe exists at this resolution.
+    """
+    d, i, j = _widest_hull(f)
+    if d < 2:
         return 1, None
-    cert = _branch_certificate(f, f.breakpoints[best_i], f.breakpoints[best_j])
-    if cert.d != best_d:
-        raise RuntimeError(f"horseshoe search counted {best_d} covering branches "
+    cert = _branch_certificate(f, f.breakpoints[i], f.breakpoints[j])
+    if cert.d != d:
+        raise RuntimeError(f"horseshoe search counted {d} covering branches "
                            f"but extracted {cert.d}")
-    return best_d, cert
+    return d, cert
 
 
 def _turning_positions(f: PLMap) -> list[Fraction]:
@@ -460,18 +464,18 @@ def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:
 def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     """Certified bracket on the invariant restriction of f.
 
-    Lower side is the better of the horseshoe search over iterates and the
-    covering-matrix bound (refined up to ``depth`` rounds within the
-    partition cap); upper side is the lap-growth bound.  Resource caps only
-    reduce the achieved depth.
+    Lower side is the better of the widest hull over iterates, certified
+    once on its iterate, and the covering-matrix bound (up to ``depth``
+    rounds within the partition cap); upper side is the lap-growth bound.
+    Caps only reduce the achieved depth; a monotone restriction builds no iterate.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     g = invariant_restriction(f)
-    if len(g) == 1:
+    if lap_count(g) == 1:  # so is every iterate: no horseshoe, and one lap
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
-    upper, lower_h, cert = math.inf, 0.0, None
+    upper, lower_h, best = math.inf, 0.0, None
     for k, gk in enumerate(_iterates(g, depth), start=1):
         laps = lap_count(gk)
         upper = min(upper, math.log(laps) / k)
@@ -482,20 +486,16 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
         if (math.log(laps) / k <= lower_h + 1e-12 or laps > HORSESHOE_LAP_BUDGET
                 or len(gk) > HORSESHOE_CAP):
             continue
-        d, found = horseshoe_max(gk)
+        d = _widest_hull(gk)[0]
         if d >= 2 and math.log(d) / k > lower_h:
-            lower_h = math.log(d) / k
-            # certified on gk = g^k already; relabelled as a certificate of g
-            cert = HorseshoeCertificate(d=d, intervals=found.intervals, iterate=k)
+            lower_h, best = math.log(d) / k, (k, gk)
     try:
         lower_m = entropy_lower_markov(g, depth)
     except ResourceLimitError as exc:
         lower_m = exc.bound  # the rounds before the partition cap still count
 
-    if cert is not None and lower_h >= lower_m - 1e-15:
-        lower = lower_h
-    else:
-        lower = lower_m
-        cert = None
-    lower = min(lower, upper)  # guard against float rounding at exact equality
-    return EntropyBounds(lower, upper, cert, depth_used=k)
+    # min(., upper) guards against float rounding at exact equality
+    if best is not None and lower_h >= lower_m - 1e-15:
+        _, cert = horseshoe_max(best[1])  # certified on g^k, relabelled as one of g
+        return EntropyBounds(min(lower_h, upper), upper, replace(cert, iterate=best[0]), k)
+    return EntropyBounds(min(lower_m, upper), upper, None, depth_used=k)

@@ -96,6 +96,16 @@ def test_entropy_near_float_ties(tmp_path):
     assert payload["certificate"]["d"] == 3
 
 
+def test_entropy_of_a_contraction_at_depth_100000(tmp_path):
+    # x -> x/2 is monotone, and so is every iterate: the bracket is [0, 0] at
+    # the requested depth, and no iterate is built
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"breakpoints": [0, 1], "values": [0, "1/2"]}))
+    code, out, lines = _main("entropy", str(path), "--depth", "100000")
+    assert (code, lines) == (0, [])
+    assert_golden("entropy_half_depth100000.json", out)
+
+
 def test_entropy_beyond_float_range(tmp_path):
     big = 10 ** 400
     path = tmp_path / "huge_tent.json"
@@ -328,7 +338,7 @@ def test_ell1_at_the_cap_prints_the_default_output():
 
 
 def test_ell1_checks_the_cap_before_the_schedule(monkeypatch):
-    # step 800's sign member needs 2^1608 breakpoints: the run exits 3
+    # step 800's sign member needs 2^1604 breakpoints: the run exits 3
     # without building the 800-term schedule or the default delta
     def no_schedule(*args):
         raise AssertionError("gamma_schedule ran before the cap check")
@@ -337,6 +347,14 @@ def test_ell1_checks_the_cap_before_the_schedule(monkeypatch):
     code, out, lines = _main("ell1", "--steps", "800")
     assert (code, out) == (3, "")
     assert len(lines) == 1 and lines[0].startswith("error: the level-1603 sign member needs ")
+
+
+def test_ell1_far_above_the_cap_exits_with_one_line():
+    # step 8000's sign member needs 2^16004 breakpoints, a count of 4,818 digits
+    code, out, lines = _main("ell1", "--steps", "8000")
+    assert (code, out) == (3, "")
+    assert lines == ["error: the level-16003 sign member needs 2^16004 breakpoints, "
+                     "above the cap of 2000000"]
 
 
 def test_help_exits_0():

@@ -195,7 +195,7 @@ def lower_horseshoe(f, depth):
 def bracket_oracle(f, depth):
     """(lower, upper, certificate, depth used) of entropy_bounds from the oracles."""
     g = invariant_restriction(f)
-    if len(g) == 1 or g.domain.lo == g.domain.hi:
+    if lap_count(g) == 1:  # constant or monotone, and so is every iterate
         return 0.0, 0.0, None, depth
     chain = iterate_chain(g, depth)
     laps = [lap_count(gk) for gk in chain]
@@ -704,6 +704,9 @@ def test_horseshoe_max_matches_dense_grid(f):
                        lambda h, u, v: hulls.append((u, v)) or real(h, u, v))
             d, cert = horseshoe_max(g)
         expected_d, hull = dense_horseshoe_argmax(g)
+        widest, i, j = entropy._widest_hull(g)
+        assert widest == expected_d
+        assert hull is None or (g.breakpoints[i], g.breakpoints[j]) == hull
         # every rectangle lies above the diagonal: its hulls all have u < v
         assert all(ir < jl for _, ir, jl, _ in entropy._hull_boxes(g))
         assert (d, hulls[0] if hulls else None) == (expected_d, hull)
@@ -828,6 +831,37 @@ def test_bounds_match_chain_oracle(f, depth, cap):
         assert eb.lower_witness == cert
         assert eb.depth_used == depth_used
         assert eb.upper == entropy_upper_lap(invariant_restriction(f), depth)
+
+
+def count_certificates(monkeypatch):
+    """A list that gets one entry per _branch_certificate call."""
+    calls, real = [], entropy._branch_certificate
+    monkeypatch.setattr(entropy, "_branch_certificate",
+                        lambda f, u, v: calls.append((u, v)) or real(f, u, v))
+    return calls
+
+
+def test_bounds_build_no_certificate_when_markov_wins(monkeypatch):
+    # iterates of theta(46/64) have hulls with two branches, but the Markov bound wins
+    calls = count_certificates(monkeypatch)
+    eb = entropy_bounds(theta(F(46, 64), 3), 8)
+    assert eb.lower_witness is None and eb.lower > 0
+    assert calls == []
+
+
+def test_bounds_build_one_certificate_for_the_witness(monkeypatch):
+    calls = count_certificates(monkeypatch)
+    eb = entropy_bounds(TENT, 8)
+    assert eb.lower_witness is not None and len(calls) == 1
+
+
+def test_monotone_restriction_builds_no_iterate(monkeypatch):
+    def no_compose(*args):
+        raise AssertionError("an iterate of a monotone map was built")
+
+    monkeypatch.setattr(entropy, "compose", no_compose)
+    eb = entropy_bounds(make_pl([0, 1], [0, F(1, 2)]), 10**6)
+    assert (eb.lower, eb.upper, eb.lower_witness, eb.depth_used) == (0.0, 0.0, None, 10**6)
 
 
 def test_lower_horseshoe_monotone_in_depth():
