@@ -98,8 +98,9 @@ def _check_sign_cap(N: int) -> None:
     """The level-N sign member has 2^(N+1) breakpoints; the breakpoint cap bounds them."""
     cap = plmap.BREAKPOINT_CAP
     if N + 1 >= cap.bit_length():  # 2^(N+1) > cap, compared without the count's digits
+        # needed: the first power of two above the cap, a lower bound on 2^(N+1)
         raise ResourceLimitError(f"the level-{N} sign member needs 2^{N + 1} breakpoints, "
-                                 f"above the cap of {cap}", needed=2 ** (N + 1), cap=cap)
+                                 f"above the cap of {cap}", needed=2 ** cap.bit_length(), cap=cap)
 
 
 def _sign_member(level: int, delta: Fraction) -> PLMap:

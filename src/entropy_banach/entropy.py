@@ -23,6 +23,7 @@ from .errors import ConstructionError, DomainError, ResourceLimitError
 from .plmap import (
     IntervalQ,
     PLMap,
+    _floats,
     compose,
     crop,
     eval_at,
@@ -151,7 +152,8 @@ def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertific
               if min(f_lo, f_hi) <= u and max(f_lo, f_hi) >= v]
     # each such branch attains u and v on [lo_x, hi_x], so the first level
     # points from lo_x on lie inside it
-    at_u, at_v = (rank(level, firsts)[0].tolist() for level in (level_u, level_v))
+    at_u, at_v = (rank(level, firsts, _floats(level), _floats(firsts))[0].tolist()
+                  for level in (level_u, level_v))
     return certify(f, [IntervalQ(*sorted((level_u[i], level_v[j]))) for i, j in zip(at_u, at_v)])
 
 
@@ -159,7 +161,7 @@ def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
     """Ascending: the nodes of f equal to target, and the crossings inside segments."""
     xs, ys = f.breakpoints, f.values
     out = []
-    for i, hits in enumerate([*segment_preimages(f, [target]), []]):
+    for i, hits in enumerate([*segment_preimages(f, [target], _floats([target])), []]):
         if ys[i] == target:
             out.append(xs[i])
         out.extend(x for x, _ in hits)
@@ -181,7 +183,7 @@ def _hull_boxes(f: PLMap) -> np.ndarray:
     pieces = [(s, e) for s, e in monotone_pieces(f) if ys[s] != ys[e]]
     if not pieces:
         return np.empty((0, 4), dtype=np.int64)
-    vl, vr = rank(xs, ys)  # ranks of f at every breakpoint
+    vl, vr = rank(xs, ys, f.fx, f.fy)  # ranks of f at every breakpoint
     ia, ib = np.array(pieces, dtype=np.int64).T
     # fully inside: lo <= u <= a and b <= v <= hi
     inside = np.stack([np.minimum(vl[ia], vl[ib]), ia, ib, np.maximum(vr[ia], vr[ib]) - 1])
@@ -273,37 +275,43 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     still valid, in ``bound``.  Round r+1's partition is P_r plus the
     preimages of P_r; those of P_{r-1} are in P_r already, so only the
     points the last round added are pulled back, and they are merged into
-    the ascending partition by their ranks in it.
+    the ascending partition by their ranks in it.  The floats of the points
+    and of their images are kept beside them and merged the same way.
     """
     if refinement < 0:
         raise DomainError(f"refinement must be >= 0, got {refinement}")
     points = _turning_positions(f)
     if len(points) < 2:
         return 0.0
-    vals, added = eval_many(f, points), points
+    added, fadded, vals = points, _floats(points), eval_many(f, points)
+    fpoints, fvals = fadded, _floats(vals)
     best = 0.0
     for round_no in range(refinement + 1):
         if len(points) - 1 > PARTITION_CAP:
             raise ResourceLimitError(
                 f"covering partition exceeded {PARTITION_CAP} cells",
                 achieved=round_no, cap=PARTITION_CAP, bound=best)
-        best = max(best, _covering_log_radius(points, vals))
+        best = max(best, _covering_log_radius(points, vals, fpoints, fvals))
         if round_no < refinement:
-            new, images = _pull_back(f, added)
-            at, past = rank(points, new)
-            fresh = np.flatnonzero(at == past).tolist()  # not partition points yet
-            added = [new[k] for k in fresh]
-            if not added:
+            new, image_at = _pull_back(f, added, fadded)
+            fnew = _floats(new)
+            at, past = rank(points, new, fpoints, fnew)
+            fresh = np.flatnonzero(at == past)  # not partition points yet
+            if not fresh.size:
                 break  # the partition is closed: later rounds repeat this one
+            image_at, at = np.array(image_at)[fresh], at[fresh]
+            images, fimages = [added[j] for j in image_at.tolist()], fadded[image_at]
+            added, fadded = [new[k] for k in fresh.tolist()], fnew[fresh]
             # each added point goes right before the partition point at its rank
-            points = np.insert(np.array(points, dtype=object), at[fresh], added).tolist()
-            vals = np.insert(np.array(vals, dtype=object), at[fresh],
-                             [images[k] for k in fresh]).tolist()
+            points = np.insert(np.array(points, dtype=object), at, added).tolist()
+            vals = np.insert(np.array(vals, dtype=object), at, images).tolist()
+            fpoints, fvals = np.insert(fpoints, at, fadded), np.insert(fvals, at, fimages)
     return best
 
 
-def _pull_back(f: PLMap, targets: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """The f-preimages of the ascending ``targets``, ascending, and their images.
+def _pull_back(f: PLMap, targets: list[Fraction], ft: np.ndarray) -> tuple[list, list[int]]:
+    """The f-preimages of the ascending ``targets`` (with floats ``ft``),
+    ascending, and the index in targets of each one's image.
 
     Segments are closed here: a node of f whose value is a target joins
     when one of its segments is not flat.  One walk over the segments in x
@@ -313,31 +321,31 @@ def _pull_back(f: PLMap, targets: list[Fraction]) -> tuple[list[Fraction], list[
     inside its hull.
     """
     xs, ys = f.breakpoints, f.values
-    left, right = rank(targets, ys)
-    on_target = (left < right).tolist()
+    left, right = (r.tolist() for r in rank(targets, ys, ft, f.fy))
     # moving[i]: the segment left of node i is not flat; none lies beyond the ends
     moving = [False, *(a != b for a, b in zip(ys, ys[1:])), False]
-    points, images = [], []
+    points, image_at = [], []
     # node i, then the hits inside segment i; the last node has no segment
-    for i, hits in enumerate([*segment_preimages(f, targets), []]):
-        if on_target[i] and (moving[i] or moving[i + 1]):
+    for i, hits in enumerate([*segment_preimages(f, targets, ft), []]):
+        if left[i] < right[i] and (moving[i] or moving[i + 1]):  # ys[i] is targets[left[i]]
             points.append(xs[i])
-            images.append(ys[i])
+            image_at.append(left[i])
         points.extend(x for x, _ in hits)
-        images.extend(targets[j] for _, j in hits)
-    return points, images
+        image_at.extend(j for _, j in hits)
+    return points, image_at
 
 
-def _covering_log_radius(points: list[Fraction], vals: list[Fraction]) -> float:
+def _covering_log_radius(points: list, vals: list, fpoints: np.ndarray, fvals: np.ndarray) -> float:
     """Spectral radius of the covering matrix over the cells of ``points``.
 
     Partition points, where f takes ``vals``, always include every critical
     point of f, so f is monotone on each cell and cell images are endpoint
     hulls.  Cells are sorted, hence each image covers a contiguous index
     window of cells; rows are stored as (start, stop) windows and the power
-    iteration does its matvec with prefix sums.
+    iteration does its matvec with prefix sums.  ``fpoints`` and ``fvals``
+    are their floats.
     """
-    left, right = rank(points, vals)
+    left, right = rank(points, vals, fpoints, fvals)
     starts = np.minimum(left[:-1], left[1:])  # first point >= the image's low end
     # exclusive: the last point <= the image's high end
     stops = np.maximum(np.maximum(right[:-1], right[1:]) - 1, starts)

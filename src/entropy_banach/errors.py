@@ -22,9 +22,9 @@ class DomainError(EntropyBanachError):
 class ResourceLimitError(EntropyBanachError):
     """A configured resource cap (breakpoints, partition size, rounds) was hit.
 
-    ``achieved`` carries how far the computation got before stopping, and
-    ``bound`` the valid bound that part already certifies, if any, so
-    callers can degrade gracefully instead of failing outright.
+    ``achieved`` carries how far the computation got before stopping, ``needed``
+    at least what it would take, and ``bound`` the valid bound that part already
+    certifies, if any, so callers can degrade gracefully instead of failing outright.
     """
 
     def __init__(self, message: str, *, achieved: int | None = None,

@@ -9,15 +9,18 @@ breakpoints, and images/oscillations/norms are attained at breakpoints.
 
 Everything is immutable and pure.  Orderings of rationals go through one
 float filter (:func:`rank`, :func:`sort_exact`) that leaves only float ties
-to exact comparison.
+to exact comparison; a map converts its breakpoints and values to floats
+once and keeps them.  Each new point (an interpolated value, a preimage) is
+built from integers with one final gcd (:func:`_line`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,6 +57,9 @@ class PLMap:
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    #: the :func:`_floats` of breakpoints and values; converted here unless given
+    fx: np.ndarray = field(default=None, repr=False, compare=False)
+    fy: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         xs, ys = self.breakpoints, self.values
@@ -62,7 +68,10 @@ class PLMap:
         if len(xs) != len(ys):
             raise ConstructionError(
                 f"breakpoints/values length mismatch: {len(xs)} vs {len(ys)}")
-        fx = _floats(xs)  # float order decides every pair but float ties
+        for name, qs in (("fx", xs), ("fy", ys)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, _floats(qs))
+        fx = self.fx  # float order decides every pair but float ties
         if any(xs[i] >= xs[i + 1] for i in np.flatnonzero(fx[:-1] >= fx[1:]).tolist()):
             raise ConstructionError("breakpoints must be strictly increasing")
 
@@ -89,14 +98,15 @@ def _floats(qs: Sequence[Fraction]) -> np.ndarray:
     return np.fromiter(map(_as_float, qs), float, len(qs))
 
 
-def rank(xs: Sequence[Fraction], qs: Sequence[Fraction]) -> tuple[np.ndarray, np.ndarray]:
+def rank(xs: Sequence[Fraction], qs: Sequence[Fraction], fx: np.ndarray,
+         fq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """bisect_left and bisect_right of every q in the ascending xs, exactly.
 
-    Searching the floats brackets each answer by the window of xs whose
-    float equals q's (outside it the float order is the exact order); only
-    those windows are bisected over the rationals.
+    ``fx`` and ``fq`` are the :func:`_floats` of xs and qs.  Searching the
+    floats brackets each answer by the window of xs whose float equals q's
+    (outside it the float order is the exact order); only those windows are
+    bisected over the rationals.
     """
-    fx, fq = _floats(xs), _floats(qs)
     left = np.searchsorted(fx, fq, "left")
     right = np.searchsorted(fx, fq, "right")
     for k in np.flatnonzero(left < right).tolist():
@@ -125,8 +135,18 @@ def eval_at(f: PLMap, x: Fraction) -> Fraction:
 
 def eval_many(f: PLMap, qs: Sequence[Fraction]) -> list[Fraction]:
     """Exact values at the points ``qs``, in any order, located by one :func:`rank`."""
-    left, right = rank(f.breakpoints, qs)
+    left, right = rank(f.breakpoints, qs, f.fx, _floats(qs))
     return _values_at(f, qs, left.tolist(), right.tolist())
+
+
+def _line(a0: Fraction, b0: Fraction, a1: Fraction, b1: Fraction) -> tuple[int, int, int]:
+    """Integers (p, q, r): the line through (a0, b0) and (a1, b1) is s -> (p*s + q) / r;
+    at s = n/d it is (p*n + q*d) / (r*d), so a new point costs one gcd."""
+    (m0, n0), (u0, v0) = a0.as_integer_ratio(), b0.as_integer_ratio()
+    (m1, n1), (u1, v1) = a1.as_integer_ratio(), b1.as_integer_ratio()
+    # ((b1 - b0) s + b0 a1 - b1 a0) / (a1 - a0), times n0 n1 v0 v1 above and below
+    return ((u1 * v0 - u0 * v1) * n0 * n1, u0 * m1 * v1 * n0 - u1 * m0 * v0 * n1,
+            (m1 * n0 - m0 * n1) * v0 * v1)
 
 
 def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
@@ -140,14 +160,16 @@ def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
         elif i == len(xs):
             out.append(ys[-1])
         else:
-            x0, x1 = xs[i - 1], xs[i]
-            y0, y1 = ys[i - 1], ys[i]
-            out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+            p, q, r = _line(xs[i - 1], ys[i - 1], xs[i], ys[i])
+            n, d = x.as_integer_ratio()
+            out.append(Fraction(p * n + q * d, r * d))
     return out
 
 
-def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple, tuple]:
-    """Drop interior nodes where the two adjacent segments share a slope.
+def _prune_collinear(xs: Sequence[Fraction], ys: Sequence[Fraction], fx: np.ndarray,
+                     fy: np.ndarray) -> PLMap:
+    """The map of the nodes (xs, ys), without interior nodes where the two
+    adjacent segments share a slope; fx and fy are the nodes' floats.
 
     Purely a representation normalization: the function is unchanged, and all
     kinks (turning points, slope changes) are preserved.  A node whose two
@@ -155,33 +177,31 @@ def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple, tup
     turn and is kept unexamined: the pruned nodes before it lie on the line
     from the last kept node, so that line falls (or rises) into it too.
     """
-    if len(xs) <= 2:
-        return tuple(xs), tuple(ys)
-    fy = _floats(ys)
     before, mid, after = fy[:-2], fy[1:-1], fy[2:]
     turns = (((before < mid) & (after < mid)) | ((before > mid) & (after > mid))).tolist()
-    keep_x = [xs[0]]
-    keep_y = [ys[0]]
+    keep, last = [True] * len(xs), 0  # last: the last node kept
     for i in range(1, len(xs) - 1):
-        # cross-multiplied slope comparison avoids building new Fractions
-        if turns[i - 1] or ((ys[i] - keep_y[-1]) * (xs[i + 1] - xs[i])
-                            != (ys[i + 1] - ys[i]) * (xs[i] - keep_x[-1])):
-            keep_x.append(xs[i])
-            keep_y.append(ys[i])
-    keep_x.append(xs[-1])
-    keep_y.append(ys[-1])
-    return tuple(keep_x), tuple(keep_y)
+        if not turns[i - 1]:  # drop node i if it lies on the line from node last to node i + 1
+            p, q, r = _line(xs[last], ys[last], xs[i + 1], ys[i + 1])
+            (n, d), (u, v) = xs[i].as_integer_ratio(), ys[i].as_integer_ratio()
+            if (p * n + q * d) * v == u * r * d:
+                keep[i] = False
+                continue
+        last = i
+    return PLMap(tuple(compress(xs, keep)), tuple(compress(ys, keep)), fx[keep], fy[keep])
 
 
-def segment_preimages(g: PLMap,
-                      targets: Sequence[Fraction]) -> Iterator[list[tuple[Fraction, int]]]:
+def segment_preimages(g: PLMap, targets: Sequence[Fraction],
+                      ft: np.ndarray) -> Iterator[list[tuple[Fraction, int]]]:
     """Per segment of g, the pairs (x, j) strictly inside it with g(x) == targets[j].
 
-    ``targets`` ascend; each segment's list is in x order, empty if flat.
-    Composition, the covering partition and certificates all use this loop.
+    ``targets`` ascend and ``ft`` are their floats; each segment's list is
+    in x order, empty if flat.  Composition, the covering partition and
+    certificates all use this loop.
     """
     xs, ys = g.breakpoints, g.values
-    left, right = rank(targets, ys)
+    ratios = [t.as_integer_ratio() for t in targets]
+    left, right = rank(targets, ys, ft, g.fy)
     # targets strictly inside the value range of each segment: bisect_right
     # of its lower end value up to bisect_left of its upper one
     starts = np.minimum(right[:-1], right[1:]).tolist()
@@ -190,11 +210,11 @@ def segment_preimages(g: PLMap,
         if a >= b:  # every flat segment lands here too
             yield []
             continue
-        x0, y0, y1 = xs[i], ys[i], ys[i + 1]
-        scale = (xs[i + 1] - x0) / (y1 - y0)
-        # a falling segment meets ascending targets right to left
-        order = range(a, b) if y0 < y1 else range(b - 1, a - 1, -1)
-        yield [(x0 + (targets[j] - y0) * scale, j) for j in order]
+        p, q, r = _line(ys[i], xs[i], ys[i + 1], xs[i + 1])  # x as a function of y
+        # a falling segment (r < 0) meets ascending targets right to left
+        order = range(a, b) if r > 0 else range(b - 1, a - 1, -1)
+        yield [(Fraction(p * ratios[j][0] + q * ratios[j][1], r * ratios[j][1]), j)
+               for j in order]
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
@@ -206,26 +226,27 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     :class:`ResourceLimitError` when they exceed BREAKPOINT_CAP.
     """
     limit = BREAKPOINT_CAP
-    gx, gy = g.breakpoints, g.values
-    fy, fgy = f.values, eval_many(f, gy)
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    found = 0
-    for i, hits in enumerate(segment_preimages(g, f.breakpoints)):
+    gx, gy, fvals = g.breakpoints, g.values, f.values
+    fgy = _values_at(f, gy, *(r.tolist() for r in rank(f.breakpoints, gy, f.fx, g.fy)))
+    xs, ys, counts, hit_j = [], [], [], []  # counts: hits per segment of g
+    for i, hits in enumerate(segment_preimages(g, f.breakpoints, f.fx)):
         xs.append(gx[i])
         ys.append(fgy[i])
-        if not hits:
-            continue
-        found += len(hits)
-        _check_cap(len(gx) + found, limit)
-        for x, j in hits:
-            xs.append(x)
-            ys.append(fy[j])
-    _check_cap(len(gx) + found, limit)  # g alone may exceed it
+        counts.append(len(hits))
+        if hits:
+            hit_j.extend(j for _, j in hits)
+            _check_cap(len(gx) + len(hit_j), limit)
+            xs.extend(x for x, _ in hits)
+            ys.extend(fvals[j] for _, j in hits)
+    _check_cap(len(gx) + len(hit_j), limit)  # g alone may exceed it
     xs.append(gx[-1])
     ys.append(fgy[-1])
-    xs, ys = _prune_collinear(xs, ys)
-    return PLMap(xs, ys)
+    on_g = np.zeros(len(xs), dtype=bool)  # g's node i follows the hits of segments before it
+    on_g[np.arange(len(gx)) + np.cumsum([0, *counts])] = True
+    fx, fy = np.empty(len(xs)), np.empty(len(xs))
+    fx[on_g], fy[on_g], fy[~on_g] = g.fx, _floats(fgy), f.fy[hit_j]
+    fx[~on_g] = _floats([x for x, node in zip(xs, on_g.tolist()) if not node])
+    return _prune_collinear(xs, ys, fx, fy)
 
 
 def _check_cap(needed: int, limit: int) -> None:
@@ -242,8 +263,7 @@ def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
     single run.  Consecutive runs share their turning breakpoint.  Segment
     slopes take their signs from the floats; float ties are compared exactly.
     """
-    ys = f.values
-    fy = _floats(ys)
+    ys, fy = f.values, f.fy
     signs = (fy[1:] > fy[:-1]).astype(np.int8) - (fy[1:] < fy[:-1])
     for i in np.flatnonzero(signs == 0).tolist():
         if ys[i + 1] != ys[i]:
@@ -268,7 +288,7 @@ def crop(f: PLMap, a, b) -> PLMap:
     if a >= b:
         raise DomainError(f"crop needs a < b, got [{a}, {b}]")
     xs, ys = f.breakpoints, f.values
-    left, right = (r.tolist() for r in rank(xs, [a, b]))
+    left, right = (r.tolist() for r in rank(xs, [a, b], f.fx, _floats([a, b])))
     f_a, f_b = _values_at(f, [a, b], left, right)
     inner = slice(right[0], left[1])  # the breakpoints strictly inside (a, b)
     return PLMap((a, *xs[inner], b), (f_a, *ys[inner], f_b))
@@ -287,14 +307,13 @@ def linear_combination(coeffs: Sequence, fs: Sequence[PLMap]) -> PLMap:
         vals = eval_many(f, all_x)
         for i, v in enumerate(vals):
             totals[i] += c * v
-    xs, ys = _prune_collinear(all_x, totals)
-    return PLMap(xs, ys)
+    return _prune_collinear(all_x, totals, _floats(all_x), _floats(totals))
 
 
 def scale(f: PLMap, c) -> PLMap:
     """c * f, keeping the breakpoint set."""
     c = Fraction(c)
-    return PLMap(f.breakpoints, tuple(c * y for y in f.values))
+    return PLMap(f.breakpoints, tuple(c * y for y in f.values), f.fx)
 
 
 def image_intervals(f: PLMap, Js: Sequence[IntervalQ]) -> list[IntervalQ]:
@@ -304,7 +323,7 @@ def image_intervals(f: PLMap, Js: Sequence[IntervalQ]) -> list[IntervalQ]:
     lie between its lower end's bisect_right and its upper end's bisect_left.
     """
     ends = [q for J in Js for q in (J.lo, J.hi)]
-    left, right = (r.tolist() for r in rank(f.breakpoints, ends))
+    left, right = (r.tolist() for r in rank(f.breakpoints, ends, f.fx, _floats(ends)))
     vals = _values_at(f, ends, left, right)
     spans = [[vals[k], vals[k + 1], *f.values[right[k]:left[k + 1]]]
              for k in range(0, len(ends), 2)]

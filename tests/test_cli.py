@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from entropy_banach import cli, entropy, plmap
 from entropy_banach.checks import TENT, CheckResult
+from entropy_banach.errors import ResourceLimitError
 
 CLI = [sys.executable, "-m", "entropy_banach.cli"]
 
@@ -355,6 +356,28 @@ def test_ell1_far_above_the_cap_exits_with_one_line():
     assert (code, out) == (3, "")
     assert lines == ["error: the level-16003 sign member needs 2^16004 breakpoints, "
                      "above the cap of 2000000"]
+
+
+def test_ell1_a_billion_steps_reports_a_small_needed(monkeypatch):
+    # step 10^9's sign member needs 2^2000000004 breakpoints; the error's
+    # needed is a lower bound just above the cap, not that 2-billion-bit count
+    raised = []
+
+    def check(N):
+        try:
+            real(N)
+        except ResourceLimitError as exc:
+            raised.append(exc)
+            raise
+
+    real = cli._check_sign_cap
+    monkeypatch.setattr(cli, "_check_sign_cap", check)
+    code, out, lines = _main("ell1", "--steps", "1000000000")
+    assert (code, out) == (3, "")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    cap = plmap.BREAKPOINT_CAP
+    assert len(raised) == 1 and raised[0].cap == cap
+    assert cap < raised[0].needed and raised[0].needed.bit_length() <= cap.bit_length() + 1
 
 
 def test_help_exits_0():

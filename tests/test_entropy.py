@@ -32,6 +32,7 @@ from entropy_banach.entropy import (
 from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
     IntervalQ,
+    _floats,
     compose,
     crop,
     eval_at,
@@ -411,9 +412,9 @@ def test_markov_scan_stops_when_the_partition_closes(monkeypatch):
     calls = []
     real = entropy._covering_log_radius
 
-    def radius(points, vals):
+    def radius(points, vals, *floats):
         calls.append(points)
-        return real(points, vals)
+        return real(points, vals, *floats)
 
     monkeypatch.setattr(entropy, "_covering_log_radius", radius)
     assert entropy_lower_markov(make_pl([0, F(1, 2), 1], [F(1, 2), 1, 1]), 5) == 0.0
@@ -464,11 +465,13 @@ def test_markov_partitions_match_golden(monkeypatch, name):
     rounds = []
     real = entropy._covering_log_radius
 
-    def record(points, vals):
+    def record(points, vals, fpoints, fvals):
         assert vals == [eval_at(g, x) for x in points]
+        assert fpoints.tolist() == _floats(points).tolist()
+        assert fvals.tolist() == _floats(vals).tolist()
         text = "\n".join(qstr(x) for x in points)
         rounds.append([len(points), hashlib.sha256(text.encode()).hexdigest()])
-        return real(points, vals)
+        return real(points, vals, fpoints, fvals)
 
     monkeypatch.setattr(entropy, "_covering_log_radius", record)
     entropy_lower_markov(g, 8)
@@ -482,13 +485,14 @@ def test_pull_back_gets_only_last_rounds_points(monkeypatch):
     partitions, pulled = [], []
     real_radius, real_pull_back = entropy._covering_log_radius, entropy._pull_back
 
-    def radius(points, vals):
+    def radius(points, vals, *floats):
         partitions.append(list(points))
-        return real_radius(points, vals)
+        return real_radius(points, vals, *floats)
 
-    def pull_back(f, targets):
+    def pull_back(f, targets, ft):
         pulled.append(list(targets))
-        return real_pull_back(f, targets)
+        assert ft.tolist() == _floats(targets).tolist()
+        return real_pull_back(f, targets, ft)
 
     monkeypatch.setattr(entropy, "_covering_log_radius", radius)
     monkeypatch.setattr(entropy, "_pull_back", pull_back)
@@ -503,10 +507,11 @@ def pull_back_oracle(f, targets):
     """_pull_back before the left-to-right walk: a dict point -> image,
     deduplicating nodes reached from both of their segments."""
     xs, ys = f.breakpoints, f.values
-    left, right = rank(targets, ys)
+    ft = _floats(targets)
+    left, right = rank(targets, ys, ft, _floats(ys))
     on_target = (left < right).tolist()
     found = {}
-    for i, hits in enumerate(segment_preimages(f, targets)):
+    for i, hits in enumerate(segment_preimages(f, targets, ft)):
         if ys[i] != ys[i + 1]:
             found.update((xs[k], ys[k]) for k in (i, i + 1) if on_target[k])
         found.update((x, targets[j]) for x, j in hits)
@@ -537,9 +542,9 @@ def pull_back_cases(draw):
 def test_pull_back_walk_matches_oracle(case):
     f, targets = case
     expected = pull_back_oracle(f, targets)
-    points, images = entropy._pull_back(f, targets)
+    points, image_at = entropy._pull_back(f, targets, _floats(targets))
     assert points == sort_exact(expected)
-    assert images == [expected[x] for x in points]
+    assert [targets[j] for j in image_at] == [expected[x] for x in points]
 
 
 def covering_rows_oracle(points, vals):
@@ -559,9 +564,9 @@ def test_covering_rows_match_oracle(monkeypatch, name):
     seen = []
     real_radius, real_rows = entropy._covering_log_radius, entropy._interval_rows_radius
 
-    def radius(points, vals):
+    def radius(points, vals, *floats):
         seen.append(covering_rows_oracle(points, vals))
-        return real_radius(points, vals)
+        return real_radius(points, vals, *floats)
 
     def rows(starts, stops):
         assert (starts.tolist(), stops.tolist()) == seen[-1]

@@ -12,6 +12,7 @@ from entropy_banach.dial import theta
 from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
     IntervalQ,
+    _floats,
     compose,
     crop,
     eval_at,
@@ -180,6 +181,22 @@ def near_tie_maps(draw, max_nodes=12):
             ys.append(draw(st.builds(lambda k, j: F(k, 3) + j * _TINY,
                                      st.integers(0, 3), st.integers(-1, 1))))
     return make_pl(xs, ys)
+
+
+_HUGE = 2 ** 1024  # just past the largest float
+
+
+@st.composite
+def far_maps(draw, max_nodes=10):
+    """The maps above in affine charts past the float range: every node's
+    float is infinite, or the nodes straddle the largest float; reflections
+    make rising segments fall."""
+    f = draw(st.one_of(near_tie_maps(max_nodes), pl_maps(max_nodes)))
+    charts = st.tuples(st.sampled_from([1, -1, 2 ** 968, -2 ** 968]),
+                       st.sampled_from([0, _HUGE, -_HUGE, _HUGE - 2 ** 970]))
+    (sx, tx), (sy, ty) = draw(charts), draw(charts)
+    nodes = sorted((sx * x + tx, sy * y + ty) for x, y in zip(f.breakpoints, f.values))
+    return make_pl([x for x, _ in nodes], [y for _, y in nodes])
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +414,7 @@ _COLLIDING = st.one_of(
 def test_rank_equals_bisect(xs, qs, data):
     xs = sorted(xs)  # duplicates kept
     qs = qs + data.draw(st.lists(st.sampled_from(xs), max_size=10)) if xs else qs
-    left, right = rank(xs, qs)
+    left, right = rank(xs, qs, _floats(xs), _floats(qs))
     assert left.tolist() == [bisect_left(xs, q) for q in qs]
     assert right.tolist() == [bisect_right(xs, q) for q in qs]
 
@@ -443,19 +460,29 @@ def segment_preimages_oracle(g, targets):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)))
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps()))
 def test_prune_collinear_matches_oracle(f):
     xs, ys = list(f.breakpoints), list(f.values)
-    assert plmap._prune_collinear(xs, ys) == prune_collinear_oracle(xs, ys)
+    pruned = plmap._prune_collinear(xs, ys, _floats(xs), _floats(ys))
+    assert (pruned.breakpoints, pruned.values) == prune_collinear_oracle(xs, ys)
+
+
+def between(qs):
+    """Points on the chords of consecutive qs, ends included."""
+    return st.builds(lambda i, t: qs[i] + (qs[i + 1] - qs[i]) * t,
+                     st.integers(0, len(qs) - 2), st.fractions(0, 1, max_denominator=7))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps()), st.data())
 def test_segment_preimages_matches_oracle(g, data):
     extra = data.draw(st.lists(st.builds(lambda k, j: F(k, 3) + j * _TINY,
                                          st.integers(-1, 4), st.integers(-1, 1)), max_size=6))
+    if len(g) > 1:  # values crossed inside segments, also far past the float range
+        extra += data.draw(st.lists(between(g.values), max_size=6))
     targets = sorted(set(extra) | set(data.draw(st.lists(st.sampled_from(g.values)))))
-    assert list(segment_preimages(g, targets)) == list(segment_preimages_oracle(g, targets))
+    assert (list(segment_preimages(g, targets, _floats(targets)))
+            == list(segment_preimages_oracle(g, targets)))
 
 
 def eval_at_oracle(f, x):
@@ -489,16 +516,18 @@ def crop_oracle(f, a, b):
 
 
 def probe_points(f):
-    """f's breakpoints, rationals 2^-70 apart (one float), and points off f's domain."""
+    """f's breakpoints and points between them, rationals 2^-70 apart (one
+    float), and points off f's domain."""
     return st.one_of(
         st.sampled_from(f.breakpoints),
+        between(f.breakpoints) if len(f) > 1 else st.nothing(),
         st.builds(lambda k, j: F(k, 6) + j * _TINY, st.integers(-3, 15), st.integers(-1, 1)),
         st.fractions(min_value=-5, max_value=5, max_denominator=16),
         st.builds(lambda s, k: s * (5 + F(k, 3)), st.sampled_from([-1, 1]), st.integers(0, 3)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
+@given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps()), st.data())
 def test_eval_many_any_order_matches_eval_at(f, data):
     # unsorted points, repeats, points outside the domain and float ties
     qs = data.draw(st.lists(probe_points(f), max_size=20))
@@ -563,3 +592,14 @@ def test_breakpoint_order_check_on_float_ties(xs, ascending):
         assert not increasing
     else:
         assert increasing
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(near_tie_maps(), far_maps()), st.one_of(near_tie_maps(), far_maps()), st.data())
+def test_cached_floats_are_the_floats_of_the_tuples(f, g, data):
+    # every way a map is made: given tuples, composition and pruning, crop, scale
+    a, b = data.draw(st.lists(probe_points(f), min_size=2, max_size=2, unique=True))
+    for h in (f, compose(f, g), compose(g, f), crop(f, min(a, b), max(a, b)), scale(f, F(-2, 3)),
+              linear_combination([1, F(1, 3)], [f, g])):
+        assert h.fx.tolist() == _floats(h.breakpoints).tolist()
+        assert h.fy.tolist() == _floats(h.values).tolist()
