@@ -30,7 +30,6 @@ from .plmap import (
     eval_at,
     eval_many,
     linear_combination,
-    make_pl,
     oscillation,
 )
 from .rational import pow2_floor
@@ -104,18 +103,22 @@ def _check_sign_cap(N: int) -> None:
 
 
 def _sign_member(level: int, delta: Fraction) -> PLMap:
+    """+1, -1, ... on the 2^level cells, with ramps over the cuts k/2^level +- delta.
+
+    Each cut point is made from integers, (k q +- p 2^level) / (q 2^level)
+    for delta = p/q, with one gcd.
+    """
     cells = 2 ** level
-    xs = [Fraction(0)]
-    ys = [Fraction(1)]
+    p, q = delta.as_integer_ratio()
+    den, step = q * cells, p * cells
+    plus, minus = Fraction(1), Fraction(-1)
+    xs, ys = [Fraction(0)], [plus]
     for k in range(1, cells):
-        cut = Fraction(k, cells)
-        before = (-1) ** (k - 1)
-        after = (-1) ** k
-        xs.extend([cut - delta, cut + delta])
-        ys.extend([Fraction(before), Fraction(after)])
+        xs += (Fraction(k * q - step, den), Fraction(k * q + step, den))
+        ys += (plus, minus) if k % 2 else (minus, plus)
     xs.append(Fraction(1))
-    ys.append(Fraction((-1) ** (cells - 1)))
-    return make_pl(xs, ys)
+    ys.append(minus)  # the last cell has an odd index
+    return PLMap(tuple(xs), tuple(ys))
 
 
 def build_rademacher(N: int, delta) -> RademacherModel:
@@ -269,7 +272,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
                 f"({epsilon} + {osc} >= {slack})")
 
         block = build_rademacher(n_m, delta)
-        members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values)
+        members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values, fy=g.fy)
                    for g in block.members]
 
         rows = tuple(range(2, m + 5))  # m+3 rows, row 1 stays zero

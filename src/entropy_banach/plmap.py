@@ -11,7 +11,8 @@ Everything is immutable and pure.  Orderings of rationals go through one
 float filter (:func:`rank`, :func:`sort_exact`) that leaves only float ties
 to exact comparison; a map converts its breakpoints and values to floats
 once and keeps them.  Each new point (an interpolated value, a preimage) is
-built from integers with one final gcd (:func:`_line`).
+built from integers with one final gcd (:func:`_line`), and so is each value
+of a linear combination.
 """
 
 from __future__ import annotations
@@ -151,8 +152,13 @@ def _line(a0: Fraction, b0: Fraction, a1: Fraction, b1: Fraction) -> tuple[int, 
 
 def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
                right: list[int]) -> list[Fraction]:
-    """Values at ``qs`` from their bisect_left and bisect_right in f.breakpoints."""
+    """Values at ``qs`` from their bisect_left and bisect_right in f.breakpoints.
+
+    Consecutive points in one segment share its :func:`_line`; a flat
+    segment (slope p = 0) gives its node value with no arithmetic.
+    """
     xs, ys = f.breakpoints, f.values
+    seg, p, q, r = 0, 0, 0, 1  # the line of the segment (xs[seg - 1], xs[seg])
     out: list[Fraction] = []
     for x, i, j in zip(qs, left, right):
         if i < j or i == 0:  # x is a breakpoint, or left of the domain
@@ -160,9 +166,13 @@ def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
         elif i == len(xs):
             out.append(ys[-1])
         else:
-            p, q, r = _line(xs[i - 1], ys[i - 1], xs[i], ys[i])
-            n, d = x.as_integer_ratio()
-            out.append(Fraction(p * n + q * d, r * d))
+            if i != seg:
+                seg, (p, q, r) = i, _line(xs[i - 1], ys[i - 1], xs[i], ys[i])
+            if p:
+                n, d = x.as_integer_ratio()
+                out.append(Fraction(p * n + q * d, r * d))
+            else:
+                out.append(ys[i])
     return out
 
 
@@ -295,19 +305,32 @@ def crop(f: PLMap, a, b) -> PLMap:
 
 
 def linear_combination(coeffs: Sequence, fs: Sequence[PLMap]) -> PLMap:
-    """Exact PL map of sum(a_i * f_i) on the union of breakpoint sets."""
+    """Exact PL map of sum(a_i * f_i) on the union of breakpoint sets.
+
+    Each value is summed as one integer pair (numerator, denominator) and
+    made a Fraction once, so one gcd per output value.
+    """
     if not fs or len(coeffs) != len(fs):
         raise ConstructionError("need equally many coefficients and maps, at least one")
     cs = [Fraction(c) for c in coeffs]
     all_x = sort_exact(set().union(*(f.breakpoints for f in fs)))
-    totals = [Fraction(0)] * len(all_x)
+    fx = _floats(all_x)
+    nums, dens = [0] * len(all_x), [1] * len(all_x)
     for c, f in zip(cs, fs):
         if c == 0:
             continue
-        vals = eval_many(f, all_x)
-        for i, v in enumerate(vals):
-            totals[i] += c * v
-    return _prune_collinear(all_x, totals, _floats(all_x), _floats(totals))
+        a, b = c.as_integer_ratio()
+        left, right = (r.tolist() for r in rank(f.breakpoints, all_x, f.fx, fx))
+        for k, v in enumerate(_values_at(f, all_x, left, right)):
+            u, w = v.as_integer_ratio()
+            d = b * w
+            if d == dens[k]:
+                nums[k] += a * u
+            else:  # n/e + a u/(b w) = (n b w + a u e) / (e b w)
+                nums[k] = nums[k] * d + a * u * dens[k]
+                dens[k] *= d
+    totals = [Fraction(n, d) for n, d in zip(nums, dens)]
+    return _prune_collinear(all_x, totals, fx, _floats(totals))
 
 
 def scale(f: PLMap, c) -> PLMap:

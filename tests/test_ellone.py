@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_banach.ellone import (
+    _sign_member,
     build_An,
     build_rademacher,
     ell1_witness,
@@ -19,7 +20,7 @@ from entropy_banach.ellone import (
 from entropy_banach.entropy import validate_certificate
 from entropy_banach import plmap
 from entropy_banach.errors import DomainError, ResourceLimitError
-from entropy_banach.plmap import PLMap, eval_at, linear_combination, sup_norm
+from entropy_banach.plmap import PLMap, eval_at, linear_combination, make_pl, sup_norm
 from entropy_banach.spaces import solve_linear_system
 
 A8_PRINTED = (
@@ -94,6 +95,29 @@ def test_model_level_one_profile():
     assert eval_at(f1, F(1, 2) - F(1, 16)) == 1
     assert eval_at(f1, F(1, 2) + F(1, 16)) == -1
     assert eval_at(f1, F(1)) == -1
+
+
+def sign_member_oracle(level, delta):
+    """_sign_member before the integer cut points: Fraction sums through make_pl."""
+    cells = 2 ** level
+    xs, ys = [F(0)], [F(1)]
+    for k in range(1, cells):
+        cut = F(k, cells)
+        xs.extend([cut - delta, cut + delta])
+        ys.extend([F((-1) ** (k - 1)), F((-1) ** k)])
+    xs.append(F(1))
+    ys.append(F((-1) ** (cells - 1)))
+    return make_pl(xs, ys)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_sign_member_matches_oracle(level):
+    deltas = [d for d in (F(1, 64), F(1, 4096), F(1, 2 ** 16)) if d < max_admissible_delta(level)]
+    assert deltas
+    for delta in deltas:
+        f, expected = _sign_member(level, delta), sign_member_oracle(level, delta)
+        assert (f.breakpoints, f.values) == (expected.breakpoints, expected.values)
+        assert (f.fx.tolist(), f.fy.tolist()) == (expected.fx.tolist(), expected.fy.tolist())
 
 
 def test_model_all_patterns_realized():

@@ -394,6 +394,11 @@ def test_sample_pl_rejects_non_finite():
 def test_eval_many_agrees_with_eval_at():
     xs = [F(k, 7) - 1 for k in range(20)]
     assert eval_many(TENT, xs) == [eval_at_oracle(TENT, x) for x in xs]
+    # runs of points inside a flat, a rising and a falling segment, both ways round
+    f = make_pl([0, 1, 2, 3], [F(1, 3), F(1, 3), F(5, 2), F(-7, 4)])
+    up = [F(k, 9) for k in range(1, 27) if k % 9]
+    for xs in (up, up[::-1], up[::2] + up[1::2]):
+        assert eval_many(f, xs) == [eval_at_oracle(f, x) for x in xs]
 
 
 # --- the float-filtered rank kernel ------------------------------------------
@@ -467,6 +472,46 @@ def test_prune_collinear_matches_oracle(f):
     assert (pruned.breakpoints, pruned.values) == prune_collinear_oracle(xs, ys)
 
 
+def linear_combination_oracle(coeffs, fs):
+    """linear_combination before the integer sums: one Fraction product and
+    one Fraction sum per member and point."""
+    all_x = sort_exact(set().union(*(f.breakpoints for f in fs)))
+    totals = [F(0)] * len(all_x)
+    for c, f in zip(map(F, coeffs), fs):
+        if c == 0:
+            continue
+        for i, v in enumerate(eval_many(f, all_x)):
+            totals[i] += c * v
+    return prune_collinear_oracle(all_x, totals)
+
+
+_COEFFS = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                    st.builds(lambda k, j: F(k, 3) + j * _TINY, st.integers(-3, 3), st.integers(-1, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COEFFS, st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps())),
+                min_size=1, max_size=4),
+       st.sampled_from(["plain", "cancel", "disjoint"]), st.data())
+def test_linear_combination_matches_oracle(terms, case, data):
+    coeffs, fs = (list(t) for t in zip(*terms))
+    if case == "cancel":  # sum c f - c (f + s): the constant -sum c s
+        coeffs, fs = coeffs[:2], fs[:2]
+        shifts = data.draw(st.lists(st.fractions(-2, 2, max_denominator=5),
+                                    min_size=len(fs), max_size=len(fs)))
+        fs += [make_pl(f.breakpoints, [y + s for y in f.values]) for f, s in zip(fs, shifts)]
+        coeffs += [-c for c in coeffs]
+    elif case == "disjoint" and len(fs) > 1:  # the last member right of all the others
+        right = max(f.breakpoints[-1] for f in fs[:-1]) + 1 - fs[-1].breakpoints[0]
+        fs[-1] = make_pl([x + right for x in fs[-1].breakpoints], fs[-1].values)
+    h = linear_combination(coeffs, fs)
+    assert (h.breakpoints, h.values) == linear_combination_oracle(coeffs, fs)
+    assert h.fx.tolist() == _floats(h.breakpoints).tolist()
+    assert h.fy.tolist() == _floats(h.values).tolist()
+    if case == "cancel":
+        assert len(set(h.values)) == 1
+
+
 def between(qs):
     """Points on the chords of consecutive qs, ends included."""
     return st.builds(lambda i, t: qs[i] + (qs[i + 1] - qs[i]) * t,
@@ -526,11 +571,26 @@ def probe_points(f):
         st.builds(lambda s, k: s * (5 + F(k, 3)), st.sampled_from([-1, 1]), st.integers(0, 3)))
 
 
+def segment_run(f):
+    """Points inside one segment of f (flat, rising or falling), ascending or descending."""
+    xs = f.breakpoints
+    return st.builds(lambda i, ts, down: sorted((xs[i] + (xs[i + 1] - xs[i]) * t for t in ts),
+                                                reverse=down),
+                     st.integers(0, len(xs) - 2),
+                     st.lists(st.fractions(0, 1, max_denominator=9), min_size=2, max_size=5),
+                     st.booleans())
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps()), st.data())
 def test_eval_many_any_order_matches_eval_at(f, data):
-    # unsorted points, repeats, points outside the domain and float ties
+    # unsorted points, repeats, points outside the domain and float ties,
+    # and runs of points that share a segment
     qs = data.draw(st.lists(probe_points(f), max_size=20))
+    if len(f) > 1:
+        for run in data.draw(st.lists(segment_run(f), max_size=3)):
+            k = data.draw(st.integers(0, len(qs)))
+            qs[k:k] = run
     expected = [eval_at_oracle(f, q) for q in qs]
     assert eval_many(f, qs) == expected
     assert [eval_at(f, q) for q in qs] == expected
