@@ -223,7 +223,7 @@ def criterion_7(seed: int) -> tuple[bool, str]:
         if sup_norm(combo) != sum(abs(c) for c in coeffs):
             return False, f"isometry failed at sample {i}"
     pattern = [rng.choice((-1, 1)) for _ in range(8)]
-    x = sign_point(model, pattern)
+    x = sign_point(model.N, pattern)
     if [eval_at(m, x) for m in model.members] != [Fraction(p) for p in pattern]:
         return False, "sign point does not realize its pattern"
     report = ell1_witness(Fraction(1, 4096), 3, gamma_schedule(3, 2))

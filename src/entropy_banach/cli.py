@@ -25,7 +25,7 @@ from .dial import (
     find_a_star,
     r_of_a,
 )
-from .ellone import _check_sign_cap, ell1_witness, gamma_schedule
+from .ellone import _check_witness_cap, ell1_witness, gamma_schedule
 from .entropy import entropy_bounds, horseshoe_max
 from .errors import EntropyBanachError, FormatError, ResourceLimitError
 from .plmap import PLMap
@@ -37,6 +37,7 @@ from .serialize import (
     dumps,
     pl_from_obj,
     pl_to_obj,
+    witness_to_obj,
     write_polyline,
 )
 from .spaces import FunctionFamily, horseshoe_combination, independent_points
@@ -147,8 +148,7 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_ell1(args) -> int:
-    from .serialize import witness_to_obj
-    _check_sign_cap(2 * args.steps + 3)  # before the schedule, whose size grows with steps
+    _check_witness_cap(args.steps)  # before the schedule, whose size grows with steps
     schedule = gamma_schedule(args.steps, parse_q(args.tail_factor))
     delta = (Fraction(1, 2 ** max(12, 2 * args.steps + 6)) if args.delta is None
              else parse_q(args.delta))

@@ -12,7 +12,8 @@ m+3 sign-pattern points inside it realizing chosen rows of the alternating
 sign matrix A_n, and solves A_n alpha = beta in closed form so that the
 accumulated sum alternates across J(m) by +-gamma_m.  The gamma schedule
 dominates everything later steps can add, so each step certifies an
-(m+2)-horseshoe of the single final function.
+(m+2)-horseshoe of the single final function; it builds only the members
+with a nonzero coefficient, all at levels m+4 and below.
 """
 
 from __future__ import annotations
@@ -93,13 +94,18 @@ def max_admissible_delta(N: int) -> Fraction:
     return Fraction(1, 2 ** (N + 2))
 
 
-def _check_sign_cap(N: int) -> None:
-    """The level-N sign member has 2^(N+1) breakpoints; the breakpoint cap bounds them."""
+def _check_cap(exponent: int, needs: str) -> None:
+    """Raise unless 2^exponent breakpoints fit under the cap; ``needs`` starts the message."""
     cap = plmap.BREAKPOINT_CAP
-    if N + 1 >= cap.bit_length():  # 2^(N+1) > cap, compared without the count's digits
-        # needed: the first power of two above the cap, a lower bound on 2^(N+1)
-        raise ResourceLimitError(f"the level-{N} sign member needs 2^{N + 1} breakpoints, "
-                                 f"above the cap of {cap}", needed=2 ** cap.bit_length(), cap=cap)
+    if exponent >= cap.bit_length():  # 2^exponent > cap, compared without the count's digits
+        # needed: the first power of two above the cap, a lower bound on 2^exponent
+        raise ResourceLimitError(f"{needs} 2^{exponent} breakpoints, above the cap of {cap}",
+                                 needed=2 ** cap.bit_length(), cap=cap)
+
+
+def _check_witness_cap(M: int) -> None:
+    """Step m's members share its level-(m+4) cuts: sum 2^(m+5) < 2^(M+6) breakpoints."""
+    _check_cap(M + 6, f"the {M}-step witness needs up to")
 
 
 def _sign_member(level: int, delta: Fraction) -> PLMap:
@@ -129,20 +135,20 @@ def build_rademacher(N: int, delta) -> RademacherModel:
     limit = max_admissible_delta(N)
     if not 0 < delta < limit:
         raise DomainError(f"delta must lie in (0, {limit}) for N={N}, got {delta}")
-    _check_sign_cap(N)
+    _check_cap(N + 1, f"the level-{N} sign member needs")
     members = tuple(_sign_member(i, delta) for i in range(1, N + 1))
     return RademacherModel(N=N, delta=delta, members=members)
 
 
-def sign_point(model: RademacherModel, pattern: Sequence[int]) -> Fraction:
-    """Midpoint of a cell where member i equals pattern_i for all given i.
+def sign_point(N: int, pattern: Sequence[int]) -> Fraction:
+    """Midpoint of a level-N cell where the level-i member equals pattern_i for all given i.
 
     Every pattern is realized: the level-N cell with index bits chosen from
     the pattern (bit set where the sign is -1) works; unspecified levels get
     the +1 side.  The empty pattern returns 1/2 by convention.
     """
-    if len(pattern) > model.N:
-        raise DomainError(f"pattern longer than the model ({len(pattern)} > {model.N})")
+    if len(pattern) > N:
+        raise DomainError(f"pattern longer than the model ({len(pattern)} > {N})")
     if any(s not in (-1, 1) for s in pattern):
         raise DomainError("patterns are lists of +1/-1")
     if not pattern:
@@ -150,8 +156,8 @@ def sign_point(model: RademacherModel, pattern: Sequence[int]) -> Fraction:
     cell = 0
     for i, s in enumerate(pattern, start=1):
         if s == -1:
-            cell += 1 << (model.N - i)
-    return Fraction(2 * cell + 1, 2 ** (model.N + 1))
+            cell += 1 << (N - i)
+    return Fraction(2 * cell + 1, 2 ** (N + 1))
 
 
 # --- the gamma schedule ------------------------------------------------------------
@@ -228,14 +234,14 @@ class WitnessReport:
 def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
     """Run the staged construction for M steps and certify every stage.
 
-    ``delta`` is the relative ramp half-width used inside each block's scaled
-    sign system.  Blocks are nested: block m is a copy of the (2m+3)-member
-    model compressed into the window [0, epsilon_m] lying inside the all-plus
-    plateau of every earlier block, so earlier partial sums are exactly
-    constant on J(m) and later blocks contribute exactly zero at the step's
-    points (their coefficients sum to zero against a constant sign).  The
-    partial sum g_m = g_{m-1} + block m is kept as one pruned map, which
-    holds exactly the domain ends and the kinks of the full sum.
+    ``delta`` is the relative ramp half-width of step m's (2m+3)-member sign
+    model.  Blocks are nested: block m sums alpha_i times the level-i member,
+    built only where alpha_i != 0, compressed into the window [0, epsilon_m]
+    inside the all-plus plateau of every earlier block, so earlier partial
+    sums are exactly constant on J(m) and later blocks contribute exactly
+    zero at the step's points (their coefficients sum to zero against a
+    constant sign).  g_m = g_{m-1} + block m is kept as one pruned map,
+    which holds exactly the domain ends and the kinks of the full sum.
     """
     if M < 1:
         raise DomainError(f"need M >= 1, got {M}")
@@ -246,10 +252,9 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
         limit = max_admissible_delta(2 * m + 3)
         if not 0 < delta < limit:
             raise DomainError(f"step {m} needs relative delta below {limit}, got {delta}")
-    _check_sign_cap(2 * M + 3)
+    _check_witness_cap(M)
 
-    x0 = Fraction(0)
-    l1 = Fraction(0)
+    x0 = l1 = Fraction(0)
     pending: list[dict] = []
     f: PLMap | None = None  # the partial sum g_{m-1}; g_0 = 0
     epsilon_prev = plateau_prev = Fraction(0)
@@ -271,13 +276,9 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
                 f"step {m}: oscillation condition fails "
                 f"({epsilon} + {osc} >= {slack})")
 
-        block = build_rademacher(n_m, delta)
-        members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values, fy=g.fy)
-                   for g in block.members]
-
         rows = tuple(range(2, m + 5))  # m+3 rows, row 1 stays zero
         matrix = build_An(n_m)
-        rel_pos = {r: sign_point(block, matrix.row(r)) for r in rows}
+        rel_pos = {r: sign_point(n_m, matrix.row(r)) for r in rows}
         ordered = sorted(rows, key=lambda r: rel_pos[r])
         points = tuple(rel_pos[r] * epsilon for r in ordered)
 
@@ -291,8 +292,11 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
                 f"step {m}: coefficients fail A alpha = beta, |alpha| <= gamma "
                 f"or at most {2 * (m + 3)} nonzeros")
 
+        used = [i for i, a in enumerate(alpha, start=1) if a != 0]  # levels m + 4 and below
+        members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values, fy=g.fy)
+                   for g in (_sign_member(i, delta) for i in used)]
         head = [] if f is None else [f]
-        f = linear_combination([1] * len(head) + alpha, head + members)
+        f = linear_combination([1] * len(head) + [alpha[i - 1] for i in used], head + members)
         l1 += sum(abs(a) for a in alpha)
         epsilon_prev = epsilon
         plateau_prev = epsilon * (Fraction(1, 2 ** n_m) - delta)
@@ -304,10 +308,8 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
 
     steps: list[WitnessStep] = []
     for record in pending:
-        pts = record["points"]
-        m = record["m"]
+        m, pts, epsilon = record["m"], record["points"], record["epsilon"]
         gamma_m = schedule.gammas[m - 1]
-        epsilon = record["epsilon"]
         for rank, value in enumerate(eval_many(f, pts), start=1):
             expected_center = Fraction((-1) ** rank) * gamma_m
             if value != expected_center:
@@ -320,8 +322,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
         cert = certify(f, [IntervalQ(pts[i], pts[i + 1]) for i in range(len(pts) - 1)])
         steps.append(WitnessStep(certificate=cert, **record))
 
-    budget = sum((2 * (m + 3) * schedule.gammas[m - 1] for m in range(1, M + 1)),
-                 Fraction(0))
+    budget = sum(2 * (m + 3) * schedule.gammas[m - 1] for m in range(1, M + 1))
     if l1 > budget:
         raise ConstructionError("coefficient mass exceeded its schedule budget")
     if eval_at(f, x0) != x0:

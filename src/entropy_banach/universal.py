@@ -118,18 +118,17 @@ def psi(f: PLMap, sched: ScaleSchedule) -> PLMap:
     core = Fraction(2, 3) * sched.p[N]
     xs = [-core, core]
     ys = [Fraction(0), Fraction(0)]
+    us = [u.as_integer_ratio() for u in f.breakpoints]
     for n in range(N, -1, -1):
-        p_n, q_n = sched.p[n], sched.q[n]
-        for u, v in zip(f.breakpoints, f.values):
-            xs.append(p_n * (Fraction(u) / 2 + Fraction(3, 4)))
-            ys.append(q_n * v)
-        xs.append(Fraction(4, 3) * p_n)
+        (c, e), q_n = sched.p[n].as_integer_ratio(), sched.q[n]
+        # p_n (u/2 + 3/4) = c (2a + 3b) / (4 b e) for u = a/b and p_n = c/e: one gcd
+        xs += [Fraction(c * (2 * a + 3 * b), 4 * b * e) for a, b in us]
+        ys += [q_n * v for v in f.values]
+        xs.append(Fraction(4 * c, 3 * e))
         ys.append(Fraction(0))
-    # even reflection of everything right of the core
-    mirror_x = [-x for x in reversed(xs) if x > core]
-    mirror_y = [y for x, y in zip(reversed(xs), reversed(ys)) if x > core]
-    xs = mirror_x + xs
-    ys = mirror_y + ys
+    # even reflection: every node after [-core, core] lies right of the core
+    xs = [-x for x in reversed(xs[2:])] + xs
+    ys = ys[2:][::-1] + ys
     return PLMap(tuple(xs), tuple(ys))
 
 

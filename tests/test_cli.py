@@ -312,8 +312,8 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("ell1", "--steps", "0"), 1),
     (("ell1", "--tail-factor", "1"), 1),
     (("ell1", "--delta", "1"), 1),
-    (("ell1", "--steps", "9"), 3),
-    (("ell1", "--steps", "3", "--cap-breakpoints", "1000"), 3),
+    (("ell1", "--steps", "15"), 3),
+    (("ell1", "--steps", "3", "--cap-breakpoints", "511"), 3),
     (("psi", "MAP", "--N", "-1"), 1),
     (("psi", "MAP", "--ratio", "1/3"), 1),
     (("psi", "MAP", "--schedule", "hoelder", "--alpha", "2"), 1),
@@ -323,23 +323,23 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("entropy", "MAP", "--seed", "3"), 2),
 ], ids=["dial_d", "dial_tol", "dial_tol_nan", "dial_lambda_grid", "dial_depth", "dial_N",
         "dial_t", "dial_a_star", "ell1_steps", "ell1_tail_factor", "ell1_delta",
-        "ell1_steps_above_cap", "ell1_cap_1000", "psi_N", "psi_ratio", "psi_alpha",
+        "ell1_steps_above_cap", "ell1_cap_511", "psi_N", "psi_ratio", "psi_alpha",
         "psi_horseshoe", "figure1_N", "figure1_samples", "seed_off_check"])
 def test_out_of_range_flag_exits_with_one_line(tent_path, argv, code):
     # each fails before any long computation: a NaN tolerance must not reach the
-    # dial search, nor a sign model above the cap get built
+    # dial search, nor a witness above the cap get built
     result, out, lines = _main(*[tent_path if arg == "MAP" else arg for arg in argv])
     assert (result, out) == (code, "")
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_ell1_at_the_cap_prints_the_default_output():
-    # step 3's largest sign member has 2^10 = 1024 breakpoints, exactly the cap here
-    assert _main("ell1", "--steps", "3", "--cap-breakpoints", "1024") == _main("ell1")
+    # the 3-step witness's bound, 2^9 = 512 breakpoints, is exactly the cap here
+    assert _main("ell1", "--steps", "3", "--cap-breakpoints", "512") == _main("ell1")
 
 
 def test_ell1_checks_the_cap_before_the_schedule(monkeypatch):
-    # step 800's sign member needs 2^1604 breakpoints: the run exits 3
+    # the 800-step witness may need 2^806 breakpoints: the run exits 3
     # without building the 800-term schedule or the default delta
     def no_schedule(*args):
         raise AssertionError("gamma_schedule ran before the cap check")
@@ -347,31 +347,31 @@ def test_ell1_checks_the_cap_before_the_schedule(monkeypatch):
     monkeypatch.setattr(cli, "gamma_schedule", no_schedule)
     code, out, lines = _main("ell1", "--steps", "800")
     assert (code, out) == (3, "")
-    assert len(lines) == 1 and lines[0].startswith("error: the level-1603 sign member needs ")
+    assert len(lines) == 1 and lines[0].startswith("error: the 800-step witness needs up to ")
 
 
 def test_ell1_far_above_the_cap_exits_with_one_line():
-    # step 8000's sign member needs 2^16004 breakpoints, a count of 4,818 digits
+    # the 8000-step witness may need 2^8006 breakpoints, a count of 2,411 digits
     code, out, lines = _main("ell1", "--steps", "8000")
     assert (code, out) == (3, "")
-    assert lines == ["error: the level-16003 sign member needs 2^16004 breakpoints, "
+    assert lines == ["error: the 8000-step witness needs up to 2^8006 breakpoints, "
                      "above the cap of 2000000"]
 
 
 def test_ell1_a_billion_steps_reports_a_small_needed(monkeypatch):
-    # step 10^9's sign member needs 2^2000000004 breakpoints; the error's
-    # needed is a lower bound just above the cap, not that 2-billion-bit count
+    # the 10^9-step witness may need 2^1000000006 breakpoints; the error's
+    # needed is a lower bound just above the cap, not that billion-bit count
     raised = []
 
-    def check(N):
+    def check(M):
         try:
-            real(N)
+            real(M)
         except ResourceLimitError as exc:
             raised.append(exc)
             raise
 
-    real = cli._check_sign_cap
-    monkeypatch.setattr(cli, "_check_sign_cap", check)
+    real = cli._check_witness_cap
+    monkeypatch.setattr(cli, "_check_witness_cap", check)
     code, out, lines = _main("ell1", "--steps", "1000000000")
     assert (code, out) == (3, "")
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -123,17 +123,17 @@ def test_sign_member_matches_oracle(level):
 def test_model_all_patterns_realized():
     m = build_rademacher(2, F(1, 64))
     for pattern in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        x = sign_point(m, pattern)
+        x = sign_point(m.N, pattern)
         assert [eval_at(mem, x) for mem in m.members] == [F(p) for p in pattern]
 
 
 def test_sign_point_conventions():
     m = build_rademacher(3, F(1, 64))
-    assert sign_point(m, ()) == F(1, 2)
-    assert sign_point(m, (1, 1)) == sign_point(m, (1, 1, 1))
+    assert sign_point(m.N, ()) == F(1, 2)
+    assert sign_point(m.N, (1, 1)) == sign_point(m.N, (1, 1, 1))
     # the mirrored pattern is realized too
     for pattern in [(1, -1, 1), (-1, 1, -1)]:
-        x = sign_point(m, pattern)
+        x = sign_point(m.N, pattern)
         assert [eval_at(mem, x) for mem in m.members] == [F(p) for p in pattern]
 
 
@@ -252,8 +252,8 @@ def test_witness_coefficient_budget(witness):
     assert witness.coefficient_l1_norm <= budget
 
 
-@pytest.fixture(scope="module", params=[(3, F(1, 4096)), (4, F(1, 16384))],
-                ids=["M3", "M4"])
+@pytest.fixture(scope="module", params=[(3, F(1, 4096)), (4, F(1, 16384)), (5, F(1, 65536))],
+                ids=["M3", "M4", "M5"])
 def witness_and_delta(request):
     M, delta = request.param
     return ell1_witness(delta, M, gamma_schedule(M, 2)), delta
@@ -295,9 +295,32 @@ def test_witness_delta_budget_error():
 
 
 def test_witness_checks_its_last_step_against_the_cap_up_front(monkeypatch):
-    # step 3 builds a level-9 member with 1024 breakpoints; nothing is built before the check
-    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 1023)
+    # the 3-step witness may need up to 2^9 = 512 breakpoints; nothing is built before the check
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 511)
     monkeypatch.setattr("entropy_banach.ellone._sign_member", None)
     with pytest.raises(ResourceLimitError) as err:
         ell1_witness(F(1, 4096), 3, gamma_schedule(3, 2))
-    assert (err.value.needed, err.value.cap) == (1024, 1023)
+    assert (err.value.needed, err.value.cap) == (512, 511)
+    assert str(err.value) == "the 3-step witness needs up to 2^9 breakpoints, above the cap of 511"
+
+
+def test_witness_builds_only_the_members_it_uses(monkeypatch):
+    # alpha is zero off levels 1, 3, 5, ... and m + 4: no other level is built
+    built = []
+
+    def recording(level, delta):
+        built.append(level)
+        return _sign_member(level, delta)
+
+    monkeypatch.setattr("entropy_banach.ellone._sign_member", recording)
+    report = ell1_witness(F(1, 4096), 3, gamma_schedule(3, 2))
+    used = [[i for i, a in enumerate(step.alpha, start=1) if a != 0] for step in report.steps]
+    assert used == [[1, 3, 5], [1, 3, 5, 6], [1, 3, 5, 7]]
+    assert built == [level for levels in used for level in levels]
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_witness_stays_below_its_cap_bound(M):
+    # the premise of the witness's cap check: fewer than 2^(M+6) breakpoints
+    delta = F(1, 2 ** max(12, 2 * M + 6))
+    assert len(ell1_witness(delta, M, gamma_schedule(M, 2)).f) < 2 ** (M + 6)

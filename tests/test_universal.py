@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from entropy_banach.entropy import validate_certificate
 from entropy_banach.errors import ConstructionError, DomainError
 from entropy_banach.plmap import (
+    PLMap,
     eval_at,
     linear_combination,
     make_pl,
@@ -19,6 +20,7 @@ from entropy_banach.plmap import (
 from entropy_banach.universal import (
     geometric_schedule,
     hoelder_schedule,
+    make_schedule,
     psi,
     psi_horseshoe,
 )
@@ -103,6 +105,42 @@ def test_psi_even_and_zero_tail():
 def test_psi_rejects_wrong_domain():
     with pytest.raises(DomainError):
         psi(make_pl([0, 2], [0, 1]), GEO)
+
+
+def psi_oracle(f, sched):
+    """psi before the integer nodes: Fraction products, mirror filtered by x > core."""
+    N = sched.truncation
+    core = F(2, 3) * sched.p[N]
+    xs = [-core, core]
+    ys = [F(0), F(0)]
+    for n in range(N, -1, -1):
+        p_n, q_n = sched.p[n], sched.q[n]
+        for u, v in zip(f.breakpoints, f.values):
+            xs.append(p_n * (F(u) / 2 + F(3, 4)))
+            ys.append(q_n * v)
+        xs.append(F(4, 3) * p_n)
+        ys.append(F(0))
+    mirror_x = [-x for x in reversed(xs) if x > core]
+    mirror_y = [y for x, y in zip(reversed(xs), reversed(ys)) if x > core]
+    return PLMap(tuple(mirror_x + xs), tuple(mirror_y + ys))
+
+
+@st.composite
+def schedules(draw):
+    kind = draw(st.sampled_from(["geometric", "hoelder"]))
+    low, high = (F(1, 2), F(1)) if kind == "geometric" else (F(0), F(1))
+    parameter = draw(st.fractions(min_value=low, max_value=high, max_denominator=12)
+                     .filter(lambda x: low < x < high))
+    return make_schedule(kind, parameter, draw(st.integers(min_value=0, max_value=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_pl_maps(), schedules())
+def test_psi_matches_oracle(f, sched):
+    # unit_pl_maps draws non-dyadic breakpoints too (thirds, fifths, ...)
+    g, expected = psi(f, sched), psi_oracle(f, sched)
+    assert (g.breakpoints, g.values) == (expected.breakpoints, expected.values)
+    assert (g.fx.tolist(), g.fy.tolist()) == (expected.fx.tolist(), expected.fy.tolist())
 
 
 @settings(max_examples=30, deadline=None)
