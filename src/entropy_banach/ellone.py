@@ -108,21 +108,22 @@ def _check_witness_cap(M: int) -> None:
     _check_cap(M + 6, f"the {M}-step witness needs up to")
 
 
-def _sign_member(level: int, delta: Fraction) -> PLMap:
-    """+1, -1, ... on the 2^level cells, with ramps over the cuts k/2^level +- delta.
+def _sign_member(level: int, delta: Fraction, width: Fraction = Fraction(1)) -> PLMap:
+    """+1, -1, ... on the 2^level cells of [0, width], with ramps over the
+    cuts (k/2^level +- delta) width.
 
-    Each cut point is made from integers, (k q +- p 2^level) / (q 2^level)
-    for delta = p/q, with one gcd.
+    Each cut point is made from integers, (k q +- p 2^level) e / (q 2^level c)
+    for delta = p/q and width = e/c, with one gcd.
     """
     cells = 2 ** level
-    p, q = delta.as_integer_ratio()
-    den, step = q * cells, p * cells
+    (p, q), (e, c) = delta.as_integer_ratio(), width.as_integer_ratio()
+    den, step = q * cells * c, p * cells
     plus, minus = Fraction(1), Fraction(-1)
     xs, ys = [Fraction(0)], [plus]
     for k in range(1, cells):
-        xs += (Fraction(k * q - step, den), Fraction(k * q + step, den))
+        xs += (Fraction((k * q - step) * e, den), Fraction((k * q + step) * e, den))
         ys += (plus, minus) if k % 2 else (minus, plus)
-    xs.append(Fraction(1))
+    xs.append(width)
     ys.append(minus)  # the last cell has an odd index
     return PLMap(tuple(xs), tuple(ys))
 
@@ -293,8 +294,7 @@ def ell1_witness(delta, M: int, schedule: GammaSchedule) -> WitnessReport:
                 f"or at most {2 * (m + 3)} nonzeros")
 
         used = [i for i, a in enumerate(alpha, start=1) if a != 0]  # levels m + 4 and below
-        members = [PLMap(tuple(x * epsilon for x in g.breakpoints), g.values, fy=g.fy)
-                   for g in (_sign_member(i, delta) for i in used)]
+        members = [_sign_member(i, delta, epsilon) for i in used]
         head = [] if f is None else [f]
         f = linear_combination([1] * len(head) + [alpha[i - 1] for i in used], head + members)
         l1 += sum(abs(a) for a in alpha)

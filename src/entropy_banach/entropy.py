@@ -1,10 +1,11 @@
 """Certified topological-entropy bounds for piecewise-linear maps.
 
-Upper bounds come from the growth rate of lap numbers of iterates; lower
-bounds come from exact horseshoe certificates and from covering (Markov)
-transition matrices over critical-point partitions.  Both sides are computed
-on the map restricted to its forward-invariant image hull, which is the
-convention under which entropy of a boundedly-extended map is defined here.
+Upper bounds come from the growth rate of lap numbers of iterates, counted
+from the images of the laps of the iterate before; lower bounds come from
+exact horseshoe certificates and from covering (Markov) transition matrices
+over critical-point partitions.  Both sides are computed on the map
+restricted to its forward-invariant image hull, which is the convention
+under which entropy of a boundedly-extended map is defined here.
 
 All covering checks are exact rational comparisons; only the final rates
 (log d / k and spectral radii) are floats.
@@ -19,11 +20,14 @@ from typing import Iterator
 
 import numpy as np
 
+from . import plmap
 from .errors import ConstructionError, DomainError, ResourceLimitError
 from .plmap import (
     IntervalQ,
     PLMap,
     _floats,
+    _turns,
+    _values_at,
     compose,
     crop,
     eval_at,
@@ -469,13 +473,71 @@ def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:
     return cert
 
 
+def _lap_images(g: PLMap, images: dict, turns: tuple) -> dict | None:
+    """The image intervals of the laps of g^(k+1), counted, from those of g^k.
+
+    A lap of g^k sweeps its image [u, v] exactly once, so it holds one lap
+    of g^(k+1) per monotone run of g over [u, v]: [u, v] is cut at each
+    turning point t of g with u < s and t < v, where s starts the flat run
+    that ends at t (s = t without one).  Each run's image is the hull of g
+    at its two ends.  Consecutive laps of g^k meet at a turn of g^(k+1).
+    The exception is a lap whose image lies in a flat of g: it adds no lap,
+    and the runs around it still meet at a turn unless g is monotone
+    through that flat; then laps can merge, and None is returned.  Images
+    are keyed by the integer ratios of their ends, (n_lo, d_lo, n_hi,
+    d_hi), and map to [lo, hi, count]; g^0 has one lap, g's domain.
+    ``turns`` is ``plmap._turns(g)``.  An empty result means g^(k+1) is
+    constant.
+    """
+    ys, (turn_ix, flat_ix, through) = g.values, turns
+    at_turn = turn_ix.tolist()
+    ends = {}
+    for key, (u, v, _) in images.items():
+        ends[key[:2]], ends[key[2:]] = u, v
+    qs = list(ends.values())
+    left, right = rank(g.breakpoints, qs, g.fx, _floats(qs))
+    # turn t lies below q iff t < bisect_left; flat start s is at most q iff s < bisect_right
+    before, past_flat = np.searchsorted(turn_ix, left), np.searchsorted(flat_ix, right)
+    vals = _values_at(g, qs, left.tolist(), right.tolist())
+    at = dict(zip(ends, zip(vals, past_flat.tolist(), before.tolist())))
+    out: dict = {}
+    constant = False
+    for key, (_, _, m) in images.items():
+        (gu, a, _), (gv, _, b) = at[key[:2]], at[key[2:]]
+        cuts = [(y, *y.as_integer_ratio()) for y in (gu, *(ys[t] for t in at_turn[a:b]), gv)]
+        for (y0, n0, d0), (y1, n1, d1) in zip(cuts, cuts[1:]):
+            if n0 == n1 and d0 == d1:
+                constant = True
+                continue
+            if n1 * d0 < n0 * d1:  # a falling run: its image is [y1, y0]
+                y0, n0, d0, y1, n1, d1 = y1, n1, d1, y0, n0, d0
+            out.setdefault((n0, d0, n1, d1), [y0, y1, 0])[2] += m
+    return None if constant and through else out
+
+
+def _read_by_search(laps: int, k: int, lower_h: float) -> bool:
+    """Whether the hull search reads an iterate g^k with ``laps`` laps.
+
+    The search on an iterate with n breakpoints (at least its lap count)
+    takes O(n^2) time, so large iterates are skipped, and so are those
+    whose lap ceiling cannot beat the best rate ``lower_h``; skipping only
+    weakens, never falsifies, the lower bound.
+    """
+    return laps <= HORSESHOE_LAP_BUDGET and math.log(laps) / k > lower_h + 1e-12
+
+
 def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
-    """Certified bracket on the invariant restriction of f.
+    """Certified bracket on the invariant restriction g of f.
 
     Lower side is the better of the widest hull over iterates, certified
     once on its iterate, and the covering-matrix bound (up to ``depth``
     rounds within the partition cap); upper side is the lap-growth bound.
-    Caps only reduce the achieved depth; a monotone restriction builds no iterate.
+    Laps of g^k come from the lap images of g^(k-1) (:func:`_lap_images`),
+    so g^k is composed only when the hull search reads it, or when laps may
+    have merged; an iterate that is built is counted directly.  The count
+    stops before the first k whose g^k would exceed the breakpoint cap
+    (laps + 1 > cap), the iterates at the cap itself.  Caps only reduce the
+    achieved depth; a monotone restriction builds no iterate.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -483,20 +545,34 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     if lap_count(g) == 1:  # so is every iterate: no horseshoe, and one lap
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
-    upper, lower_h, best = math.inf, 0.0, None
-    for k, gk in enumerate(_iterates(g, depth), start=1):
-        laps = lap_count(gk)
+    lo, hi = g.domain.lo, g.domain.hi
+    whole = {(*lo.as_integer_ratio(), *hi.as_integer_ratio()): [lo, hi, 1]}  # the lap of g^0
+    cap, turns = plmap.BREAKPOINT_CAP, _turns(g)
+    images, gk, built = whole, g, 1  # gk = g^built, None once the cap stops the iterates
+    upper, lower_h, best, counted = math.inf, 0.0, None, 0
+    for k in range(1, depth + 1):
+        images = None if images is None else _lap_images(g, images, turns)
+        laps = None if images is None else max(1, sum(m for _, _, m in images.values()))
+        if k > 1 and laps is not None and laps + 1 > cap:
+            break  # g^k has more breakpoints than laps: compose would refuse it
+        if laps is None or _read_by_search(laps, k, lower_h):
+            try:
+                while gk is not None and built < k:
+                    gk, built = compose(g, gk), built + 1
+            except ResourceLimitError:
+                gk = None
+            if gk is not None:
+                laps = lap_count(gk)
+                if images is None:  # carry on from the lap images of g^k itself
+                    images = _lap_images(gk, whole, _turns(gk))
+                if _read_by_search(laps, k, lower_h) and len(gk) <= HORSESHOE_CAP:
+                    d = _widest_hull(gk)[0]
+                    if d >= 2 and math.log(d) / k > lower_h:
+                        lower_h, best = math.log(d) / k, (k, gk)
+            elif laps is None:
+                break  # laps may have merged, and g^k cannot be built to count them
+        counted = k
         upper = min(upper, math.log(laps) / k)
-        # the search on an iterate with n breakpoints (at least its lap
-        # count) takes O(n^2) time, so large iterates are skipped, and so
-        # are those whose lap ceiling cannot beat the best; skipping only
-        # weakens, never falsifies, the lower bound
-        if (math.log(laps) / k <= lower_h + 1e-12 or laps > HORSESHOE_LAP_BUDGET
-                or len(gk) > HORSESHOE_CAP):
-            continue
-        d = _widest_hull(gk)[0]
-        if d >= 2 and math.log(d) / k > lower_h:
-            lower_h, best = math.log(d) / k, (k, gk)
     try:
         lower_m = entropy_lower_markov(g, depth)
     except ResourceLimitError as exc:
@@ -505,5 +581,5 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     # min(., upper) guards against float rounding at exact equality
     if best is not None and lower_h >= lower_m - 1e-15:
         _, cert = horseshoe_max(best[1])  # certified on g^k, relabelled as one of g
-        return EntropyBounds(min(lower_h, upper), upper, replace(cert, iterate=best[0]), k)
-    return EntropyBounds(min(lower_m, upper), upper, None, depth_used=k)
+        return EntropyBounds(min(lower_h, upper), upper, replace(cert, iterate=best[0]), counted)
+    return EntropyBounds(min(lower_m, upper), upper, None, depth_used=counted)

@@ -105,13 +105,16 @@ def rank(xs: Sequence[Fraction], qs: Sequence[Fraction], fx: np.ndarray,
 
     ``fx`` and ``fq`` are the :func:`_floats` of xs and qs.  Searching the
     floats brackets each answer by the window of xs whose float equals q's
-    (outside it the float order is the exact order); only those windows are
+    (outside it the float order is the exact order).  A one-wide window
+    that holds q itself is the answer as it stands; only the others are
     bisected over the rationals.
     """
     left = np.searchsorted(fx, fq, "left")
     right = np.searchsorted(fx, fq, "right")
     for k in np.flatnonzero(left < right).tolist():
         lo, hi = int(left[k]), int(right[k])
+        if hi - lo == 1 and xs[lo] == qs[k]:
+            continue
         left[k] = bisect_left(xs, qs[k], lo, hi)
         right[k] = bisect_right(xs, qs[k], int(left[k]), hi)
     return left, right
@@ -266,12 +269,13 @@ def _check_cap(needed: int, limit: int) -> None:
             needed=needed, cap=limit)
 
 
-def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
-    """Maximal monotone runs as (start, end) index pairs into f.breakpoints.
+def _turns(f: PLMap) -> tuple[np.ndarray, np.ndarray, bool]:
+    """f's turning points as breakpoint indices, the start of the flat run
+    that ends at each (the turn itself without one), and whether f is
+    monotone through some flat run: rising, or falling, on both sides.
 
-    Constant runs merge into an adjacent run; an entirely constant map is a
-    single run.  Consecutive runs share their turning breakpoint.  Segment
-    slopes take their signs from the floats; float ties are compared exactly.
+    Segment slopes take their signs from the floats; float ties are
+    compared exactly.
     """
     ys, fy = f.values, f.fy
     signs = (fy[1:] > fy[:-1]).astype(np.int8) - (fy[1:] < fy[:-1])
@@ -279,8 +283,19 @@ def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
         if ys[i + 1] != ys[i]:
             signs[i] = 1 if ys[i + 1] > ys[i] else -1
     moving = np.flatnonzero(signs)  # a flat segment joins the run before it
-    turns = moving[1:][signs[moving[1:]] != signs[moving[:-1]]].tolist()
-    return list(zip([0, *turns], [*turns, len(ys) - 1]))
+    turning = signs[moving[1:]] != signs[moving[:-1]]
+    through = bool((~turning & (np.diff(moving) > 1)).any())
+    return moving[1:][turning], moving[:-1][turning] + 1, through
+
+
+def monotone_pieces(f: PLMap) -> list[tuple[int, int]]:
+    """Maximal monotone runs as (start, end) index pairs into f.breakpoints.
+
+    Constant runs merge into an adjacent run; an entirely constant map is a
+    single run.  Consecutive runs share their turning breakpoint.
+    """
+    turns = _turns(f)[0].tolist()
+    return list(zip([0, *turns], [*turns, len(f) - 1]))
 
 
 def lap_count(f: PLMap) -> int:

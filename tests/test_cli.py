@@ -107,6 +107,15 @@ def test_entropy_of_a_contraction_at_depth_100000(tmp_path):
     assert_golden("entropy_half_depth100000.json", out)
 
 
+def test_entropy_tent_at_depth_20(tent_path):
+    # the 2^20 laps of tent^20 are counted from lap images: no iterate past
+    # the tent itself is built, and the bracket is the one its chain gave
+    code, out, lines = _main("entropy", tent_path, "--depth", "20")
+    assert (code, lines) == (0, [])
+    assert_golden("entropy_tent_depth20.json", out)
+    assert out == (GOLDEN / "entropy_tent_depth20.json").read_text()
+
+
 def test_entropy_beyond_float_range(tmp_path):
     big = 10 ** 400
     path = tmp_path / "huge_tent.json"

@@ -120,6 +120,16 @@ def test_sign_member_matches_oracle(level):
         assert (f.fx.tolist(), f.fy.tolist()) == (expected.fx.tolist(), expected.fy.tolist())
 
 
+@pytest.mark.parametrize("width", [F(1, 2 ** 40), F(3, 1024), F(5, 3)])
+def test_sign_member_compressed_into_width(width):
+    # the witness's members: the oracle's breakpoints times the width, made from integers
+    for level in range(1, 7):
+        delta = F(1, 2 ** (level + 4))
+        f, oracle = _sign_member(level, delta, width), sign_member_oracle(level, delta)
+        assert f.breakpoints == tuple(x * width for x in oracle.breakpoints)
+        assert (f.values, f.fy.tolist()) == (oracle.values, oracle.fy.tolist())
+
+
 def test_model_all_patterns_realized():
     m = build_rademacher(2, F(1, 64))
     for pattern in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
@@ -308,9 +318,9 @@ def test_witness_builds_only_the_members_it_uses(monkeypatch):
     # alpha is zero off levels 1, 3, 5, ... and m + 4: no other level is built
     built = []
 
-    def recording(level, delta):
+    def recording(level, delta, width):
         built.append(level)
-        return _sign_member(level, delta)
+        return _sign_member(level, delta, width)
 
     monkeypatch.setattr("entropy_banach.ellone._sign_member", recording)
     report = ell1_witness(F(1, 4096), 3, gamma_schedule(3, 2))

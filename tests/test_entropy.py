@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from entropy_banach.entropy import (
     EntropyBounds,
     HorseshoeCertificate,
     _interval_rows_radius,
+    _lap_images,
     _radius_at_most_one,
     certify,
     entropy_bounds,
@@ -49,6 +51,7 @@ from entropy_banach.plmap import (
     sort_exact,
 )
 from entropy_banach.rational import qstr
+from test_plmap import far_maps, near_tie_maps
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 IDENT = make_pl([0, 1], [0, 1])
@@ -193,14 +196,18 @@ def lower_horseshoe(f, depth):
     return horseshoe_scan(chain, [lap_count(g) for g in chain])
 
 
-def bracket_oracle(f, depth):
-    """(lower, upper, certificate, depth used) of entropy_bounds from the oracles."""
+def bracket_oracle(f, depth, counted=None):
+    """(lower, upper, certificate, depth used) of entropy_bounds from the oracles.
+
+    The lap bound and the depth come from the lap counts ``counted`` when
+    given, and from those of the chain otherwise."""
     g = invariant_restriction(f)
     if lap_count(g) == 1:  # constant or monotone, and so is every iterate
         return 0.0, 0.0, None, depth
     chain = iterate_chain(g, depth)
     laps = [lap_count(gk) for gk in chain]
-    upper = lap_upper(laps)
+    counted = laps if counted is None else counted
+    upper = lap_upper(counted)
     lower, cert = horseshoe_scan(chain, laps)
     try:
         lower_m = entropy_lower_markov(g, depth)
@@ -208,7 +215,7 @@ def bracket_oracle(f, depth):
         lower_m = exc.bound
     if cert is None or lower < lower_m - 1e-15:
         lower, cert = lower_m, None
-    return min(lower, upper), upper, cert, len(chain)
+    return min(lower, upper), upper, cert, len(counted)
 
 
 def test_lower_horseshoe_tent():
@@ -819,23 +826,152 @@ def test_bracket_validity_on_tent_family(a):
         assert validate_certificate(g, eb.lower_witness)
 
 
+def lap_images_oracle(g):
+    """The multiset of the image intervals of g's laps, read off its pieces;
+    empty when g is constant."""
+    ys = g.values
+    images = Counter((min(ys[s], ys[e]), max(ys[s], ys[e])) for s, e in monotone_pieces(g))
+    return Counter({iv: m for iv, m in images.items() if iv[0] < iv[1]})
+
+
+def keyed(images):
+    """A Counter of (lo, hi) images in the keys and entries of _lap_images."""
+    return {(*lo.as_integer_ratio(), *hi.as_integer_ratio()): [lo, hi, m]
+            for (lo, hi), m in images.items()}
+
+
+def constant_on_some(f, images):
+    """Whether f is constant on one of the intervals ``images``, keyed (lo, hi)."""
+    return any(img.lo == img.hi for img in image_intervals(f, [IntervalQ(*iv) for iv in images]))
+
+
+def monotone_through_flat(f):
+    """Whether a maximal flat run of f has rising segments on both sides, or falling."""
+    ys = f.values
+    for i in range(1, len(ys) - 1):
+        j = i
+        while j + 1 < len(ys) and ys[j + 1] == ys[i]:
+            j += 1
+        if j > i and ys[i - 1] != ys[i] and j + 1 < len(ys) and \
+                (ys[i] > ys[i - 1]) == (ys[j + 1] > ys[j]):
+            return True
+    return False
+
+
+def capped_lap_counts(g, depth, cap, built):
+    """The lap counts entropy_bounds reports under a breakpoint cap, for the
+    invariant restriction g whose capped chain has ``built`` iterates: those
+    of the uncapped chain, up to the first k >= 2 with laps + 1 > cap, or
+    the first k > built where laps may merge, since those are counted on
+    g^k, which the capped chain lacks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plmap, "BREAKPOINT_CAP", 10 ** 9)
+        chain = iterate_chain(g, depth)
+    counted = [lap_count(g)]
+    for k in range(2, depth + 1):
+        laps = lap_count(chain[k - 1])
+        merge = monotone_through_flat(g) and constant_on_some(g, lap_images_oracle(chain[k - 2]))
+        if laps + 1 > cap or (k > built and merge):
+            break
+        counted.append(laps)
+    return counted
+
+
 @settings(max_examples=200, deadline=None)
 @given(grid_maps(), st.integers(1, 6), st.sampled_from([None, 4, 8, 16, 32]))
 @example(TENT, 9, 4)  # the tent's square has 5 breakpoints: depth 1 is reported
 # log(laps)/k is 0.7083 at k = 4 and 0.7111 at k = 5: the last rate is not the least
 @example(make_pl([0, F(2, 3), F(3, 4), 1], [1, 0, F(1, 2), 0]), 5, None)
 def test_bounds_match_chain_oracle(f, depth, cap):
-    # a small breakpoint cap ends the stream of iterates early
+    # a small breakpoint cap ends the stream of iterates early; the laps
+    # are counted on from lap images until g^k certainly exceeds the cap
+    g = invariant_restriction(f)
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(plmap, "BREAKPOINT_CAP", cap)
         eb = entropy_bounds(f, depth)
-        lower, upper, cert, depth_used = bracket_oracle(f, depth)
+        counted = None
+        if cap is not None and lap_count(g) > 1:
+            counted = capped_lap_counts(g, depth, cap, len(iterate_chain(g, depth)))
+        lower, upper, cert, depth_used = bracket_oracle(f, depth, counted)
         assert eb.lower == lower
         assert eb.upper == upper
         assert eb.lower_witness == cert
         assert eb.depth_used == depth_used
-        assert eb.upper == entropy_upper_lap(invariant_restriction(f), depth)
+        if cap is None:
+            assert eb.upper == entropy_upper_lap(g, depth)
+        else:  # the lap images reach past the capped iterates
+            assert eb.upper <= entropy_upper_lap(g, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grid_maps(), near_tie_maps(max_nodes=6), far_maps(max_nodes=5)))
+def test_lap_images_count_the_laps_of_iterates(f):
+    # grid maps draw end flats, plateaus and flats that f is monotone
+    # through; the lap images of f^k, carried from level to level, are
+    # those read off the built iterate, and None exactly where laps may
+    # merge; the same holds for the self-map g
+    for g in (f, invariant_restriction(f)):
+        gk, images = None, Counter({(g.domain.lo, g.domain.hi): 1})  # the lap of g^0
+        for k in range(1, 7):
+            gk = g if gk is None else compose(g, gk)
+            carried = _lap_images(g, keyed(images), plmap._turns(g))
+            assert (carried is None) == (constant_on_some(g, images) and monotone_through_flat(g))
+            images = lap_images_oracle(gk)
+            if carried is not None:
+                assert carried == keyed(images)
+                assert max(1, sum(images.values())) == lap_count(gk)
+            if len(gk) > 400:
+                break
+
+
+# the lap of [0, 1/8] maps into a flat of g, so g^2 is constant on it; it
+# merges into the laps next to it, which meet at a turn but for a flat
+# that g is monotone through
+FLAT_MAPS = {
+    # rising through the flat [3/8, 5/8]: two laps of g^2 merge with it
+    "through_flat": make_pl([0, F(1, 8), F(1, 4), F(3, 8), F(5, 8), F(3, 4), 1],
+                            [F(7, 16), F(9, 16), 0, F(1, 2), F(1, 2), 1, 0]),
+    # a plateau at the top: g^2 has 11 laps, the 12 runs less the constant one
+    "plateau": make_pl([0, F(1, 10), F(1, 5), F(2, 5), F(3, 5), 1],
+                       [F(9, 20), F(11, 20), 0, 1, 1, 0]),
+    # the flat [0, 1/2] at the left end holds the image of both laps: g^2 is constant
+    "end_flat": make_pl([0, F(1, 2), F(3, 4), 1, 2], [0, 0, F(1, 2), 0, 1]),
+    # g falls through the flat [2/3, 3/4], and the lap image [1/3, 1] starts
+    # inside the plateau [1/4, 1/2]: it is not cut at 1/2, so no run is constant
+    "plateau_end": make_pl([0, F(1, 4), F(1, 2), F(2, 3), F(3, 4), 1],
+                           [F(1, 3), 1, 1, F(1, 3), F(1, 3), 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_MAPS))
+def test_flat_maps_count_laps_or_take_the_iterate_path(monkeypatch, name):
+    f = FLAT_MAPS[name]
+    g = invariant_restriction(f)
+    carried = _lap_images(g, keyed(lap_images_oracle(g)), plmap._turns(g))
+    g2 = compose(g, g)
+    assert (carried is None) == (name == "through_flat")
+    if carried is not None:
+        assert carried == keyed(lap_images_oracle(g2))
+        assert max(1, sum(m for _, _, m in carried.values())) == lap_count(g2)
+    # with no hull search past g, only merging laps make g^2 worth building
+    monkeypatch.setattr(entropy, "HORSESHOE_LAP_BUDGET", 1)
+    calls, real = [], entropy.compose
+    monkeypatch.setattr(entropy, "compose", lambda f, g: calls.append(len(g)) or real(f, g))
+    eb = entropy_bounds(f, 4)
+    assert bool(calls) == (name == "through_flat")
+    assert (eb.lower, eb.upper, eb.lower_witness, eb.depth_used) == bracket_oracle(f, 4)
+
+
+def test_bounds_compose_only_what_the_search_reads(monkeypatch):
+    # the 3-horseshoe of g gives rate log 3, and no later lap rate
+    # log(3^k)/k beats it, so no iterate is read; the lap count reaches depth 8
+    calls, real = [], entropy.compose
+    monkeypatch.setattr(entropy, "compose", lambda f, g: calls.append(len(g)) or real(f, g))
+    eb = entropy_bounds(full_branch_map(3), 8)
+    assert calls == []
+    assert eb.depth_used == 8 and eb.lower_witness.iterate == 1
+    assert eb.upper == pytest.approx(math.log(3), abs=1e-12)
 
 
 def count_certificates(monkeypatch):

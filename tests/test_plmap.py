@@ -424,6 +424,15 @@ def test_rank_equals_bisect(xs, qs, data):
     assert right.tolist() == [bisect_right(xs, q) for q in qs]
 
 
+def test_rank_one_wide_tie_is_equal_or_bisected():
+    # 1/3 and 1/3 +- 2^-80 share a float: the window of 1/3 is one wide and
+    # is the answer only for 1/3 itself; the neighbours must still bisect
+    xs = [F(0), F(1, 3), F(1)]
+    qs = [F(1, 3), F(1, 3) - F(1, 2 ** 80), F(1, 3) + F(1, 2 ** 80)]
+    left, right = rank(xs, qs, _floats(xs), _floats(qs))
+    assert (left.tolist(), right.tolist()) == ([1, 1, 2], [2, 1, 2])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_COLLIDING, max_size=40))
 def test_sort_exact_equals_sorted(qs):
