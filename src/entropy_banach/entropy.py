@@ -532,45 +532,59 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     Lower side is the better of the widest hull over iterates, certified
     once on its iterate, and the covering-matrix bound (up to ``depth``
     rounds within the partition cap); upper side is the lap-growth bound.
-    Laps of g^k come from the lap images of g^(k-1) (:func:`_lap_images`),
-    so g^k is composed only when the hull search reads it, or when laps may
-    have merged; an iterate that is built is counted directly.  The count
-    stops before the first k whose g^k would exceed the breakpoint cap
-    (laps + 1 > cap), the iterates at the cap itself.  Caps only reduce the
-    achieved depth; a monotone restriction builds no iterate.
+    While the search may read g^k (laps(g^k) <= laps(g^(k-1)) laps(g) fits
+    :func:`_read_by_search`), g^k is composed and its laps are counted on
+    it.  From the first level it cannot read on, laps come from the lap
+    images of g^(k-1) (:func:`_lap_images`), and g^k is composed, forward
+    from the last iterate built, only when the search reads it or when its
+    laps may have merged.  That count stops before the first k whose g^k
+    would exceed the breakpoint cap (laps + 1 > cap), the iterates at the
+    cap itself.  Caps only reduce the achieved depth; a monotone
+    restriction builds no iterate.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     g = invariant_restriction(f)
-    if lap_count(g) == 1:  # so is every iterate: no horseshoe, and one lap
+    laps_g = lap_count(g)
+    if laps_g == 1:  # so is every iterate: no horseshoe, and one lap
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
     lo, hi = g.domain.lo, g.domain.hi
     whole = {(*lo.as_integer_ratio(), *hi.as_integer_ratio()): [lo, hi, 1]}  # the lap of g^0
     cap, turns = plmap.BREAKPOINT_CAP, _turns(g)
-    images, gk, built = whole, g, 1  # gk = g^built, None once the cap stops the iterates
-    upper, lower_h, best, counted = math.inf, 0.0, None, 0
+    # gk = g^built; images are those of the laps of g^(k-1), None while the iterates count
+    images, gk, built, stopped = None, g, 1, False
+    upper, lower_h, best, counted, laps = math.inf, 0.0, None, 0, laps_g
     for k in range(1, depth + 1):
-        images = None if images is None else _lap_images(g, images, turns)
-        laps = None if images is None else max(1, sum(m for _, _, m in images.values()))
-        if k > 1 and laps is not None and laps + 1 > cap:
-            break  # g^k has more breakpoints than laps: compose would refuse it
-        if laps is None or _read_by_search(laps, k, lower_h):
+        if built < k and images is None and not stopped and _read_by_search(laps * laps_g, k, lower_h):
             try:
-                while gk is not None and built < k:
-                    gk, built = compose(g, gk), built + 1
+                gk, built = compose(g, gk), k
             except ResourceLimitError:
-                gk = None
-            if gk is not None:
-                laps = lap_count(gk)
-                if images is None:  # carry on from the lap images of g^k itself
-                    images = _lap_images(gk, whole, _turns(gk))
-                if _read_by_search(laps, k, lower_h) and len(gk) <= HORSESHOE_CAP:
-                    d = _widest_hull(gk)[0]
-                    if d >= 2 and math.log(d) / k > lower_h:
-                        lower_h, best = math.log(d) / k, (k, gk)
-            elif laps is None:
-                break  # laps may have merged, and g^k cannot be built to count them
+                stopped = True
+        if built == k and images is None:
+            laps = lap_count(gk) if k > 1 else laps_g
+        else:
+            if images is None:  # leave the iterates at g^(k-1) = gk
+                images = _lap_images(gk, whole, _turns(gk))
+            images = _lap_images(g, images, turns)
+            if images is not None:
+                laps = max(1, sum(m for _, _, m in images.values()))
+                if laps + 1 > cap:
+                    break  # g^k has more breakpoints than laps: compose would refuse it
+            if images is None or _read_by_search(laps, k, lower_h):
+                try:
+                    while not stopped and built < k:
+                        gk, built = compose(g, gk), built + 1
+                except ResourceLimitError:
+                    stopped = True
+                if images is None:
+                    if built < k:
+                        break  # laps may have merged, and g^k cannot be built to count them
+                    laps = lap_count(gk)
+        if built == k and _read_by_search(laps, k, lower_h) and len(gk) <= HORSESHOE_CAP:
+            d = _widest_hull(gk)[0]
+            if d >= 2 and math.log(d) / k > lower_h:
+                lower_h, best = math.log(d) / k, (k, gk)
         counted = k
         upper = min(upper, math.log(laps) / k)
     try:

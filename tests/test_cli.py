@@ -113,7 +113,6 @@ def test_entropy_tent_at_depth_20(tent_path):
     code, out, lines = _main("entropy", tent_path, "--depth", "20")
     assert (code, lines) == (0, [])
     assert_golden("entropy_tent_depth20.json", out)
-    assert out == (GOLDEN / "entropy_tent_depth20.json").read_text()
 
 
 def test_entropy_beyond_float_range(tmp_path):

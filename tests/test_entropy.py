@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entropy_banach import entropy, plmap
@@ -972,6 +972,43 @@ def test_bounds_compose_only_what_the_search_reads(monkeypatch):
     assert calls == []
     assert eb.depth_used == 8 and eb.lower_witness.iterate == 1
     assert eb.upper == pytest.approx(math.log(3), abs=1e-12)
+
+
+
+def test_bounds_build_and_count_every_level_the_search_reads(monkeypatch):
+    # g = x + 1/4 then 5/4 - x on [1/4, 3/4] has 2 laps at every level and
+    # no 2-horseshoe, so each lap rate log(2)/k beats the best hull, 0: every
+    # iterate is built and counted on itself, and no lap image is made
+    calls, real = [], entropy.compose
+    monkeypatch.setattr(entropy, "compose", lambda f, g: calls.append(len(g)) or real(f, g))
+    monkeypatch.setattr(entropy, "_lap_images", None)
+    eb = entropy_bounds(make_pl([0, F(1, 2), 1], [F(1, 4), F(3, 4), F(1, 4)]), 6)
+    assert len(calls) == 5
+    assert (eb.lower, eb.upper, eb.lower_witness, eb.depth_used) == (0.0, math.log(2) / 6, None, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_maps(), st.integers(1, 6))
+def test_bounds_count_each_level_once(f, depth):
+    # a level is counted either on its iterate or from the lap images of the
+    # level before, never both, unless laps may merge (_lap_images gives None)
+    g = invariant_restriction(f)
+    assume(lap_count(g) > 1)
+    iterate_counts, image_counts, carried = [], [], []
+    real_laps, real_images = entropy.lap_count, entropy._lap_images
+
+    def images_spy(h, images, turns):
+        out = real_images(h, images, turns)
+        if out is not None and any(images is c for c in carried):  # not a restart from g^k
+            image_counts.append(out)
+        carried.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "lap_count", lambda h: iterate_counts.append(h) or real_laps(h))
+        mp.setattr(entropy, "_lap_images", images_spy)
+        eb = entropy_bounds(f, depth)
+    assert len(iterate_counts) + len(image_counts) == eb.depth_used == depth  # g's own is level 1
 
 
 def count_certificates(monkeypatch):
