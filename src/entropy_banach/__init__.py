@@ -43,7 +43,6 @@ from .entropy import (  # noqa: F401
     entropy_upper_lap,
     horseshoe_max,
     invariant_restriction,
-    iterate,
     validate_certificate,
 )
 from .spaces import (  # noqa: F401

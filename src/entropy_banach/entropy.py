@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -107,29 +106,6 @@ def invariant_restriction(f: PLMap) -> PLMap:
     return crop(f, hull.lo, hull.hi)
 
 
-def iterate(f: PLMap, k: int) -> PLMap:
-    """Exact PL representation of the k-th iterate f^k."""
-    if k < 1:
-        raise DomainError(f"iterate needs k >= 1, got {k}")
-    for s, g in enumerate(_iterates(f, k), start=1):
-        pass
-    if s < k:
-        raise ResourceLimitError(f"breakpoint cap hit while building iterate {s + 1}", achieved=s)
-    return g
-
-
-def _iterates(f: PLMap, depth: int) -> Iterator[PLMap]:
-    """f, f^2, ..., f^depth, stopping early (never failing) at the breakpoint cap."""
-    g = f
-    yield g
-    for _ in range(depth - 1):
-        try:
-            g = compose(f, g)
-        except ResourceLimitError:
-            return
-        yield g
-
-
 def entropy_upper_lap(f: PLMap, depth: int) -> float:
     """min over k <= depth of log(laps(f^k)) / k; a valid upper bound.
 
@@ -138,7 +114,14 @@ def entropy_upper_lap(f: PLMap, depth: int) -> float:
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    return min(math.log(lap_count(g)) / k for k, g in enumerate(_iterates(f, depth), start=1))
+    g, best = f, math.log(lap_count(f))
+    for k in range(2, depth + 1):
+        try:
+            g = compose(f, g)
+        except ResourceLimitError:
+            break
+        best = min(best, math.log(lap_count(g)) / k)
+    return best
 
 
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
@@ -263,7 +246,7 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
 def _turning_positions(f: PLMap) -> list[Fraction]:
     """Domain ends and turning points of f, ascending."""
     xs = f.breakpoints
-    return [xs[i] for i in sorted({i for piece in monotone_pieces(f) for i in piece})]
+    return [xs[i] for i in sorted({0, *_turns(f)[0].tolist(), len(xs) - 1})]
 
 
 def entropy_lower_markov(f: PLMap, refinement: int) -> float:
@@ -451,13 +434,17 @@ def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
     interiors iff each ends at or before the next begins, and an image
     contains every interval iff it contains their hull.  A zero-width
     interval is rejected: copies of one fixed point would otherwise pass.
+    f is continuous, so f^k(J) = f(f^(k-1)(J)) is a closed interval: the
+    intervals are pushed through f k times and f^k is never built.
     """
-    g = iterate(f, cert.iterate) if cert.iterate > 1 else f
     ivs = sorted(cert.intervals, key=lambda iv: (iv.lo, iv.hi))
     if any(iv.lo == iv.hi for iv in ivs) or any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
         return False
     hull = IntervalQ(ivs[0].lo, max(iv.hi for iv in ivs))
-    return all(img.contains(hull) for img in image_intervals(g, ivs))
+    images = ivs
+    for _ in range(cert.iterate):
+        images = image_intervals(f, images)
+    return all(img.contains(hull) for img in images)
 
 
 def certify(f: PLMap, intervals: list[IntervalQ]) -> HorseshoeCertificate:

@@ -304,7 +304,7 @@ def lap_count(f: PLMap) -> int:
     Constant runs merge into an adjacent lap; an entirely constant map
     counts as one lap.
     """
-    return len(monotone_pieces(f))
+    return len(_turns(f)[0]) + 1
 
 
 def crop(f: PLMap, a, b) -> PLMap:

@@ -28,7 +28,6 @@ from entropy_banach.entropy import (
     entropy_upper_lap,
     horseshoe_max,
     invariant_restriction,
-    iterate,
     validate_certificate,
 )
 from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
@@ -88,6 +87,14 @@ def test_invariant_restriction_expands_hull():
 
 # --- iterates -------------------------------------------------------------------
 
+def iterate(f, k):
+    """The oracle f^k: f composed with itself k - 1 times."""
+    g = f
+    for _ in range(k - 1):
+        g = compose(f, g)
+    return g
+
+
 def test_iterate_identity():
     assert pl_equal(iterate(IDENT, 10), IDENT)
 
@@ -100,14 +107,6 @@ def test_iterate_tent_square():
 
 def test_iterate_one_is_f():
     assert pl_equal(iterate(TENT, 1), TENT)
-
-
-def test_iterate_cap_reports_achieved(monkeypatch):
-    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 40)
-    with pytest.raises(ResourceLimitError) as err:
-        iterate(TENT, 12)
-    assert err.value.achieved is not None
-    assert 1 <= err.value.achieved < 12
 
 
 # --- lap-based upper bound -------------------------------------------------------
@@ -304,14 +303,34 @@ def test_validator_verdicts(f, intervals, k, verdict):
     assert validate_certificate(f, flipped) is verdict
 
 
+def test_validator_builds_no_iterate(monkeypatch):
+    def no_compose(f, g):
+        raise AssertionError("the validator composed an iterate")
+
+    monkeypatch.setattr(entropy, "compose", no_compose)
+    monkeypatch.setattr(plmap, "compose", no_compose)
+    cert = HorseshoeCertificate(d=4, intervals=tuple(QUARTERS), iterate=2)
+    assert validate_certificate(TENT, cert)
+
+
+@pytest.mark.parametrize("k, cap", [(12, 40), (60, plmap.BREAKPOINT_CAP)])
+def test_validator_passes_iterates_past_the_breakpoint_cap(monkeypatch, k, cap):
+    # tent^k has 2^k + 1 breakpoints, far above the cap
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", cap)
+    halves = (iv(0, F(1, 2)), iv(F(1, 2), 1))
+    assert validate_certificate(TENT, HorseshoeCertificate(d=2, intervals=halves, iterate=k))
+
+
 _GRID = st.sampled_from(sorted({F(a, b) for b in range(1, 5) for a in range(b + 1)}))
 
 
 @st.composite
 def certificates(draw):
     """Small maps, half of them alternating between 0 and 1 so that horseshoes
-    are common, cut at their breakpoints; the intervals may gain a degenerate
-    one, or have one replaced by an arbitrary, possibly overlapping one."""
+    are common, cut at their breakpoints or at any grid point, some of them
+    off the map's domain; the intervals may gain a degenerate one, or have
+    one replaced by an arbitrary, possibly overlapping one.  The iterate
+    runs up to 5."""
     n = draw(st.integers(min_value=3, max_value=6))
     xs = sorted(draw(st.sets(_GRID, min_size=n, max_size=n)))
     if draw(st.booleans()):
@@ -320,17 +339,18 @@ def certificates(draw):
     else:
         ys = draw(st.lists(_GRID, min_size=n, max_size=n))
     f = make_pl(xs, ys)
-    cuts = sorted(draw(st.lists(st.sampled_from(xs), min_size=3, max_size=n, unique=True)))
+    ends = st.sampled_from(xs) | _GRID
+    cuts = sorted(draw(st.lists(ends, min_size=3, max_size=n, unique=True)))
     intervals = [IntervalQ(a, b) for a, b in zip(cuts, cuts[1:])]
     if draw(st.integers(0, 3)) == 3:
-        x = draw(st.sampled_from(xs))
+        x = draw(ends)
         intervals.append(IntervalQ(x, x))
     if draw(st.integers(0, 3)) == 3:
         a, b = draw(_GRID), draw(_GRID)
         intervals[draw(st.integers(0, len(intervals) - 1))] = IntervalQ(min(a, b), max(a, b))
     intervals = draw(st.permutations(intervals))
     cert = HorseshoeCertificate(d=len(intervals), intervals=tuple(intervals),
-                                iterate=draw(st.integers(min_value=1, max_value=2)))
+                                iterate=draw(st.integers(min_value=1, max_value=5)))
     return f, cert
 
 
@@ -360,12 +380,11 @@ def test_certify_rejects_copies_of_a_fixed_point():
     (lambda: HorseshoeCertificate(d=2, intervals=(iv(0, F(1, 2)), iv(F(1, 2), 1)), iterate=0),
      ConstructionError),
     (lambda: EntropyBounds(1.0, 0.5, None, depth_used=1), ConstructionError),
-    (lambda: iterate(TENT, 0), DomainError),
     (lambda: entropy_upper_lap(TENT, 0), DomainError),
     (lambda: entropy_bounds(TENT, 0), DomainError),
     (lambda: entropy_lower_markov(TENT, -1), DomainError),
-], ids=["certificate_d1", "certificate_iterate0", "inverted_bracket", "iterate_k0",
-        "upper_depth0", "bounds_depth0", "markov_refinement_neg"])
+], ids=["certificate_d1", "certificate_iterate0", "inverted_bracket", "upper_depth0",
+        "bounds_depth0", "markov_refinement_neg"])
 def test_preconditions_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
