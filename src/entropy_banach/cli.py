@@ -65,6 +65,8 @@ def _load_json(path: str):
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep nesting
+        raise FormatError(f"unreadable JSON in {path}: {exc}") from exc
 
 
 def _polyline(f: PLMap, label: str, samples: int = 0) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -253,47 +254,69 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     """log of the spectral radius of the covering matrix on the refined partition.
 
     The partition starts at the critical points of f and is refined
-    ``refinement`` times by pulling partition points back through f.  Each
-    round's covering matrix (M[i][j] = 1 iff f(I_i) contains I_j) gives a
-    valid entropy lower bound; the running maximum over rounds is returned,
-    which makes the value non-decreasing in ``refinement``.  When the
-    partition outgrows PARTITION_CAP cells first, :class:`ResourceLimitError`
-    is raised with the completed rounds in ``achieved`` and their best bound,
-    still valid, in ``bound``.  Round r+1's partition is P_r plus the
-    preimages of P_r; those of P_{r-1} are in P_r already, so only the
-    points the last round added are pulled back, and they are merged into
-    the ascending partition by their ranks in it.  The floats of the points
-    and of their images are kept beside them and merged the same way.
+    ``refinement`` times by pulling partition points back through f
+    (:func:`_markov_rounds`).  Each round's covering matrix (M[i][j] = 1 iff
+    f(I_i) contains I_j) gives a valid entropy lower bound; the running
+    maximum over rounds is returned, which makes the value non-decreasing in
+    ``refinement``.  When the partition outgrows PARTITION_CAP cells first,
+    :class:`ResourceLimitError` is raised with the completed rounds in
+    ``achieved`` and their best bound, still valid, in ``bound``.
     """
     if refinement < 0:
         raise DomainError(f"refinement must be >= 0, got {refinement}")
-    points = _turning_positions(f)
-    if len(points) < 2:
-        return 0.0
-    added, fadded, vals = points, _floats(points), eval_many(f, points)
-    fpoints, fvals = fadded, _floats(vals)
     best = 0.0
-    for round_no in range(refinement + 1):
+    for round_no, (points, left, right) in enumerate(_markov_rounds(f, refinement)):
         if len(points) - 1 > PARTITION_CAP:
             raise ResourceLimitError(
                 f"covering partition exceeded {PARTITION_CAP} cells",
                 achieved=round_no, cap=PARTITION_CAP, bound=best)
-        best = max(best, _covering_log_radius(points, vals, fpoints, fvals))
-        if round_no < refinement:
-            new, image_at = _pull_back(f, added, fadded)
-            fnew = _floats(new)
-            at, past = rank(points, new, fpoints, fnew)
-            fresh = np.flatnonzero(at == past)  # not partition points yet
-            if not fresh.size:
-                break  # the partition is closed: later rounds repeat this one
-            image_at, at = np.array(image_at)[fresh], at[fresh]
-            images, fimages = [added[j] for j in image_at.tolist()], fadded[image_at]
-            added, fadded = [new[k] for k in fresh.tolist()], fnew[fresh]
-            # each added point goes right before the partition point at its rank
-            points = np.insert(np.array(points, dtype=object), at, added).tolist()
-            vals = np.insert(np.array(vals, dtype=object), at, images).tolist()
-            fpoints, fvals = np.insert(fpoints, at, fadded), np.insert(fvals, at, fimages)
+        # f is monotone on a cell, so its image, the hull of f at its ends, covers the
+        # cells from the first point >= its low end to (exclusive) the last <= its high end
+        starts = np.minimum(left[:-1], left[1:])
+        stops = np.maximum(np.maximum(right[:-1], right[1:]) - 1, starts)
+        radius = _interval_rows_radius(starts, stops)
+        best = max(best, math.log(radius) if radius > 1.0 else 0.0)
     return best
+
+
+def _markov_rounds(f: PLMap, refinement: int) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
+    """Per round, the ascending partition and the bisect_left and bisect_right
+    in it of f at each of its points.
+
+    Round r+1 adds the preimages of the points round r added (those of older
+    points are in already), so each added point's image is a partition point
+    and the scan carries its index; only f at the first points, the domain
+    ends and turning points, is ranked.  Points are merged in by their ranks,
+    their floats beside them.  No round follows one that adds no point.
+    """
+    points = _turning_positions(f)
+    if len(points) < 2:
+        return
+    added, vals = points, eval_many(f, points)
+    fpoints, fvals = _floats(points), _floats(vals)
+    firsts = added_at = np.arange(len(points))  # where the first and the last added points sit
+    image = np.zeros(len(points), dtype=np.int64)  # index of f(points[i]); unused at firsts
+    for round_no in range(refinement + 1):
+        left, right = image.copy(), image + 1
+        left[firsts], right[firsts] = rank(points, vals, fpoints, fvals)
+        yield points, left, right
+        if round_no == refinement:
+            return
+        new, image_at = _pull_back(f, added, fpoints[added_at])
+        fnew = _floats(new)
+        at, past = rank(points, new, fpoints, fnew)
+        fresh = np.flatnonzero(at == past)  # not partition points yet
+        if not fresh.size:
+            return  # the partition is closed: later rounds repeat this one
+        at = at[fresh]
+        # each added point goes right before the partition point at its rank, so
+        # an index moves up by the number of points inserted at or before it
+        image = np.insert(image, at, added_at[np.array(image_at)[fresh]])
+        image += np.searchsorted(at, image, "right")
+        firsts = firsts + np.searchsorted(at, firsts, "right")
+        added, added_at = [new[k] for k in fresh.tolist()], at + np.arange(len(at))
+        points = np.insert(np.array(points, dtype=object), at, added).tolist()
+        fpoints = np.insert(fpoints, at, fnew[fresh])
 
 
 def _pull_back(f: PLMap, targets: list[Fraction], ft: np.ndarray) -> tuple[list, list[int]]:
@@ -322,24 +345,6 @@ def _pull_back(f: PLMap, targets: list[Fraction], ft: np.ndarray) -> tuple[list,
     return points, image_at
 
 
-def _covering_log_radius(points: list, vals: list, fpoints: np.ndarray, fvals: np.ndarray) -> float:
-    """Spectral radius of the covering matrix over the cells of ``points``.
-
-    Partition points, where f takes ``vals``, always include every critical
-    point of f, so f is monotone on each cell and cell images are endpoint
-    hulls.  Cells are sorted, hence each image covers a contiguous index
-    window of cells; rows are stored as (start, stop) windows and the power
-    iteration does its matvec with prefix sums.  ``fpoints`` and ``fvals``
-    are their floats.
-    """
-    left, right = rank(points, vals, fpoints, fvals)
-    starts = np.minimum(left[:-1], left[1:])  # first point >= the image's low end
-    # exclusive: the last point <= the image's high end
-    stops = np.maximum(np.maximum(right[:-1], right[1:]) - 1, starts)
-    radius = _interval_rows_radius(starts, stops)
-    return math.log(radius) if radius > 1.0 else 0.0
-
-
 def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
     """Certified lower estimate of the spectral radius of an interval-row 0/1 matrix.
 
@@ -356,18 +361,20 @@ def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
         return 0.0
     n = len(starts)
     v = np.ones(n) / math.sqrt(n)
+    prefix, w = np.zeros(n + 1), np.empty(n)
     prev = 0.0
     for _ in range(_POWER_ITERS):
-        prefix = np.concatenate(([0.0], np.cumsum(v)))
-        w = prefix[stops] - prefix[starts] + v
-        norm = float(np.linalg.norm(w))
-        v = w / norm
+        v.cumsum(out=prefix[1:])
+        np.subtract(prefix[stops], prefix[starts], out=w)
+        w += v
+        norm = math.sqrt(w.dot(w))  # np.linalg.norm of a 1-D float array
+        np.divide(w, norm, out=v)
         if abs(norm - prev) <= _POWER_TOL * max(1.0, norm):
             break
         prev = norm
     # restrict to the numerically relevant support before taking the floor
     v = np.where(v > v.max() * 1e-12, v, 0.0)
-    prefix = np.concatenate(([0.0], np.cumsum(v)))
+    v.cumsum(out=prefix[1:])
     w = prefix[stops] - prefix[starts] + v
     support = v > 0.0
     floor = float(np.min(w[support] / v[support]))
@@ -518,7 +525,8 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
 
     Lower side is the better of the widest hull over iterates, certified
     once on its iterate, and the covering-matrix bound (up to ``depth``
-    rounds within the partition cap); upper side is the lap-growth bound.
+    rounds within the partition cap), which is not computed once the hull
+    meets the upper side; upper side is the lap-growth bound.
     While the search may read g^k (laps(g^k) <= laps(g^(k-1)) laps(g) fits
     :func:`_read_by_search`), g^k is composed and its laps are counted on
     it.  From the first level it cannot read on, laps come from the lap
@@ -574,10 +582,12 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
                 lower_h, best = math.log(d) / k, (k, gk)
         counted = k
         upper = min(upper, math.log(laps) / k)
-    try:
-        lower_m = entropy_lower_markov(g, depth)
-    except ResourceLimitError as exc:
-        lower_m = exc.bound  # the rounds before the partition cap still count
+    lower_m = 0.0  # the covering radius cannot beat a horseshoe that meets the lap bound
+    if lower_h < upper:
+        try:
+            lower_m = entropy_lower_markov(g, depth)
+        except ResourceLimitError as exc:
+            lower_m = exc.bound  # the rounds before the partition cap still count
 
     # min(., upper) guards against float rounding at exact equality
     if best is not None and lower_h >= lower_m - 1e-15:

@@ -9,9 +9,12 @@ to order them and reads sampled floats exactly, for example.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ConstructionError, FormatError
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def qstr(x: Fraction) -> str:
@@ -20,10 +23,11 @@ def qstr(x: Fraction) -> str:
 
 
 def parse_q(value) -> Fraction:
-    """Parse a rational from ``"p/q"`` strings, plain ints, or int strings."""
+    """Parse a rational: a plain int, or a string ``[+-]p`` or ``[+-]p/q`` of digits
+    0-9; no decimal point or exponent (``"1e999999999"`` is a billion digits)."""
     if isinstance(value, int) and not isinstance(value, bool):  # a bool is no rational
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

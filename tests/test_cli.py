@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -153,19 +154,39 @@ def test_entropy_depth_zero_exit_2(tent_path):
     assert res.stderr.splitlines() == ["error: --depth must be >= 1, got 0"]
 
 
+def json_error(text):
+    """The message json.loads raises on ``text``."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("json.loads accepted the text")
+
+
+#: raw JSON text: a 5,000-digit integer (past Python's digit limit) and deep nesting
+_LONG_INTEGER = '{"breakpoints": [0, 1], "values": [0, ' + "1" * 5000 + "]}"
+_DEEP = "[" * 100_000
+
+
 @pytest.mark.parametrize("doc, message", [
     ([0, 1], "a PL map object needs 'breakpoints' and 'values' lists"),
     ({"breakpoints": 5, "values": 5}, "a PL map object needs 'breakpoints' and 'values' lists"),
     ({"breakpoints": ["a", 1], "values": [0, 1]}, "PL map: not a rational: 'a'"),
     # bool is an int subclass in Python; JSON booleans are not rationals
     ({"breakpoints": [False, True], "values": [True, False]}, "PL map: not a rational: False"),
-], ids=["not_an_object", "without_lists", "non_rational_entry", "boolean_entries"])
+    # Fraction would read these as 10^999999999 and 1/2; the grammar is [+-]p or [+-]p/q
+    ({"breakpoints": [0, 1], "values": [0, "1e999999999"]}, "PL map: not a rational: '1e999999999'"),
+    ({"breakpoints": [0, 1], "values": [0, "0.5"]}, "PL map: not a rational: '0.5'"),
+    (_LONG_INTEGER, f"unreadable JSON in {{path}}: {json_error(_LONG_INTEGER)}"),
+    (_DEEP, f"unreadable JSON in {{path}}: {json_error(_DEEP)}"),
+], ids=["not_an_object", "without_lists", "non_rational_entry", "boolean_entries",
+        "exponent_entry", "decimal_entry", "long_integer", "deep_nesting"])
 def test_malformed_map_exit_2(tmp_path, doc, message):
     path = tmp_path / "map.json"
-    path.write_text(json.dumps(doc))
-    res = run_cli("entropy", str(path))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    res = run_cli("entropy", str(path), timeout=10)
     assert res.returncode == 2
-    assert res.stderr.splitlines() == [f"error: {message}"]
+    assert res.stderr.splitlines() == [f"error: {message.format(path=path)}"]
 
 
 _RATIONALS = st.integers(-3, 3) | st.sampled_from(["0", "1/2", "-2/3", "7/4"])
@@ -278,15 +299,19 @@ def test_unreadable_input_returns_2_in_process(tmp_path, name, content):
     ("ell1", "--tail-factor", "x"),
     # without --a-star: the bad multiplier must stop the run before the dial search
     ("dial", "--t", "0.5", "--check-lambdas", "1,x"),
+    # Fraction would build 10^99999999 before the dial search
+    ("dial", "--t", "0.5", "--a-star", "1e-99999999"),
 ], ids=["a_star", "grid", "psi_ratio", "figure1_ratio", "alpha", "delta", "tail_factor",
-        "check_lambdas"])
+        "check_lambdas", "a_star_exponent"])
 def test_rational_flag_parse_error_exit_2(tmp_path, tent_path, argv):
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"members": [json.loads(Path(tent_path).read_text())] * 3}))
     argv = [{"MAP": tent_path, "FAMILY": str(family)}.get(arg, arg) for arg in argv]
+    started = time.perf_counter()
     code, out, lines = _main(*argv)
+    assert time.perf_counter() - started < 10
     assert code == 2 and out == ""
-    assert lines == ["error: not a rational: 'x'"]
+    assert lines == [f"error: not a rational: {argv[-1].split(',')[-1]!r}"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -37,6 +37,7 @@ from entropy_banach.plmap import (
     compose,
     crop,
     eval_at,
+    eval_many,
     image_intervals,
     lap_count,
     linear_combination,
@@ -432,19 +433,51 @@ def test_markov_never_exceeds_lap_bound():
         assert low <= up + 1e-9
 
 
+def record_rounds(monkeypatch):
+    """Patch the Markov scan's round generator; each round's (points, left,
+    right) is appended to the list returned."""
+    seen, real = [], entropy._markov_rounds
+
+    def rounds(f, refinement):
+        for round_ in real(f, refinement):
+            seen.append(round_)
+            yield round_
+
+    monkeypatch.setattr(entropy, "_markov_rounds", rounds)
+    return seen
+
+
 def test_markov_scan_stops_when_the_partition_closes(monkeypatch):
     # round 1 adds 1/2, the preimage of the end 1; pulling 1/2 back gives
     # only 0, so every later round would repeat round 1's partition
-    calls = []
-    real = entropy._covering_log_radius
-
-    def radius(points, vals, *floats):
-        calls.append(points)
-        return real(points, vals, *floats)
-
-    monkeypatch.setattr(entropy, "_covering_log_radius", radius)
+    rounds = record_rounds(monkeypatch)
     assert entropy_lower_markov(make_pl([0, F(1, 2), 1], [F(1, 2), 1, 1]), 5) == 0.0
-    assert calls == [[0, 1], [0, F(1, 2), 1]]
+    assert [points for points, _, _ in rounds] == [[0, 1], [0, F(1, 2), 1]]
+
+
+def test_markov_scan_ranks_only_the_first_points(monkeypatch):
+    # every later point's image is a partition point whose index the scan
+    # carries; only f at the domain ends and turning points is ranked, each round
+    g = invariant_restriction(theta(F(37, 64), 3))
+    firsts = eval_many(g, entropy._turning_positions(g))
+    rounds, ranked, pulled = record_rounds(monkeypatch), [], []
+    real_rank, real_pull_back = entropy.rank, entropy._pull_back
+
+    def counted_rank(xs, qs, fx, fq):
+        if qs is not g.values and not any(qs is new for new in pulled):
+            ranked.append(list(qs))  # neither pull-back's own nor its output's
+        return real_rank(xs, qs, fx, fq)
+
+    def pull_back(f, targets, ft):
+        new, image_at = real_pull_back(f, targets, ft)
+        pulled.append(new)
+        return new, image_at
+
+    monkeypatch.setattr(entropy, "rank", counted_rank)
+    monkeypatch.setattr(entropy, "_pull_back", pull_back)
+    entropy_lower_markov(g, 6)
+    assert len(rounds) == 7
+    assert ranked == [firsts] * len(rounds)
 
 
 def test_markov_partition_cap(monkeypatch):
@@ -483,46 +516,40 @@ PARTITION_MAPS = {
 }
 
 
+def ranks_oracle(points, vals):
+    """bisect_left and bisect_right of every value in the partition."""
+    return ([bisect_left(points, y) for y in vals], [bisect_right(points, y) for y in vals])
+
+
 @pytest.mark.parametrize("name", sorted(PARTITION_MAPS))
 def test_markov_partitions_match_golden(monkeypatch, name):
     # every round's partition: its size and the sha256 of its points, one
-    # qstr a line; the images the scan carries must be f at those points
+    # qstr a line; the ranks the scan carries must be those of f at the
+    # points, so points[left[i]] == f(points[i]) wherever right[i] == left[i] + 1
     g = invariant_restriction(PARTITION_MAPS[name])
-    rounds = []
-    real = entropy._covering_log_radius
-
-    def record(points, vals, fpoints, fvals):
-        assert vals == [eval_at(g, x) for x in points]
-        assert fpoints.tolist() == _floats(points).tolist()
-        assert fvals.tolist() == _floats(vals).tolist()
-        text = "\n".join(qstr(x) for x in points)
-        rounds.append([len(points), hashlib.sha256(text.encode()).hexdigest()])
-        return real(points, vals, fpoints, fvals)
-
-    monkeypatch.setattr(entropy, "_covering_log_radius", record)
+    rounds = record_rounds(monkeypatch)
     entropy_lower_markov(g, 8)
     golden = json.loads((GOLDEN / "markov_partitions.json").read_text())
-    assert rounds == golden[name]
+    assert [[len(points), hashlib.sha256("\n".join(map(qstr, points)).encode()).hexdigest()]
+            for points, _, _ in rounds] == golden[name]
+    for points, left, right in rounds:
+        assert (left.tolist(), right.tolist()) == ranks_oracle(points, eval_many(g, points))
 
 
 def test_pull_back_gets_only_last_rounds_points(monkeypatch):
     # round r+1 pulls back P_r minus P_(r-1), the points round r added
     g = invariant_restriction(theta(F(37, 64), 3))
-    partitions, pulled = [], []
-    real_radius, real_pull_back = entropy._covering_log_radius, entropy._pull_back
-
-    def radius(points, vals, *floats):
-        partitions.append(list(points))
-        return real_radius(points, vals, *floats)
+    rounds, pulled = record_rounds(monkeypatch), []
+    real_pull_back = entropy._pull_back
 
     def pull_back(f, targets, ft):
         pulled.append(list(targets))
         assert ft.tolist() == _floats(targets).tolist()
         return real_pull_back(f, targets, ft)
 
-    monkeypatch.setattr(entropy, "_covering_log_radius", radius)
     monkeypatch.setattr(entropy, "_pull_back", pull_back)
     entropy_lower_markov(g, 6)
+    partitions = [points for points, _, _ in rounds]
     assert len(pulled) == 6 and len(partitions) == 7
     assert pulled[0] == partitions[0]
     for r in range(1, 6):
@@ -584,25 +611,29 @@ def covering_rows_oracle(points, vals):
     return starts, stops
 
 
-@pytest.mark.parametrize("name", sorted(PARTITION_MAPS))
-def test_covering_rows_match_oracle(monkeypatch, name):
-    g = invariant_restriction(PARTITION_MAPS[name])
-    seen = []
-    real_radius, real_rows = entropy._covering_log_radius, entropy._interval_rows_radius
+def assert_covering_rows_match_oracle(monkeypatch, f, refinement):
+    """Every round's covering rows, as entropy_lower_markov passes them on,
+    equal the oracle's on that round's partition."""
+    rounds, rows = record_rounds(monkeypatch), []
+    real_rows = entropy._interval_rows_radius
 
-    def radius(points, vals, *floats):
-        seen.append(covering_rows_oracle(points, vals))
-        return real_radius(points, vals, *floats)
-
-    def rows(starts, stops):
-        assert (starts.tolist(), stops.tolist()) == seen[-1]
-        seen[-1] = None
+    def radius(starts, stops):
+        rows.append((starts.tolist(), stops.tolist()))
         return real_rows(starts, stops)
 
-    monkeypatch.setattr(entropy, "_covering_log_radius", radius)
-    monkeypatch.setattr(entropy, "_interval_rows_radius", rows)
-    entropy_lower_markov(g, 6)
-    assert seen and seen == [None] * len(seen)
+    monkeypatch.setattr(entropy, "_interval_rows_radius", radius)
+    try:
+        entropy_lower_markov(f, refinement)
+    except ResourceLimitError:
+        rounds.pop()  # the round past the partition cap gets no rows
+    assert rows == [covering_rows_oracle(points, eval_many(f, points)) for points, _, _ in rounds]
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_MAPS))
+def test_covering_rows_match_oracle(monkeypatch, name):
+    assert assert_covering_rows_match_oracle(
+        monkeypatch, invariant_restriction(PARTITION_MAPS[name]), 6)
 
 
 def test_bounds_beyond_float_range():
@@ -663,6 +694,37 @@ def test_exact_radius_decision_matches_eigvals(rows):
         assert result == 0.0
     else:
         assert result <= rho + 1e-9
+
+
+def interval_rows_radius_oracle(starts, stops):
+    """_interval_rows_radius with the power loop before its buffers: a new
+    prefix and row-sum array each step, and np.linalg.norm."""
+    if _radius_at_most_one(starts, stops):
+        return 0.0
+    n = len(starts)
+    v = np.ones(n) / math.sqrt(n)
+    prev = 0.0
+    for _ in range(entropy._POWER_ITERS):
+        prefix = np.concatenate(([0.0], np.cumsum(v)))
+        w = prefix[stops] - prefix[starts] + v
+        norm = float(np.linalg.norm(w))
+        v = w / norm
+        if abs(norm - prev) <= entropy._POWER_TOL * max(1.0, norm):
+            break
+        prev = norm
+    v = np.where(v > v.max() * 1e-12, v, 0.0)
+    prefix = np.concatenate(([0.0], np.cumsum(v)))
+    w = prefix[stops] - prefix[starts] + v
+    support = v > 0.0
+    floor = float(np.min(w[support] / v[support]))
+    return max(floor - 1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_rows())
+def test_radius_is_bit_identical_to_the_unbuffered_power_loop(rows):
+    result, expected = _interval_rows_radius(*rows), interval_rows_radius_oracle(*rows)
+    assert np.float64(result).tobytes() == np.float64(expected).tobytes()
 
 
 def test_chained_cycles_radius_is_exactly_zero():
@@ -797,6 +859,14 @@ def test_hull_boxes_match_oracle(f):
         g = compose(f, g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grid_maps(), near_tie_grid_maps(), far_maps()))
+def test_covering_rows_match_oracle_on_random_maps(f):
+    # on the invariant restriction, as entropy_bounds runs the scan
+    with pytest.MonkeyPatch.context() as mp:
+        assert_covering_rows_match_oracle(mp, invariant_restriction(f), 3)
+
+
 # --- combined bounds ----------------------------------------------------------------
 
 def test_bounds_tent_bracket_exact():
@@ -816,6 +886,20 @@ def test_bounds_full_branch_family_exact():
         eb = entropy_bounds(full_branch_map(d), 1)
         assert abs(eb.lower - math.log(d)) < 1e-9
         assert abs(eb.upper - math.log(d)) < 1e-9
+
+
+def test_bounds_skip_the_markov_scan_once_the_horseshoe_meets_the_lap_bound(monkeypatch):
+    # three full branches: the 3-horseshoe and the 3 laps of f both give log 3
+    calls = []
+    real = entropy.entropy_lower_markov
+    monkeypatch.setattr(entropy, "entropy_lower_markov",
+                        lambda f, refinement: calls.append(f) or real(f, refinement))
+    f = full_branch_map(3)
+    eb = entropy_bounds(f, 8)
+    assert calls == []
+    # log(3^5) / 5 rounds one ulp below log 3, and the bracket takes the smaller
+    assert eb.lower == eb.upper == pytest.approx(math.log(3), abs=1e-15)
+    assert eb.lower_witness is not None and validate_certificate(f, eb.lower_witness)
 
 
 def test_bounds_witness_rate_matches_lower():
