@@ -361,20 +361,18 @@ def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
         return 0.0
     n = len(starts)
     v = np.ones(n) / math.sqrt(n)
-    prefix, w = np.zeros(n + 1), np.empty(n)
     prev = 0.0
     for _ in range(_POWER_ITERS):
-        v.cumsum(out=prefix[1:])
-        np.subtract(prefix[stops], prefix[starts], out=w)
-        w += v
-        norm = math.sqrt(w.dot(w))  # np.linalg.norm of a 1-D float array
-        np.divide(w, norm, out=v)
+        prefix = np.concatenate(([0.0], np.cumsum(v)))
+        w = prefix[stops] - prefix[starts] + v
+        norm = float(np.linalg.norm(w))
+        v = w / norm
         if abs(norm - prev) <= _POWER_TOL * max(1.0, norm):
             break
         prev = norm
     # restrict to the numerically relevant support before taking the floor
     v = np.where(v > v.max() * 1e-12, v, 0.0)
-    v.cumsum(out=prefix[1:])
+    prefix = np.concatenate(([0.0], np.cumsum(v)))
     w = prefix[stops] - prefix[starts] + v
     support = v > 0.0
     floor = float(np.min(w[support] / v[support]))

@@ -525,14 +525,24 @@ def ranks_oracle(points, vals):
 def test_markov_partitions_match_golden(monkeypatch, name):
     # every round's partition: its size and the sha256 of its points, one
     # qstr a line; the ranks the scan carries must be those of f at the
-    # points, so points[left[i]] == f(points[i]) wherever right[i] == left[i] + 1
+    # points, so points[left[i]] == f(points[i]) wherever right[i] == left[i] + 1;
+    # every rank the scan takes gets the floats of the partition and of the values
     g = invariant_restriction(PARTITION_MAPS[name])
-    rounds = record_rounds(monkeypatch)
+    rounds, ranked_in = record_rounds(monkeypatch), []
+    real_rank = entropy.rank
+
+    def checked_rank(xs, qs, fx, fq):
+        assert fx.tolist() == _floats(xs).tolist() and fq.tolist() == _floats(qs).tolist()
+        ranked_in.append(xs)
+        return real_rank(xs, qs, fx, fq)
+
+    monkeypatch.setattr(entropy, "rank", checked_rank)
     entropy_lower_markov(g, 8)
     golden = json.loads((GOLDEN / "markov_partitions.json").read_text())
     assert [[len(points), hashlib.sha256("\n".join(map(qstr, points)).encode()).hexdigest()]
             for points, _, _ in rounds] == golden[name]
     for points, left, right in rounds:
+        assert any(xs is points for xs in ranked_in)  # its floats were checked
         assert (left.tolist(), right.tolist()) == ranks_oracle(points, eval_many(g, points))
 
 
@@ -694,37 +704,6 @@ def test_exact_radius_decision_matches_eigvals(rows):
         assert result == 0.0
     else:
         assert result <= rho + 1e-9
-
-
-def interval_rows_radius_oracle(starts, stops):
-    """_interval_rows_radius with the power loop before its buffers: a new
-    prefix and row-sum array each step, and np.linalg.norm."""
-    if _radius_at_most_one(starts, stops):
-        return 0.0
-    n = len(starts)
-    v = np.ones(n) / math.sqrt(n)
-    prev = 0.0
-    for _ in range(entropy._POWER_ITERS):
-        prefix = np.concatenate(([0.0], np.cumsum(v)))
-        w = prefix[stops] - prefix[starts] + v
-        norm = float(np.linalg.norm(w))
-        v = w / norm
-        if abs(norm - prev) <= entropy._POWER_TOL * max(1.0, norm):
-            break
-        prev = norm
-    v = np.where(v > v.max() * 1e-12, v, 0.0)
-    prefix = np.concatenate(([0.0], np.cumsum(v)))
-    w = prefix[stops] - prefix[starts] + v
-    support = v > 0.0
-    floor = float(np.min(w[support] / v[support]))
-    return max(floor - 1.0, 0.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(interval_rows())
-def test_radius_is_bit_identical_to_the_unbuffered_power_loop(rows):
-    result, expected = _interval_rows_radius(*rows), interval_rows_radius_oracle(*rows)
-    assert np.float64(result).tobytes() == np.float64(expected).tobytes()
 
 
 def test_chained_cycles_radius_is_exactly_zero():
