@@ -13,10 +13,11 @@ All covering checks are exact rational comparisons; only the final rates
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -110,19 +111,14 @@ def invariant_restriction(f: PLMap) -> PLMap:
 def entropy_upper_lap(f: PLMap, depth: int) -> float:
     """min over k <= depth of log(laps(f^k)) / k; a valid upper bound.
 
-    Monotone improving in depth; cap truncation only reduces the achieved
-    depth and keeps the bound valid.
+    The laps come from :func:`_lap_counts`, so f^k is built only where laps
+    may merge.  Monotone improving in depth; the breakpoint cap only stops
+    the count early and keeps the bound valid.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    g, best = f, math.log(lap_count(f))
-    for k in range(2, depth + 1):
-        try:
-            g = compose(f, g)
-        except ResourceLimitError:
-            break
-        best = min(best, math.log(lap_count(g)) / k)
-    return best
+    counts = _lap_counts(f, _iterate_chain(f))
+    return min(math.log(laps) / k for k, laps in zip(range(1, depth + 1), counts))
 
 
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
@@ -270,9 +266,9 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
             raise ResourceLimitError(
                 f"covering partition exceeded {PARTITION_CAP} cells",
                 achieved=round_no, cap=PARTITION_CAP, bound=best)
-        # f is monotone on a cell, so its image, the hull of f at its ends, covers the
-        # cells from the first point >= its low end to (exclusive) the last <= its high end
-        starts = np.minimum(left[:-1], left[1:])
+        # f is monotone on a cell, so its image, the hull of f at its ends, covers the cells
+        # from the first point >= its low end, if any, to (exclusive) the last <= its high end
+        starts = np.minimum(np.minimum(left[:-1], left[1:]), len(points) - 1)
         stops = np.maximum(np.maximum(right[:-1], right[1:]) - 1, starts)
         radius = _interval_rows_radius(starts, stops)
         best = max(best, math.log(radius) if radius > 1.0 else 0.0)
@@ -508,14 +504,51 @@ def _lap_images(g: PLMap, images: dict, turns: tuple) -> dict | None:
 
 
 def _read_by_search(laps: int, k: int, lower_h: float) -> bool:
-    """Whether the hull search reads an iterate g^k with ``laps`` laps.
-
-    The search on an iterate with n breakpoints (at least its lap count)
-    takes O(n^2) time, so large iterates are skipped, and so are those
-    whose lap ceiling cannot beat the best rate ``lower_h``; skipping only
-    weakens, never falsifies, the lower bound.
-    """
+    """Whether the hull search reads an iterate g^k with ``laps`` laps: it
+    takes O(n^2) time on n >= laps breakpoints, so large iterates are
+    skipped, and so are those whose lap ceiling cannot beat the best rate
+    ``lower_h``; skipping only weakens the lower bound."""
     return laps <= HORSESHOE_LAP_BUDGET and math.log(laps) / k > lower_h + 1e-12
+
+
+def _iterate_chain(g: PLMap) -> Callable[[int], PLMap | None]:
+    """g^k for non-decreasing k, each level composed once, forward from the
+    last one built; None from the first level the breakpoint cap refuses."""
+    built, gk = 1, g
+
+    def at(k: int) -> PLMap | None:
+        nonlocal built, gk
+        try:
+            while gk is not None and built < k:
+                gk, built = compose(g, gk), built + 1
+        except ResourceLimitError:
+            gk = None
+        return gk
+
+    return at
+
+
+def _lap_counts(g: PLMap, chain: Callable[[int], PLMap | None]) -> Iterator[int]:
+    """laps(g^k) for k = 1, 2, ..., counted from lap images (:func:`_lap_images`).
+
+    Where laps may merge, g^k comes from ``chain``, is counted on itself
+    and restarts the lap images.  Stops before the first k >= 2 with
+    laps + 1 > the breakpoint cap, or at a merge level the cap refuses.
+    """
+    lo, hi = g.domain.lo, g.domain.hi
+    whole = {(*lo.as_integer_ratio(), *hi.as_integer_ratio()): [lo, hi, 1]}  # the lap of g^0
+    cap, turns, images = plmap.BREAKPOINT_CAP, _turns(g), whole
+    for k in itertools.count(1):
+        images = _lap_images(g, images, turns)
+        if images is None:  # laps may have merged: count them on g^k
+            if (gk := chain(k)) is None:
+                return
+            laps, images = lap_count(gk), _lap_images(gk, whole, _turns(gk))
+        else:
+            laps = max(1, sum(m for _, _, m in images.values()))
+            if k > 1 and laps + 1 > cap:
+                return  # g^k has more breakpoints than laps: compose would refuse it
+        yield laps
 
 
 def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
@@ -524,57 +557,22 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     Lower side is the better of the widest hull over iterates, certified
     once on its iterate, and the covering-matrix bound (up to ``depth``
     rounds within the partition cap), which is not computed once the hull
-    meets the upper side; upper side is the lap-growth bound.
-    While the search may read g^k (laps(g^k) <= laps(g^(k-1)) laps(g) fits
-    :func:`_read_by_search`), g^k is composed and its laps are counted on
-    it.  From the first level it cannot read on, laps come from the lap
-    images of g^(k-1) (:func:`_lap_images`), and g^k is composed, forward
-    from the last iterate built, only when the search reads it or when its
-    laps may have merged.  That count stops before the first k whose g^k
-    would exceed the breakpoint cap (laps + 1 > cap), the iterates at the
-    cap itself.  Caps only reduce the achieved depth; a monotone
-    restriction builds no iterate.
+    meets the upper side; upper side is the lap-growth bound over the levels
+    :func:`_lap_counts` reaches.  One chain (:func:`_iterate_chain`) builds
+    g^k for the search and for the count where laps may merge.  Caps only
+    reduce the achieved depth; a monotone restriction builds no iterate.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     g = invariant_restriction(f)
-    laps_g = lap_count(g)
-    if laps_g == 1:  # so is every iterate: no horseshoe, and one lap
+    if lap_count(g) == 1:  # so is every iterate: no horseshoe, and one lap
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
-    lo, hi = g.domain.lo, g.domain.hi
-    whole = {(*lo.as_integer_ratio(), *hi.as_integer_ratio()): [lo, hi, 1]}  # the lap of g^0
-    cap, turns = plmap.BREAKPOINT_CAP, _turns(g)
-    # gk = g^built; images are those of the laps of g^(k-1), None while the iterates count
-    images, gk, built, stopped = None, g, 1, False
-    upper, lower_h, best, counted, laps = math.inf, 0.0, None, 0, laps_g
-    for k in range(1, depth + 1):
-        if built < k and images is None and not stopped and _read_by_search(laps * laps_g, k, lower_h):
-            try:
-                gk, built = compose(g, gk), k
-            except ResourceLimitError:
-                stopped = True
-        if built == k and images is None:
-            laps = lap_count(gk) if k > 1 else laps_g
-        else:
-            if images is None:  # leave the iterates at g^(k-1) = gk
-                images = _lap_images(gk, whole, _turns(gk))
-            images = _lap_images(g, images, turns)
-            if images is not None:
-                laps = max(1, sum(m for _, _, m in images.values()))
-                if laps + 1 > cap:
-                    break  # g^k has more breakpoints than laps: compose would refuse it
-            if images is None or _read_by_search(laps, k, lower_h):
-                try:
-                    while not stopped and built < k:
-                        gk, built = compose(g, gk), built + 1
-                except ResourceLimitError:
-                    stopped = True
-                if images is None:
-                    if built < k:
-                        break  # laps may have merged, and g^k cannot be built to count them
-                    laps = lap_count(gk)
-        if built == k and _read_by_search(laps, k, lower_h) and len(gk) <= HORSESHOE_CAP:
+    chain = _iterate_chain(g)
+    upper, lower_h, best, counted = math.inf, 0.0, None, 0
+    for k, laps in zip(range(1, depth + 1), _lap_counts(g, chain)):
+        gk = chain(k) if _read_by_search(laps, k, lower_h) else None
+        if gk is not None and len(gk) <= HORSESHOE_CAP:
             d = _widest_hull(gk)[0]
             if d >= 2 and math.log(d) / k > lower_h:
                 lower_h, best = math.log(d) / k, (k, gk)

@@ -127,6 +127,15 @@ def test_upper_monotone_ramp():
     assert entropy_upper_lap(make_pl([0, 1], [0, F(1, 2)]), 4) == 0.0
 
 
+def test_upper_tent_depth20_builds_no_iterate(monkeypatch):
+    # laps(tent^k) = 2^k all come from lap images: tent^20 is never composed
+    def no_compose(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(entropy, "compose", no_compose)
+    assert entropy_upper_lap(TENT, 20) == math.log(2)
+
+
 def test_upper_monotone_in_depth():
     f = full_branch_map(3)
     prev = math.inf
@@ -431,6 +440,14 @@ def test_markov_never_exceeds_lap_bound():
         low = entropy_lower_markov(f, 4)
         up = entropy_upper_lap(f, 10)
         assert low <= up + 1e-9
+
+
+def test_markov_cell_image_past_the_last_point():
+    # f(1/3, 1/2) lies above 1/2, the last partition point: its row covers no cell
+    f = make_pl([0, F(1, 4), F(1, 3), F(1, 2)], [F(1, 3), 0, F(2, 3), F(1, 2) + F(1, 2 ** 70)])
+    up = entropy_upper_lap(f, 8)
+    for r in range(4):
+        assert 0.0 <= entropy_lower_markov(f, r) <= up + 1e-9
 
 
 def record_rounds(monkeypatch):
@@ -980,10 +997,14 @@ def test_bounds_match_chain_oracle(f, depth, cap):
         assert eb.upper == upper
         assert eb.lower_witness == cert
         assert eb.depth_used == depth_used
-        if cap is None:
-            assert eb.upper == entropy_upper_lap(g, depth)
-        else:  # the lap images reach past the capped iterates
-            assert eb.upper <= entropy_upper_lap(g, depth)
+        assert eb.upper == entropy_upper_lap(g, depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_maps(), st.integers(1, 6))
+def test_upper_matches_the_laps_of_the_chain(f, depth):
+    # on f itself, not its invariant restriction: images may leave the domain
+    assert entropy_upper_lap(f, depth) == lap_upper([lap_count(h) for h in iterate_chain(f, depth)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1060,10 +1081,9 @@ def test_bounds_compose_only_what_the_search_reads(monkeypatch):
 def test_bounds_build_and_count_every_level_the_search_reads(monkeypatch):
     # g = x + 1/4 then 5/4 - x on [1/4, 3/4] has 2 laps at every level and
     # no 2-horseshoe, so each lap rate log(2)/k beats the best hull, 0: every
-    # iterate is built and counted on itself, and no lap image is made
+    # iterate is built for the search, each once
     calls, real = [], entropy.compose
     monkeypatch.setattr(entropy, "compose", lambda f, g: calls.append(len(g)) or real(f, g))
-    monkeypatch.setattr(entropy, "_lap_images", None)
     eb = entropy_bounds(make_pl([0, F(1, 2), 1], [F(1, 4), F(3, 4), F(1, 4)]), 6)
     assert len(calls) == 5
     assert (eb.lower, eb.upper, eb.lower_witness, eb.depth_used) == (0.0, math.log(2) / 6, None, 6)
