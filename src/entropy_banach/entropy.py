@@ -124,32 +124,25 @@ def entropy_upper_lap(f: PLMap, depth: int) -> float:
 def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
     """The certified preimage subintervals of the covering branches of hull [u, v].
 
-    Each piece is cut to [u, v]; f is monotone there, so the cut piece's
-    image is the hull of f at its two ends.
+    u and v are breakpoints, so each piece cut to [u, v] runs between two
+    breakpoints a < b; f is monotone there, so the branch covers [u, v] iff
+    f's values at a and b do.  Its first points at levels u and v then lie
+    inside it: a itself where f(a) is the level (a start inside a flat at
+    it is no :func:`_pull_back` point), else the first point at the level
+    from xs[a] on of one pull-back of [u, v].
     """
-    xs = f.breakpoints
-    level_u, level_v = _level_set(f, u), _level_set(f, v)
-    spans = [(max(xs[s], u), min(xs[e], v)) for s, e in monotone_pieces(f)]
-    spans = [(lo_x, hi_x) for lo_x, hi_x in spans if lo_x < hi_x]
-    ends = eval_many(f, [x for span in spans for x in span])
-    firsts = [lo_x for (lo_x, _), f_lo, f_hi in zip(spans, ends[::2], ends[1::2])
-              if min(f_lo, f_hi) <= u and max(f_lo, f_hi) >= v]
-    # each such branch attains u and v on [lo_x, hi_x], so the first level
-    # points from lo_x on lie inside it
-    at_u, at_v = (rank(level, firsts, _floats(level), _floats(firsts))[0].tolist()
-                  for level in (level_u, level_v))
-    return certify(f, [IntervalQ(*sorted((level_u[i], level_v[j]))) for i, j in zip(at_u, at_v)])
-
-
-def _level_set(f: PLMap, target: Fraction) -> list[Fraction]:
-    """Ascending: the nodes of f equal to target, and the crossings inside segments."""
     xs, ys = f.breakpoints, f.values
-    out = []
-    for i, hits in enumerate([*segment_preimages(f, [target], _floats([target])), []]):
-        if ys[i] == target:
-            out.append(xs[i])
-        out.extend(x for x, _ in hits)
-    return out
+    ends, fends = [u, v], _floats([u, v])
+    i, j = rank(xs, ends, f.fx, fends)[0].tolist()
+    points, image_at = _pull_back(f, ends, fends)
+    spans = [(max(s, i), min(e, j)) for s, e in monotone_pieces(f)]
+    starts = [a for a, b in spans if a < b and min(ys[a], ys[b]) <= u and max(ys[a], ys[b]) >= v]
+    firsts = []
+    for level, t in enumerate(ends):
+        at_level = [x for x, k in zip(points, image_at) if k == level]
+        at = rank(at_level, [xs[a] for a in starts], _floats(at_level), f.fx[starts])[0]
+        firsts.append([xs[a] if ys[a] == t else at_level[k] for a, k in zip(starts, at.tolist())])
+    return certify(f, [IntervalQ(*sorted(pair)) for pair in zip(*firsts)])
 
 
 def _hull_boxes(f: PLMap) -> np.ndarray:
@@ -327,12 +320,13 @@ def _pull_back(f: PLMap, targets: list[Fraction], ft: np.ndarray) -> tuple[list,
     inside its hull.
     """
     xs, ys = f.breakpoints, f.values
-    left, right = (r.tolist() for r in rank(targets, ys, ft, f.fy))
+    at = rank(targets, ys, ft, f.fy)
+    left, right = (r.tolist() for r in at)
     # moving[i]: the segment left of node i is not flat; none lies beyond the ends
     moving = [False, *(a != b for a, b in zip(ys, ys[1:])), False]
     points, image_at = [], []
     # node i, then the hits inside segment i; the last node has no segment
-    for i, hits in enumerate([*segment_preimages(f, targets, ft), []]):
+    for i, hits in enumerate([*segment_preimages(f, targets, *at), []]):
         if left[i] < right[i] and (moving[i] or moving[i + 1]):  # ys[i] is targets[left[i]]
             points.append(xs[i])
             image_at.append(left[i])

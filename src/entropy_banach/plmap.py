@@ -204,17 +204,17 @@ def _prune_collinear(xs: Sequence[Fraction], ys: Sequence[Fraction], fx: np.ndar
     return PLMap(tuple(compress(xs, keep)), tuple(compress(ys, keep)), fx[keep], fy[keep])
 
 
-def segment_preimages(g: PLMap, targets: Sequence[Fraction],
-                      ft: np.ndarray) -> Iterator[list[tuple[Fraction, int]]]:
+def segment_preimages(g: PLMap, targets: Sequence[Fraction], left: np.ndarray,
+                      right: np.ndarray) -> Iterator[list[tuple[Fraction, int]]]:
     """Per segment of g, the pairs (x, j) strictly inside it with g(x) == targets[j].
 
-    ``targets`` ascend and ``ft`` are their floats; each segment's list is
-    in x order, empty if flat.  Composition, the covering partition and
-    certificates all use this loop.
+    ``targets`` ascend; ``left`` and ``right`` are the :func:`rank` of g's
+    values in them, which each caller also reads itself.  Each segment's
+    list is in x order, empty if flat.  Composition, the covering partition
+    and certificates all use this loop.
     """
     xs, ys = g.breakpoints, g.values
     ratios = [t.as_integer_ratio() for t in targets]
-    left, right = rank(targets, ys, ft, g.fy)
     # targets strictly inside the value range of each segment: bisect_right
     # of its lower end value up to bisect_left of its upper one
     starts = np.minimum(right[:-1], right[1:]).tolist()
@@ -240,9 +240,10 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     """
     limit = BREAKPOINT_CAP
     gx, gy, fvals = g.breakpoints, g.values, f.values
-    fgy = _values_at(f, gy, *(r.tolist() for r in rank(f.breakpoints, gy, f.fx, g.fy)))
+    at = rank(f.breakpoints, gy, f.fx, g.fy)
+    fgy = _values_at(f, gy, *(r.tolist() for r in at))
     xs, ys, counts, hit_j = [], [], [], []  # counts: hits per segment of g
-    for i, hits in enumerate(segment_preimages(g, f.breakpoints, f.fx)):
+    for i, hits in enumerate(segment_preimages(g, f.breakpoints, *at)):
         xs.append(gx[i])
         ys.append(fgy[i])
         counts.append(len(hits))
@@ -386,8 +387,6 @@ def even_extension(f: PLMap) -> PLMap:
         raise DomainError(f"even extension needs a domain starting at 0, got {xs[0]}")
     new_x = [-x for x in reversed(xs)] + list(xs[1:])
     new_y = list(reversed(ys)) + list(ys[1:])
-    if len(new_x) == 1:
-        return PLMap((xs[0],), (ys[0],))
     return PLMap(tuple(new_x), tuple(new_y))
 
 

@@ -43,14 +43,9 @@ def pow2_floor(x: Fraction) -> Fraction:
     """Largest power of two (2**k, k in Z) that is <= x.  Requires x > 0."""
     if x <= 0:
         raise ConstructionError("pow2_floor needs a positive argument")
-    k = 0
-    if x >= 1:
-        while Fraction(2) ** (k + 1) <= x:
-            k += 1
-    else:
-        while Fraction(2) ** k > x:
-            k -= 1
-    return Fraction(2) ** k
+    # with k the numerator's bit length minus the denominator's, 2**(k - 1) < x < 2**(k + 1)
+    power = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
+    return power if power <= x else power / 2
 
 
 def iroot(n: int, k: int) -> int:

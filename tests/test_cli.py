@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,6 +21,7 @@ CLI = [sys.executable, "-m", "entropy_banach.cli"]
 
 #: reference outputs of the invocations below, captured from the CLI
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*args, **kwargs):
@@ -414,6 +416,39 @@ def test_ell1_a_billion_steps_reports_a_small_needed(monkeypatch):
     cap = plmap.BREAKPOINT_CAP
     assert len(raised) == 1 and raised[0].cap == cap
     assert cap < raised[0].needed and raised[0].needed.bit_length() <= cap.bit_length() + 1
+
+
+def test_readme_quotes_the_caps_of_the_code(monkeypatch):
+    # every number README states about a cap is the constant's own; the text
+    # is read with its whitespace collapsed, since a phrase may wrap
+    text = " ".join(README.read_text().split())
+    quoted = {
+        r"(\d+), the library constant `plmap\.BREAKPOINT_CAP`": plmap.BREAKPOINT_CAP,
+        r"capped at (\d+) breakpoints \(`entropy\.HORSESHOE_CAP`": entropy.HORSESHOE_CAP,
+        r"at most (\d+) laps, and a lap rate": entropy.HORSESHOE_LAP_BUDGET,
+        r"more than (\d+) laps \(`entropy\.HORSESHOE_LAP_BUDGET`": entropy.HORSESHOE_LAP_BUDGET,
+        r"would exceed (\d+) cells": entropy.PARTITION_CAP,
+        r"stop at (\d+) cells \(`entropy\.PARTITION_CAP`": entropy.PARTITION_CAP,
+    }
+    for pattern, constant in quoted.items():
+        assert [int(n) for n in re.findall(pattern, text)] == [constant], pattern
+    # the M-step ell1 witness has fewer than 2^(M+6) breakpoints: its cap
+    # check passes at a cap of 2^(M+6) and refuses one breakpoint less
+    offset, = map(int, re.findall(r"fewer than `2\^\(M\+(\d+)\)` breakpoints", text))
+    for M in range(1, 10):
+        monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 2 ** (M + offset))
+        cli._check_witness_cap(M)
+        monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 2 ** (M + offset) - 1)
+        with pytest.raises(ResourceLimitError):
+            cli._check_witness_cap(M)
+    monkeypatch.undo()
+    # and at the default cap, the last step count that completes and the first refused
+    (done, refused), = re.findall(r"`--steps (\d+)` completes and `--steps (\d+)` exits 3", text)
+    message, = re.findall(r"\(`(the \d+-step witness needs up to 2\^\d+ breakpoints)`\)", text)
+    cli._check_witness_cap(int(done))
+    with pytest.raises(ResourceLimitError) as err:
+        cli._check_witness_cap(int(refused))
+    assert int(refused) == int(done) + 1 and str(err.value).startswith(message)
 
 
 def test_help_exits_0():

@@ -19,8 +19,9 @@ from entropy_banach.ellone import (
 )
 from entropy_banach.entropy import validate_certificate
 from entropy_banach import plmap
-from entropy_banach.errors import DomainError, ResourceLimitError
+from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import PLMap, eval_at, linear_combination, make_pl, sup_norm
+from entropy_banach.rational import pow2_floor
 from entropy_banach.spaces import solve_linear_system
 
 A8_PRINTED = (
@@ -207,6 +208,36 @@ def test_gamma_schedule_is_tail_factor_times_tail(tail_factor):
 def test_gamma_schedule_rejects_bad_factor():
     with pytest.raises(DomainError):
         gamma_schedule(3, 1)
+
+
+def pow2_floor_oracle(x):
+    """pow2_floor before the bit lengths: step k from 0 until 2^k <= x < 2^(k+1)."""
+    k = 0
+    if x >= 1:
+        while F(2) ** (k + 1) <= x:
+            k += 1
+    else:
+        while F(2) ** k > x:
+            k -= 1
+    return F(2) ** k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6),
+    st.builds(lambda e, j: F(2) ** e + j, st.integers(-100, 100), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda e, j: F(2) ** e * (1 + j * F(1, 2 ** 80)), st.integers(-100, 100),
+              st.sampled_from([-1, 1])),
+).filter(lambda x: x > 0))
+def test_pow2_floor_matches_oracle(x):
+    # powers of two, their integer neighbours (2^100 - 1) and 2^-80 relative neighbours
+    assert pow2_floor(x) == pow2_floor_oracle(x)
+
+
+def test_pow2_floor_rejects_nonpositive():
+    for x in (F(0), F(-1, 3)):
+        with pytest.raises(ConstructionError):
+            pow2_floor(x)
 
 
 # --- the staged witness ---------------------------------------------------------------

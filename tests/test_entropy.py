@@ -51,7 +51,7 @@ from entropy_banach.plmap import (
     sort_exact,
 )
 from entropy_banach.rational import qstr
-from test_plmap import far_maps, near_tie_maps
+from test_plmap import far_maps, near_tie_maps, segment_preimages_oracle
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 IDENT = make_pl([0, 1], [0, 1])
@@ -591,7 +591,7 @@ def pull_back_oracle(f, targets):
     left, right = rank(targets, ys, ft, _floats(ys))
     on_target = (left < right).tolist()
     found = {}
-    for i, hits in enumerate(segment_preimages(f, targets, ft)):
+    for i, hits in enumerate(segment_preimages(f, targets, left, right)):
         if ys[i] != ys[i + 1]:
             found.update((xs[k], ys[k]) for k in (i, i + 1) if on_target[k])
         found.update((x, targets[j]) for x, j in hits)
@@ -801,6 +801,57 @@ def test_horseshoe_max_matches_dense_grid(f):
         assert (d, hulls[0] if hulls else None) == (expected_d, hull)
         assert cert == (None if hull is None else real(g, *hull))
         g = compose(f, g)
+
+
+def branch_certificate_oracle(f, u, v):
+    """_branch_certificate before it shared the Markov scan's pull-back: each
+    level from its own walk over nodes (one == each) and crossings, and f
+    evaluated at the ends of every piece cut to [u, v]."""
+    xs, ys = f.breakpoints, f.values
+
+    def level_set(target):
+        out = []
+        for i, hits in enumerate([*segment_preimages_oracle(f, [target]), []]):
+            if ys[i] == target:
+                out.append(xs[i])
+            out.extend(x for x, _ in hits)
+        return out
+
+    level_u, level_v = level_set(u), level_set(v)
+    spans = [(max(xs[s], u), min(xs[e], v)) for s, e in monotone_pieces(f)]
+    spans = [(lo_x, hi_x) for lo_x, hi_x in spans if lo_x < hi_x]
+    ends = eval_many(f, [x for span in spans for x in span])
+    firsts = [lo_x for (lo_x, _), f_lo, f_hi in zip(spans, ends[::2], ends[1::2])
+              if min(f_lo, f_hi) <= u and max(f_lo, f_hi) >= v]
+    return certify(f, [IntervalQ(*sorted((level_u[bisect_left(level_u, x)],
+                                          level_v[bisect_left(level_v, x)]))) for x in firsts])
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_maps())
+def test_branch_certificate_matches_oracle(f):
+    # on the widest hull of f, f^2 and f^3, flats at the levels included
+    g = f
+    for _ in range(3):
+        d, i, j = entropy._widest_hull(g)
+        if d >= 2:
+            u, v = g.breakpoints[i], g.breakpoints[j]
+            assert entropy._branch_certificate(g, u, v) == branch_certificate_oracle(g, u, v)
+        g = compose(f, g)
+
+
+@pytest.mark.parametrize("xs, ys, intervals", [
+    # u = 0 is the first branch's start, inside the flat [0, 1/4]
+    ([0, F(1, 4), F(1, 2), 1], [0, 0, 1, 0], [(0, F(1, 2)), (F(1, 2), 1)]),
+    # u = 1/4 is a fixed point inside the flat [0, 3/8]
+    ([0, F(1, 8), F(1, 4), F(3, 8), F(1, 2), 1], [F(1, 4)] * 4 + [1, 0],
+     [(F(1, 4), F(1, 2)), (F(1, 2), F(7, 8))]),
+])
+def test_branch_certificate_starts_at_a_start_inside_a_flat(xs, ys, intervals):
+    # the start is no pull-back point: f is flat on both sides of it, or it
+    # ends the domain; the first branch still starts there
+    d, cert = horseshoe_max(make_pl(xs, ys))
+    assert (d, cert.intervals) == (2, tuple(IntervalQ(F(lo), F(hi)) for lo, hi in intervals))
 
 
 def hull_boxes_oracle(f, pts):

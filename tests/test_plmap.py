@@ -356,6 +356,13 @@ def test_even_extension_constant():
     assert eval_at(c, -1) == 5 == eval_at(c, 1)
 
 
+def test_even_extension_one_node():
+    # -0 == 0, so the reflection of the point 0 is itself: still one node
+    c = even_extension(make_pl([0], [5]))
+    assert (c.breakpoints, c.values) == ((F(0),), (F(5),))
+    assert (c.fx.tolist(), c.fy.tolist()) == ([0.0], [5.0])
+
+
 def test_even_extension_needs_zero_start():
     with pytest.raises(DomainError):
         even_extension(make_pl([1, 2], [0, 1]))
@@ -535,7 +542,8 @@ def test_segment_preimages_matches_oracle(g, data):
     if len(g) > 1:  # values crossed inside segments, also far past the float range
         extra += data.draw(st.lists(between(g.values), max_size=6))
     targets = sorted(set(extra) | set(data.draw(st.lists(st.sampled_from(g.values)))))
-    assert (list(segment_preimages(g, targets, _floats(targets)))
+    ranks = rank(targets, g.values, _floats(targets), g.fy)
+    assert (list(segment_preimages(g, targets, *ranks))
             == list(segment_preimages_oracle(g, targets)))
 
 
