@@ -121,64 +121,41 @@ def entropy_upper_lap(f: PLMap, depth: int) -> float:
     return min(math.log(laps) / k for k, laps in zip(range(1, depth + 1), counts))
 
 
-def _branch_certificate(f: PLMap, u: Fraction, v: Fraction) -> HorseshoeCertificate:
-    """The certified preimage subintervals of the covering branches of hull [u, v].
-
-    u and v are breakpoints, so each piece cut to [u, v] runs between two
-    breakpoints a < b; f is monotone there, so the branch covers [u, v] iff
-    f's values at a and b do.  Its first points at levels u and v then lie
-    inside it: a itself where f(a) is the level (a start inside a flat at
-    it is no :func:`_pull_back` point), else the first point at the level
-    from xs[a] on of one pull-back of [u, v].
-    """
-    xs, ys = f.breakpoints, f.values
-    ends, fends = [u, v], _floats([u, v])
-    i, j = rank(xs, ends, f.fx, fends)[0].tolist()
-    points, image_at = _pull_back(f, ends, fends)
-    spans = [(max(s, i), min(e, j)) for s, e in monotone_pieces(f)]
-    starts = [a for a, b in spans if a < b and min(ys[a], ys[b]) <= u and max(ys[a], ys[b]) >= v]
-    firsts = []
-    for level, t in enumerate(ends):
-        at_level = [x for x, k in zip(points, image_at) if k == level]
-        at = rank(at_level, [xs[a] for a in starts], _floats(at_level), f.fx[starts])[0]
-        firsts.append([xs[a] if ys[a] == t else at_level[k] for a, k in zip(starts, at.tolist())])
-    return certify(f, [IntervalQ(*sorted(pair)) for pair in zip(*firsts)])
-
-
 def _hull_boxes(f: PLMap) -> np.ndarray:
-    """Per covering branch, the rectangle (il, ir, jl, jr) of breakpoint indices
-    such that the branch covers [xs[i], xs[j]] for il <= i <= ir, jl <= j <= jr.
+    """Per covering branch, a row (il, ir, jl, jr, start) of breakpoint indices:
+    it covers [xs[i], xs[j]] for il <= i <= ir, jl <= j <= jr, from xs[start].
 
-    Every piece contributes to a hull either fully inside (x-extent within
-    [u, v], value range containing it) or cut at one end; in each case the
-    admissible (u, v) form such a rectangle.  Empty rectangles are left out.
-    Every comparison is a rank in the breakpoints: a piece end's rank is its
-    index, and a value v is <= xs[k] iff its bisect_left is <= k, >= xs[k]
-    iff its bisect_right is > k.  Returns an (m, 4) integer array.
+    Every piece [a, b] meets a hull either fully inside (x-extent within
+    [u, v], value range containing it) or cut at one end; the branch starts
+    at a, or at k where u = xs[k] cuts it, and the admissible (u, v) form a
+    rectangle (empty ones are left out).  Every comparison is a rank in the
+    breakpoints: a piece end's rank is its index, and a value v is <= xs[k]
+    iff its bisect_left is <= k, >= xs[k] iff its bisect_right is > k.
     """
     xs, ys = f.breakpoints, f.values
     pieces = [(s, e) for s, e in monotone_pieces(f) if ys[s] != ys[e]]
     if not pieces:
-        return np.empty((0, 4), dtype=np.int64)
+        return np.empty((0, 5), dtype=np.int64)
     vl, vr = rank(xs, ys, f.fx, f.fy)  # ranks of f at every breakpoint
     ia, ib = np.array(pieces, dtype=np.int64).T
     # fully inside: lo <= u <= a and b <= v <= hi
-    inside = np.stack([np.minimum(vl[ia], vl[ib]), ia, ib, np.maximum(vr[ia], vr[ib]) - 1])
+    inside = np.stack([np.minimum(vl[ia], vl[ib]), ia, ib, np.maximum(vr[ia], vr[ib]) - 1, ia])
     # boundary-cut branches: breakpoints k strictly inside a piece [a, b]
     k = np.arange(len(xs))
     p = np.minimum(np.searchsorted(ib, k, "right"), len(pieces) - 1)
     cut = (ia[p] < k) & (k < ib[p])
     k, a, b = k[cut], ia[p][cut], ib[p][cut]
     # left-cut branch [u, b]: image hull of f(u) and the end value f(b)
-    left = np.stack([k, k, b, np.maximum(vr[k], vr[b]) - 1])[:, np.minimum(vl[k], vl[b]) <= k]
+    left = np.stack([k, k, b, np.maximum(vr[k], vr[b]) - 1, k])[:, np.minimum(vl[k], vl[b]) <= k]
     # right-cut branch [a, u] seen from the v side: v = u here
-    right = np.stack([np.minimum(vl[k], vl[a]), a, k, k])[:, np.maximum(vr[k], vr[a]) > k]
+    right = np.stack([np.minimum(vl[k], vl[a]), a, k, k, a])[:, np.maximum(vr[k], vr[a]) > k]
     rects = np.concatenate([inside, left, right], axis=1).T
     return rects[(rects[:, 0] <= rects[:, 1]) & (rects[:, 2] <= rects[:, 3])]
 
 
-def _widest_hull(f: PLMap) -> tuple[int, int, int]:
-    """(d, i, j): the most covering branches d of any hull [xs[i], xs[j]], i < j.
+def _widest_hull(f: PLMap) -> tuple[int, int, list[int]]:
+    """(i, j, starts): the hull [xs[i], xs[j]], i < j, with the most covering
+    branches, and where those branches start, ascending.
 
     Hulls run over pairs of breakpoints.  Each branch covers the hulls of a
     rectangle of breakpoint index pairs (:func:`_hull_boxes`).  A row sweep
@@ -189,7 +166,9 @@ def _widest_hull(f: PLMap) -> tuple[int, int, int]:
     cannot hold a new maximum.  Memory is O(n + rectangles) for n
     breakpoints, time O(n) per event row, so maps above HORSESHOE_CAP
     breakpoints raise :class:`ResourceLimitError`.  The first maximum in
-    row-major order wins; d is 1 (and i = j = 0) when no hull has two.
+    row-major order wins; ``starts`` holds the start of every rectangle
+    covering its cell.  With no hull of two branches, i = j = 0 and
+    ``starts`` is empty: every rectangle lies above the diagonal.
     """
     n = len(f)
     if n > HORSESHOE_CAP:
@@ -197,16 +176,16 @@ def _widest_hull(f: PLMap) -> tuple[int, int, int]:
             f"horseshoe search over {n} breakpoints exceeds the cap of {HORSESHOE_CAP}",
             needed=n, cap=HORSESHOE_CAP)
     best_d, best_i, best_j = 1, 0, 0
-    il, ir, jl, jr = _hull_boxes(f).T
+    il, ir, jl, jr, start = _hull_boxes(f).T
     rows = np.concatenate((il, il, ir + 1, ir + 1))
     cols = np.concatenate((jl, jr + 1, jl, jr + 1))
     steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))
     order = np.argsort(rows, kind="stable")
     rows, cols, steps = rows[order], cols[order], steps[order]
-    event_rows, starts = np.unique(rows, return_index=True)
-    ends = [*starts[1:].tolist(), len(rows)]
+    event_rows, event_at = np.unique(rows, return_index=True)
+    ends = [*event_at[1:].tolist(), len(rows)]
     diff = np.zeros(n + 1, dtype=np.int64)  # column differences of the current row
-    for row, lo, hi in zip(event_rows.tolist(), starts.tolist(), ends):
+    for row, lo, hi in zip(event_rows.tolist(), event_at.tolist(), ends):
         if row >= n - 1:
             break  # no v above this u
         np.add.at(diff, cols[lo:hi], steps[lo:hi])
@@ -214,23 +193,32 @@ def _widest_hull(f: PLMap) -> tuple[int, int, int]:
         j = int(counts.argmax())
         if counts[j] > best_d:
             best_d, best_i, best_j = int(counts[j]), row, row + 1 + j
-    return best_d, best_i, best_j
+    covers = (il <= best_i) & (best_i <= ir) & (jl <= best_j) & (best_j <= jr)
+    return best_i, best_j, sorted(start[covers].tolist())
 
 
 def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     """Largest d such that some hull [u, v] has d covering monotone branches.
 
-    The hull is :func:`_widest_hull`'s, and the certificate returned has passed
-    :func:`certify`; (1, None) when no 2-horseshoe exists at this resolution.
+    The hull and its d branches are :func:`_widest_hull`'s, and the
+    certificate returned has passed :func:`certify`; (1, None) when no
+    2-horseshoe exists at this resolution.  A branch is monotone and covers
+    [u, v], so its first points at levels u and v lie inside it: its start
+    xs[a] itself where f(a) is the level (a start inside a flat at it is no
+    :func:`_pull_back` point), else the first point at the level from xs[a]
+    on of one pull-back of [u, v].
     """
-    d, i, j = _widest_hull(f)
-    if d < 2:
+    i, j, starts = _widest_hull(f)
+    if len(starts) < 2:
         return 1, None
-    cert = _branch_certificate(f, f.breakpoints[i], f.breakpoints[j])
-    if cert.d != d:
-        raise RuntimeError(f"horseshoe search counted {d} covering branches "
-                           f"but extracted {cert.d}")
-    return d, cert
+    xs, ys = f.breakpoints, f.values
+    points, image_at = _pull_back(f, [xs[i], xs[j]], f.fx[[i, j]])
+    firsts = []
+    for level, t in enumerate((xs[i], xs[j])):
+        at_level = [x for x, k in zip(points, image_at) if k == level]
+        at = rank(at_level, [xs[a] for a in starts], _floats(at_level), f.fx[starts])[0]
+        firsts.append([xs[a] if ys[a] == t else at_level[k] for a, k in zip(starts, at.tolist())])
+    return len(starts), certify(f, [IntervalQ(*sorted(pair)) for pair in zip(*firsts)])
 
 
 def _turning_positions(f: PLMap) -> list[Fraction]:
@@ -430,7 +418,8 @@ def validate_certificate(f: PLMap, cert: HorseshoeCertificate) -> bool:
     contains every interval iff it contains their hull.  A zero-width
     interval is rejected: copies of one fixed point would otherwise pass.
     f is continuous, so f^k(J) = f(f^(k-1)(J)) is a closed interval: the
-    intervals are pushed through f k times and f^k is never built.
+    intervals are pushed through f k times, f^k is never built, and no
+    breakpoint cap applies.
     """
     ivs = sorted(cert.intervals, key=lambda iv: (iv.lo, iv.hi))
     if any(iv.lo == iv.hi for iv in ivs) or any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
@@ -567,7 +556,7 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     for k, laps in zip(range(1, depth + 1), _lap_counts(g, chain)):
         gk = chain(k) if _read_by_search(laps, k, lower_h) else None
         if gk is not None and len(gk) <= HORSESHOE_CAP:
-            d = _widest_hull(gk)[0]
+            d = len(_widest_hull(gk)[2])
             if d >= 2 and math.log(d) / k > lower_h:
                 lower_h, best = math.log(d) / k, (k, gk)
         counted = k

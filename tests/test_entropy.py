@@ -738,12 +738,18 @@ def test_radius_decision_on_partition_cap_cycle():
     assert not _radius_at_most_one(starts, stops)
 
 
-def test_horseshoe_max_rejects_mismatched_certificate(monkeypatch):
-    # the count/certificate cross-check must raise even under python -O
-    real = entropy._branch_certificate
-    monkeypatch.setattr(entropy, "_branch_certificate",
-                        lambda f, u, v: real(TENT, F(0), F(1)))
-    with pytest.raises(RuntimeError):
+def test_horseshoe_max_rejects_a_branch_the_search_miscounts(monkeypatch):
+    # a rectangle no branch has, over every hull and starting at 0, puts a
+    # second interval at 0 into the certificate: certify must raise, also
+    # under python -O
+    real = entropy._hull_boxes
+
+    def with_false_branch(f):
+        n = len(f)
+        return np.vstack([real(f), [0, 0, n - 1, n - 1, 0]])
+
+    monkeypatch.setattr(entropy, "_hull_boxes", with_false_branch)
+    with pytest.raises(ConstructionError):
         horseshoe_max(full_branch_map(3))
 
 
@@ -756,7 +762,7 @@ def dense_horseshoe_argmax(f):
     if n < 2:
         return 1, None
     grid = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for il, ir, jl, jr in entropy._hull_boxes(f):
+    for il, ir, jl, jr, _ in entropy._hull_boxes(f):
         grid[il, jl] += 1
         grid[il, jr + 1] -= 1
         grid[ir + 1, jl] -= 1
@@ -784,29 +790,24 @@ def grid_maps(draw):
 @given(grid_maps())
 def test_horseshoe_max_matches_dense_grid(f):
     # same d and same hull, ties included, on f, f^2 and f^3
-    real = entropy._branch_certificate
     g = f
     for _ in range(3):
-        hulls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(entropy, "_branch_certificate",
-                       lambda h, u, v: hulls.append((u, v)) or real(h, u, v))
-            d, cert = horseshoe_max(g)
+        d, cert = horseshoe_max(g)
         expected_d, hull = dense_horseshoe_argmax(g)
-        widest, i, j = entropy._widest_hull(g)
-        assert widest == expected_d
+        i, j, starts = entropy._widest_hull(g)
+        assert d == expected_d and len(starts) == (0 if hull is None else d)
         assert hull is None or (g.breakpoints[i], g.breakpoints[j]) == hull
         # every rectangle lies above the diagonal: its hulls all have u < v
-        assert all(ir < jl for _, ir, jl, _ in entropy._hull_boxes(g))
-        assert (d, hulls[0] if hulls else None) == (expected_d, hull)
-        assert cert == (None if hull is None else real(g, *hull))
+        assert all(ir < jl for _, ir, jl, _, _ in entropy._hull_boxes(g))
+        assert cert == (None if hull is None else branch_certificate_oracle(g, *hull))
         g = compose(f, g)
 
 
 def branch_certificate_oracle(f, u, v):
-    """_branch_certificate before it shared the Markov scan's pull-back: each
-    level from its own walk over nodes (one == each) and crossings, and f
-    evaluated at the ends of every piece cut to [u, v]."""
+    """The certificate of hull [u, v] as cut before it shared the Markov
+    scan's pull-back and the search's covering branches: each level from its
+    own walk over nodes (one == each) and crossings, and f evaluated at the
+    ends of every piece cut to [u, v]."""
     xs, ys = f.breakpoints, f.values
 
     def level_set(target):
@@ -833,10 +834,10 @@ def test_branch_certificate_matches_oracle(f):
     # on the widest hull of f, f^2 and f^3, flats at the levels included
     g = f
     for _ in range(3):
-        d, i, j = entropy._widest_hull(g)
-        if d >= 2:
+        i, j, starts = entropy._widest_hull(g)
+        if len(starts) >= 2:
             u, v = g.breakpoints[i], g.breakpoints[j]
-            assert entropy._branch_certificate(g, u, v) == branch_certificate_oracle(g, u, v)
+            assert horseshoe_max(g)[1] == branch_certificate_oracle(g, u, v)
         g = compose(f, g)
 
 
@@ -855,31 +856,33 @@ def test_branch_certificate_starts_at_a_start_inside_a_flat(xs, ys, intervals):
 
 
 def hull_boxes_oracle(f, pts):
-    """_hull_boxes before the rank kernel: bisects and eval_at per candidate."""
+    """_hull_boxes before the rank kernel: bisects and eval_at per candidate.
+    A branch starts at its piece's start s, or at k where u = pts[k] cuts it."""
     xs, ys = f.breakpoints, f.values
-    boxes = [(xs[s], xs[e], min(ys[s], ys[e]), max(ys[s], ys[e])) for s, e in monotone_pieces(f)]
+    boxes = [(s, xs[s], xs[e], min(ys[s], ys[e]), max(ys[s], ys[e]))
+             for s, e in monotone_pieces(f)]
     rects = []
 
-    def add_box(il, ir, jl, jr):
+    def add_box(il, ir, jl, jr, start):
         if il <= ir and jl <= jr:
-            rects.append((il, ir, jl, jr))
+            rects.append((il, ir, jl, jr, start))
 
-    for a, b, lo, hi in boxes:
+    for s, a, b, lo, hi in boxes:
         if lo != hi:
             add_box(bisect_left(pts, lo), bisect_right(pts, a) - 1,
-                    bisect_left(pts, b), bisect_right(pts, hi) - 1)
+                    bisect_left(pts, b), bisect_right(pts, hi) - 1, s)
     piece = 0
     for k, u in enumerate(pts):
-        while piece < len(boxes) - 1 and boxes[piece][1] <= u:
+        while piece < len(boxes) - 1 and boxes[piece][2] <= u:
             piece += 1
-        a, b, lo, hi = boxes[piece]
+        s, a, b, lo, hi = boxes[piece]
         if not (a < u < b) or lo == hi:
             continue
         fu, fa, fb = eval_at(f, u), eval_at(f, a), eval_at(f, b)
         if min(fu, fb) <= u:
-            add_box(k, k, bisect_left(pts, b), bisect_right(pts, max(fu, fb)) - 1)
+            add_box(k, k, bisect_left(pts, b), bisect_right(pts, max(fu, fb)) - 1, k)
         if max(fu, fa) >= u:
-            add_box(bisect_left(pts, min(fu, fa)), bisect_right(pts, a) - 1, k, k)
+            add_box(bisect_left(pts, min(fu, fa)), bisect_right(pts, a) - 1, k, k, s)
     return rects
 
 
@@ -1165,10 +1168,9 @@ def test_bounds_count_each_level_once(f, depth):
 
 
 def count_certificates(monkeypatch):
-    """A list that gets one entry per _branch_certificate call."""
-    calls, real = [], entropy._branch_certificate
-    monkeypatch.setattr(entropy, "_branch_certificate",
-                        lambda f, u, v: calls.append((u, v)) or real(f, u, v))
+    """A list that gets one entry per horseshoe_max call."""
+    calls, real = [], entropy.horseshoe_max
+    monkeypatch.setattr(entropy, "horseshoe_max", lambda f: calls.append(f) or real(f))
     return calls
 
 
