@@ -54,6 +54,10 @@ PARTITION_CAP = 4096
 _POWER_TOL = 1e-10
 _POWER_ITERS = 10_000
 
+#: scan rounds the exact zero test reads: the dial's zero-entropy brackets
+#: are decided at round 0, its off-window scales by round 3
+_ZERO_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class HorseshoeCertificate:
@@ -254,6 +258,34 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
         radius = _interval_rows_radius(starts, stops)
         best = max(best, math.log(radius) if radius > 1.0 else 0.0)
     return best
+
+
+def _certifies_zero(g: PLMap, rounds: int) -> bool:
+    """Whether some scan round up to ``rounds`` proves h(g) = 0 exactly.
+
+    Row i of U has a one at j iff g(I_i) meets the interior of cell I_j.
+    Every turning point of the self-map g is a partition point, so g is
+    monotone on each cell, and the laps of g^(m+1) are at most the most
+    paths in U of one length up to m, times a factor polynomial in m for
+    the laps a flat of g makes constant.  So h(g) <= log rho(U)
+    (Misiurewicz-Szlenk, Studia Math. 67, 1980), and rho(U) <= 1,
+    decided exactly by :func:`_radius_at_most_one`, gives h = 0 with no
+    float.  A map of positive entropy never passes, since
+    rho(U) >= e^h > 1.  Only the first rounds are read (see
+    _ZERO_ROUNDS): where the test fails, the scan builds every round it
+    read again, and a later round has more cells.  A round above
+    PARTITION_CAP cells is not tested.
+    """
+    for points, left, right in _markov_rounds(g, rounds):
+        n = len(points) - 1
+        if n > PARTITION_CAP:
+            return False
+        # the image [lo, hi] of a cell meets cell j iff points[j + 1] > lo and points[j] < hi
+        starts = np.clip(np.minimum(right[:-1], right[1:]) - 1, 0, n - 1)
+        stops = np.maximum(np.minimum(np.maximum(left[:-1], left[1:]), n), starts)
+        if _radius_at_most_one(starts, stops):
+            return True
+    return False
 
 
 def _markov_rounds(f: PLMap, refinement: int) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
@@ -544,6 +576,12 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     :func:`_lap_counts` reaches.  One chain (:func:`_iterate_chain`) builds
     g^k for the search and for the count where laps may merge.  Caps only
     reduce the achieved depth; a monotone restriction builds no iterate.
+
+    When the search would first read an iterate with no hull found on g,
+    :func:`_certifies_zero` runs once on the scan's first rounds.  If it
+    proves h = 0, no hull can exist on any g^k and every covering radius is
+    at most 1, so the search reads no iterate and the scan is not run: the
+    bracket is the one both would give, [0, upper].
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -553,8 +591,12 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
 
     chain = _iterate_chain(g)
     upper, lower_h, best, counted = math.inf, 0.0, None, 0
+    zero = None  # h = 0 proved exactly; decided once, before the search reads g^2 or later
     for k, laps in zip(range(1, depth + 1), _lap_counts(g, chain)):
-        gk = chain(k) if _read_by_search(laps, k, lower_h) else None
+        read = _read_by_search(laps, k, lower_h)
+        if read and k >= 2 and zero is None:
+            zero = lower_h == 0 and _certifies_zero(g, min(depth, _ZERO_ROUNDS))
+        gk = chain(k) if read and not zero else None
         if gk is not None and len(gk) <= HORSESHOE_CAP:
             d = len(_widest_hull(gk)[2])
             if d >= 2 and math.log(d) / k > lower_h:
@@ -562,7 +604,7 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
         counted = k
         upper = min(upper, math.log(laps) / k)
     lower_m = 0.0  # the covering radius cannot beat a horseshoe that meets the lap bound
-    if lower_h < upper:
+    if lower_h < upper and not zero:
         try:
             lower_m = entropy_lower_markov(g, depth)
         except ResourceLimitError as exc:

@@ -1132,15 +1132,79 @@ def test_bounds_compose_only_what_the_search_reads(monkeypatch):
 
 
 
-def test_bounds_build_and_count_every_level_the_search_reads(monkeypatch):
+SQUEEZED_TENT = make_pl([0, F(1, 2), 1], [F(1, 4), F(3, 4), F(1, 4)])
+
+
+def test_bounds_build_no_iterate_once_zero_entropy_is_certified(monkeypatch):
     # g = x + 1/4 then 5/4 - x on [1/4, 3/4] has 2 laps at every level and
-    # no 2-horseshoe, so each lap rate log(2)/k beats the best hull, 0: every
-    # iterate is built for the search, each once
+    # no 2-horseshoe, so each lap rate log(2)/k beats the best hull, 0; but
+    # U of round 0 has radius 1, so h = 0 and no iterate is built
     calls, real = [], entropy.compose
     monkeypatch.setattr(entropy, "compose", lambda f, g: calls.append(len(g)) or real(f, g))
-    eb = entropy_bounds(make_pl([0, F(1, 2), 1], [F(1, 4), F(3, 4), F(1, 4)]), 6)
-    assert len(calls) == 5
+    eb = entropy_bounds(SQUEEZED_TENT, 6)
+    assert calls == []
     assert (eb.lower, eb.upper, eb.lower_witness, eb.depth_used) == (0.0, math.log(2) / 6, None, 6)
+
+
+def test_bounds_build_and_count_every_level_the_search_reads(monkeypatch):
+    # the tent of slope 3/2 has entropy log(3/2) and no 2-horseshoe up to
+    # g^6, so every lap rate beats the best hull: the search reads g, ...,
+    # g^6, and each of g^2, ..., g^6 is composed once, from the level
+    # before; so also with the exact zero test off
+    calls, real = [], entropy.compose
+    monkeypatch.setattr(entropy, "compose", lambda f, g: calls.append(len(g)) or real(f, g))
+    reads, real_hull = [], entropy._widest_hull
+    monkeypatch.setattr(entropy, "_widest_hull", lambda g: reads.append(len(g)) or real_hull(g))
+    f = make_pl([0, F(1, 2), 1], [0, F(3, 4), 0])
+    eb = entropy_bounds(f, 6)
+    assert reads == [3, 5, 8, 13, 20, 31] and calls == reads[:-1]
+    assert eb.lower_witness is None and 0 < eb.lower < math.log(F(3, 2)) < eb.upper
+    assert eb.depth_used == 6
+    calls.clear()
+    reads.clear()
+    monkeypatch.setattr(entropy, "_certifies_zero", lambda g, rounds: False)
+    assert entropy_bounds(f, 6) == eb
+    assert reads == [3, 5, 8, 13, 20, 31] and calls == reads[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grid_maps(), near_tie_grid_maps(), near_tie_maps(max_nodes=6)))
+@example(SQUEEZED_TENT)
+# entropy 0.41 or more: a 2-horseshoe on g^4 and a covering radius above 1 at
+# round 3, but taking U's low end by comparing left ranks certifies h = 0
+@example(make_pl([0, F(1, 4), F(3, 4), 1], [0, F(2, 3), 0, F(1, 4)]))
+def test_certified_zero_entropy_is_sound(f):
+    # when U proves h = 0 on the self-map g, no iterate has a 2-horseshoe,
+    # every covering radius is at most 1, and the bracket is the one
+    # entropy_bounds reports with the test off; g^4 and six rounds catch
+    # more of the maps a miscounted U would pass than the three the test reads
+    g = invariant_restriction(f)
+    if lap_count(g) == 1 or not entropy._certifies_zero(g, 3):
+        return
+    gk = g
+    for _ in range(4):
+        assert len(entropy._widest_hull(gk)[2]) < 2
+        gk = compose(g, gk)
+    assert entropy_lower_markov(g, 3) == 0.0
+    try:
+        assert entropy_lower_markov(g, 6) == 0.0
+    except ResourceLimitError as exc:
+        assert exc.bound == 0.0
+    eb = entropy_bounds(f, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_certifies_zero", lambda g, rounds: False)
+        assert entropy_bounds(f, 5) == eb
+
+
+@pytest.mark.parametrize("f", [TENT, full_branch_map(3), theta(F(37, 64), 3),
+                               make_pl([0, F(1, 2), 1], [0, F(3, 5), 0])],
+                         ids=["tent", "full_branch_3", "theta_37_64", "tent_slope_6_5"])
+def test_zero_test_never_fires_on_positive_entropy(f):
+    # the slope-6/5 tent's bracket at depth 6 has lower bound 0, but its
+    # entropy is log(6/5): U's radius exceeds 1 in every round
+    g = invariant_restriction(f)
+    assert not entropy._certifies_zero(g, 3)
+    assert not entropy._certifies_zero(g, 6)
 
 
 @settings(max_examples=150, deadline=None)
