@@ -9,7 +9,6 @@ errors, 3 resource caps.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -37,8 +36,8 @@ from .serialize import (
     dumps,
     pl_from_obj,
     pl_to_obj,
+    polyline,
     witness_to_obj,
-    write_polyline,
 )
 from .spaces import FunctionFamily, horseshoe_combination, independent_points
 from .universal import make_schedule, psi, psi_horseshoe
@@ -67,12 +66,6 @@ def _load_json(path: str):
         raise FormatError(f"{path} is not UTF-8 text") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep nesting
         raise FormatError(f"unreadable JSON in {path}: {exc}") from exc
-
-
-def _polyline(f: PLMap, label: str, samples: int = 0) -> str:
-    buf = io.StringIO()
-    write_polyline(buf, f, label, samples=samples)
-    return buf.getvalue()
 
 
 def _fail(code: int, message: str) -> int:
@@ -134,7 +127,7 @@ def _cmd_psi(args) -> int:
     payload = {"embedded": pl_to_obj(g), "certificate": certificate_to_obj(cert)}
     _emit(dumps(payload), args.out)
     if args.polyline:
-        _emit(_polyline(g, f"psi {args.schedule} N={args.N}"), args.polyline)
+        _emit(polyline(g, f"psi {args.schedule} N={args.N}"), args.polyline)
     return 0
 
 
@@ -143,9 +136,9 @@ def _cmd_figure1(args) -> int:
         raise FormatError(f"--samples must be >= 0, got {args.samples}")
     sched = make_schedule("geometric", parse_q(args.ratio), args.N)
     g = psi(TENT, sched)
-    _emit(_polyline(TENT, "source tent map", args.samples)
-          + _polyline(g, f"embedded copy ladder ratio={args.ratio} N={args.N}",
-                      args.samples), args.out)
+    _emit(polyline(TENT, "source tent map", args.samples)
+          + polyline(g, f"embedded copy ladder ratio={args.ratio} N={args.N}",
+                     args.samples), args.out)
     return 0
 
 
@@ -157,7 +150,7 @@ def _cmd_ell1(args) -> int:
     report = ell1_witness(delta, args.steps, schedule)
     _emit(dumps(witness_to_obj(report)), args.out)
     if args.polyline:
-        _emit(_polyline(report.f, f"witness M={args.steps}"), args.polyline)
+        _emit(polyline(report.f, f"witness M={args.steps}"), args.polyline)
     return 0
 
 
@@ -201,7 +194,7 @@ def _cmd_dial(args) -> int:
     }
     _emit(dumps(payload), args.out)
     if args.polyline:
-        _emit(_polyline(f, f"dial map t={args.t} d={args.d} N={args.N}"), args.polyline)
+        _emit(polyline(f, f"dial map t={args.t} d={args.d} N={args.N}"), args.polyline)
     return 0
 
 

@@ -136,24 +136,21 @@ def r_of_a(a, cfg: DialConfig) -> REstimate:
     when it exceeds the configured tolerance.
     """
     a = Fraction(a)
-    best_val = -math.inf
-    best_width = 0.0
-    best_lam = Fraction(1)
-    for lam in _multiplier_grid(cfg.lambda_grid_size):
-        eb = _scale_bounds(a, lam, cfg.d, cfg.entropy_depth)
-        if eb.midpoint > best_val:
-            best_val, best_width, best_lam = eb.midpoint, eb.width, lam
-    lo = max(float(best_lam) - 0.05, float(WINDOW_LO))
-    hi = min(float(best_lam) + 0.05, float(WINDOW_HI))
-    phi = (math.sqrt(5) - 1) / 2
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
 
-    def probe(x: float) -> tuple[float, float, Fraction]:
-        lam = Fraction(x).limit_denominator(720)
+    def score(lam: Fraction) -> tuple[float, float, Fraction]:
         eb = _scale_bounds(a, lam, cfg.d, cfg.entropy_depth)
         return eb.midpoint, eb.width, lam
 
+    def probe(x: float) -> tuple[float, float, Fraction]:
+        return score(Fraction(x).limit_denominator(720))
+
+    # max keeps the first of equal midpoints: the grid's, then f1's
+    best = max(map(score, _multiplier_grid(cfg.lambda_grid_size)), key=lambda s: s[0])
+    lo = max(float(best[2]) - 0.05, float(WINDOW_LO))
+    hi = min(float(best[2]) + 0.05, float(WINDOW_HI))
+    phi = (math.sqrt(5) - 1) / 2
+    x1 = hi - phi * (hi - lo)
+    x2 = lo + phi * (hi - lo)
     f1, f2 = probe(x1), probe(x2)
     for _ in range(_GOLDEN_ITERS):
         if f1[0] >= f2[0]:
@@ -164,11 +161,9 @@ def r_of_a(a, cfg: DialConfig) -> REstimate:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)
             f2 = probe(x2)
-    for cand in (f1, f2):
-        if cand[0] > best_val:
-            best_val, best_width, best_lam = cand
-    return REstimate(value=best_val, bracket_width=best_width,
-                     argmax=best_lam, warning=best_width > cfg.tolerance)
+    value, width, lam = max((best, f1, f2), key=lambda s: s[0])
+    return REstimate(value=value, bracket_width=width, argmax=lam,
+                     warning=width > cfg.tolerance)
 
 
 def find_a_star(cfg: DialConfig) -> Fraction:

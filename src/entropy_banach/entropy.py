@@ -577,11 +577,9 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     g^k for the search and for the count where laps may merge.  Caps only
     reduce the achieved depth; a monotone restriction builds no iterate.
 
-    When the search would first read an iterate with no hull found on g,
-    :func:`_certifies_zero` runs once on the scan's first rounds.  If it
-    proves h = 0, no hull can exist on any g^k and every covering radius is
-    at most 1, so the search reads no iterate and the scan is not run: the
-    bracket is the one both would give, [0, upper].
+    If the search would read g^2 with no hull found on g,
+    :func:`_certifies_zero` decides first whether h = 0, and if so the search
+    reads no iterate and the scan is not run (both could only give 0).
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -590,18 +588,17 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
     chain = _iterate_chain(g)
-    upper, lower_h, best, counted = math.inf, 0.0, None, 0
-    zero = None  # h = 0 proved exactly; decided once, before the search reads g^2 or later
+    upper, lower_h, best, zero = math.inf, 0.0, None, False
+    # level 1 is always counted, so k is bound after the loop
     for k, laps in zip(range(1, depth + 1), _lap_counts(g, chain)):
         read = _read_by_search(laps, k, lower_h)
-        if read and k >= 2 and zero is None:
-            zero = lower_h == 0 and _certifies_zero(g, min(depth, _ZERO_ROUNDS))
+        if k == 2 and read and lower_h == 0:
+            zero = _certifies_zero(g, min(depth, _ZERO_ROUNDS))
         gk = chain(k) if read and not zero else None
         if gk is not None and len(gk) <= HORSESHOE_CAP:
             d = len(_widest_hull(gk)[2])
             if d >= 2 and math.log(d) / k > lower_h:
                 lower_h, best = math.log(d) / k, (k, gk)
-        counted = k
         upper = min(upper, math.log(laps) / k)
     lower_m = 0.0  # the covering radius cannot beat a horseshoe that meets the lap bound
     if lower_h < upper and not zero:
@@ -613,5 +610,5 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     # min(., upper) guards against float rounding at exact equality
     if best is not None and lower_h >= lower_m - 1e-15:
         _, cert = horseshoe_max(best[1])  # certified on g^k, relabelled as one of g
-        return EntropyBounds(min(lower_h, upper), upper, replace(cert, iterate=best[0]), counted)
-    return EntropyBounds(min(lower_m, upper), upper, None, depth_used=counted)
+        return EntropyBounds(min(lower_h, upper), upper, replace(cert, iterate=best[0]), k)
+    return EntropyBounds(min(lower_m, upper), upper, None, depth_used=k)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO
 
 from .dial import DialConfig
 from .ellone import WitnessReport, WitnessStep
@@ -101,19 +100,17 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def write_polyline(stream: IO[str], f: PLMap, label: str,
-                   samples: int = 0) -> None:
+def polyline(f: PLMap, label: str, samples: int = 0) -> str:
     """CSV polyline ``x,y`` with a ``# label`` header.
 
     With ``samples`` > 0 the map is resampled uniformly over its domain;
     otherwise the exact breakpoints are emitted.
     """
-    stream.write(f"# {label}\n")
     if samples > 0:
         lo, hi = f.breakpoints[0], f.breakpoints[-1]
         step = (hi - lo) / samples
         points = [lo + k * step for k in range(samples + 1)]
     else:
         points = f.breakpoints
-    for x, y in zip(points, eval_many(f, points)):
-        stream.write(f"{float(x)!r},{float(y)!r}\n")
+    rows = (f"{float(x)!r},{float(y)!r}\n" for x, y in zip(points, eval_many(f, points)))
+    return f"# {label}\n" + "".join(rows)

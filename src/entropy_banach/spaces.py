@@ -95,17 +95,17 @@ def _order_sign(seq: Sequence) -> int:
 
 
 def solve_linear_system(matrix: list[list[Fraction]],
-                        rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Exact (determinant, solution) of a square system by one Gauss-Jordan pass.
+                        rhs: list[Fraction]) -> list[Fraction]:
+    """Exact solution of a square system by one Gauss-Jordan pass.
 
     Raises :class:`ConstructionError` when the matrix is singular.
     """
     n = len(matrix)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    pivots, product = gauss_jordan(rows, n)
+    pivots, _ = gauss_jordan(rows, n)
     if len(pivots) < n:
         raise ConstructionError("singular system")
-    return _order_sign(pivots) * product, [rows[r][n] for r in pivots]
+    return [rows[r][n] for r in pivots]
 
 
 def independent_points(fs: FunctionFamily, grid: Sequence) -> IndependencePoints:
@@ -153,8 +153,7 @@ def horseshoe_combination(
     xs = pts.points
     matrix = list(zip(*(eval_many(f, xs) for f in fs.members)))
     targets = [xs[0] if (i + 1) % 2 == 1 else xs[-1] for i in range(n)]
-    _, coeffs = solve_linear_system(matrix, targets)
-    f = linear_combination(coeffs, fs.members)
+    f = linear_combination(solve_linear_system(matrix, targets), fs.members)
     if eval_many(f, xs) != targets:
         raise ConstructionError("alternating combination misses its targets")
     return f, certify(f, [IntervalQ(xs[i], xs[i + 1]) for i in range(n - 1)])

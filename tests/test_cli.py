@@ -419,8 +419,9 @@ def test_ell1_a_billion_steps_reports_a_small_needed(monkeypatch):
 
 
 def test_readme_quotes_the_caps_of_the_code(monkeypatch):
-    # every number README states about a cap is the constant's own; the text
-    # is read with its whitespace collapsed, since a phrase may wrap
+    # every number README states about a cap, or the zero test's round count,
+    # is the constant's own; the text is read with its whitespace collapsed,
+    # since a phrase may wrap
     text = " ".join(README.read_text().split())
     quoted = {
         r"(\d+), the library constant `plmap\.BREAKPOINT_CAP`": plmap.BREAKPOINT_CAP,
@@ -429,6 +430,8 @@ def test_readme_quotes_the_caps_of_the_code(monkeypatch):
         r"more than (\d+) laps \(`entropy\.HORSESHOE_LAP_BUDGET`": entropy.HORSESHOE_LAP_BUDGET,
         r"would exceed (\d+) cells": entropy.PARTITION_CAP,
         r"stop at (\d+) cells \(`entropy\.PARTITION_CAP`": entropy.PARTITION_CAP,
+        r"the scan's first (\d+) rounds": entropy._ZERO_ROUNDS,
+        r"the test does not decide in its (\d+) rounds": entropy._ZERO_ROUNDS,
     }
     for pattern, constant in quoted.items():
         assert [int(n) for n in re.findall(pattern, text)] == [constant], pattern

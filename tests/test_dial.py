@@ -18,7 +18,7 @@ from entropy_banach.dial import (
     rational_enumeration,
     theta,
 )
-from entropy_banach.entropy import entropy_bounds, horseshoe_max
+from entropy_banach.entropy import EntropyBounds, entropy_bounds, horseshoe_max
 from entropy_banach.errors import DomainError
 from entropy_banach.plmap import IntervalQ, eval_at, image_intervals, lap_count
 
@@ -84,6 +84,21 @@ def test_r_of_a_monotone_trend():
     assert vals[0] < vals[-1]
     assert all(b >= a - 5e-2 for a, b in zip(vals, vals[1:]))
 
+
+
+def test_r_of_a_keeps_the_first_of_equal_midpoints(monkeypatch):
+    # every multiplier scores the same bracket: the first grid multiplier
+    # wins, and no golden-section probe displaces it
+    seen = []
+
+    def fixed(a, lam, d, depth):
+        seen.append(lam)
+        return EntropyBounds(0.25, 0.75, None, depth_used=depth)
+
+    monkeypatch.setattr(dial, "_scale_bounds", fixed)
+    est = r_of_a(F(1, 2), FAST_CFG)
+    assert seen[0] == F(9, 10)
+    assert (est.value, est.bracket_width, est.argmax, est.warning) == (0.5, 0.5, F(9, 10), True)
 
 def test_find_a_star_converges():
     a = find_a_star(FAST_CFG)

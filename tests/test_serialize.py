@@ -1,6 +1,5 @@
 """Tests for the JSON and CSV exchange formats."""
 
-import io
 import math
 from fractions import Fraction as F
 
@@ -9,7 +8,7 @@ import pytest
 from entropy_banach.entropy import EntropyBounds
 from entropy_banach.errors import ConstructionError
 from entropy_banach.plmap import make_pl, pl_equal
-from entropy_banach.serialize import bounds_to_obj, pl_from_obj, pl_to_obj, write_polyline
+from entropy_banach.serialize import bounds_to_obj, pl_from_obj, pl_to_obj, polyline
 
 TENT = make_pl([0, F(1, 2), 1], [0, 1, 0])
 
@@ -40,9 +39,7 @@ def test_bounds_infinite_upper_uses_null():
 
 
 def test_polyline_format():
-    buf = io.StringIO()
-    write_polyline(buf, TENT, "tent")
-    lines = buf.getvalue().splitlines()
+    lines = polyline(TENT, "tent").splitlines()
     assert lines[0] == "# tent"
     assert len(lines) == 4
     assert lines[1].split(",") == ["0.0", "0.0"]
@@ -50,8 +47,6 @@ def test_polyline_format():
 
 
 def test_polyline_resampled():
-    buf = io.StringIO()
-    write_polyline(buf, TENT, "tent", samples=4)
-    lines = buf.getvalue().splitlines()
+    lines = polyline(TENT, "tent", samples=4).splitlines()
     assert len(lines) == 6
     assert lines[2].split(",")[0] == "0.25"
