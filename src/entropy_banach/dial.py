@@ -27,10 +27,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from . import entropy, plmap
 from .entropy import EntropyBounds, entropy_bounds
 from .errors import ConstructionError, DomainError
-from .plmap import PLMap, even_extension, linear_combination, make_pl, scale
+from .plmap import PLMap, _as_float, _floats, even_extension, linear_combination, make_pl, scale
 
 WINDOW_LO = Fraction(9, 10)
 WINDOW_HI = Fraction(10, 9)
@@ -43,6 +45,11 @@ VANISH_DEPTH = 32
 DENSITY_TERMS = 1024
 
 _GOLDEN_ITERS = 8
+
+#: relative margin of a float product of two rationals: its rounding error
+#: is below 4e-16 of it, so outside the margin the float order is exact (near
+#: the window, below 10/9, it bounds the error of a distance too)
+_FLOAT_MARGIN = 1e-12
 
 
 def full_horseshoe_map(d: int) -> PLMap:
@@ -233,12 +240,14 @@ def calkin_wilf(count: int) -> list[Fraction]:
     return out
 
 
+@lru_cache(maxsize=16)
 def rational_enumeration(count: int) -> LambdaEnumeration:
     """Calkin-Wilf order with doubling bridges keeping every up-step <= 2x.
 
     Whenever the next target more than doubles the current value, powers of
     two times the current value are inserted first.  Down-steps are free, so
-    only upward jumps need bridging; repetitions are harmless.
+    only upward jumps need bridging; repetitions are harmless.  Cached, as
+    the enumeration is immutable and pure in ``count``.
     """
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
@@ -330,6 +339,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
     terms = rational_enumeration(cfg.truncation).terms
     est = r_of_a(cfg.a_star, cfg)
     dense = rational_enumeration(max(DENSITY_TERMS, cfg.truncation)).terms
+    dense_floats = _floats(dense)
     records = []
     for lam in lams:
         # the map is even, so the dynamics of a negative multiple is conjugate
@@ -346,11 +356,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
                 n=n, lambda_n=terms[n - 1], multiplier=mu, in_window=in_window, bounds=eb))
             if in_window and (achieved is None or eb.midpoint > achieved.midpoint):
                 achieved = eb
-        nearest = min(
-            (lam_abs * term for term in dense
-             if WINDOW_LO <= lam_abs * term <= WINDOW_HI),
-            key=lambda mu: abs(mu - est.argmax),
-            default=None)
+        nearest = _nearest_in_window(lam_abs, dense, dense_floats, est.argmax)
         tendency = 0.0 if nearest is None else _scale_bounds(
             Fraction(cfg.a_star), nearest, cfg.d, cfg.entropy_depth).lower
         records.append(DialCheckRecord(
@@ -358,3 +364,29 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
             lambda_star=est.argmax, nearest_multiplier=nearest,
             tendency_lower=tendency))
     return records
+
+
+def _nearest_in_window(lam: Fraction, terms: Sequence[Fraction], term_floats: np.ndarray,
+                       target: Fraction) -> Fraction | None:
+    """The first lam * term in [WINDOW_LO, WINDOW_HI] nearest to ``target``
+    (None when no product lies in the window).
+
+    Float products decide the window and the distances; only products
+    within _FLOAT_MARGIN of a window edge, and the float ties for the least
+    distance, are compared exactly.  ``term_floats`` are the floats of
+    ``terms``; a float past the float range or below the normal range is
+    still on the right side of the window, far from it.
+    """
+    with np.errstate(over="ignore"):  # an overflow is +inf, past the window as it should be
+        mu = _as_float(lam) * term_floats
+    lo, hi = float(WINDOW_LO), float(WINDOW_HI)
+    inside = (mu > lo * (1 + _FLOAT_MARGIN)) & (mu < hi * (1 - _FLOAT_MARGIN))
+    for i in np.flatnonzero(~inside & (mu > lo * (1 - _FLOAT_MARGIN))
+                            & (mu < hi * (1 + _FLOAT_MARGIN))).tolist():
+        inside[i] = WINDOW_LO <= lam * terms[i] <= WINDOW_HI
+    at = np.flatnonzero(inside)
+    if not at.size:
+        return None
+    dist = np.abs(mu[at] - _as_float(target))
+    ties = at[dist <= dist.min() + _FLOAT_MARGIN].tolist()
+    return min((lam * terms[i] for i in ties), key=lambda mu: abs(mu - target))

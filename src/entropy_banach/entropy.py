@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -53,6 +54,11 @@ PARTITION_CAP = 4096
 
 _POWER_TOL = 1e-10
 _POWER_ITERS = 10_000
+
+#: covering radii memoized, keyed on their rows as int64 bytes: a key at
+#: PARTITION_CAP cells takes 2 * 8 * 4096 bytes = 64 KiB, so 256 entries
+#: hold at most 16 MiB
+_RADIUS_MEMO = 256
 
 #: scan rounds the exact zero test reads: the dial's zero-entropy brackets
 #: are decided at round 0, its off-window scales by round 3
@@ -137,8 +143,8 @@ def _hull_boxes(f: PLMap) -> np.ndarray:
     iff its bisect_left is <= k, >= xs[k] iff its bisect_right is > k.
     """
     xs, ys = f.breakpoints, f.values
-    pieces = [(s, e) for s, e in monotone_pieces(f) if ys[s] != ys[e]]
-    if not pieces:
+    pieces = monotone_pieces(f)
+    if len(pieces) == 1 and ys[0] == ys[-1]:  # only a constant f has a flat (and sole) run
         return np.empty((0, 5), dtype=np.int64)
     vl, vr = rank(xs, ys, f.fx, f.fy)  # ranks of f at every breakpoint
     ia, ib = np.array(pieces, dtype=np.int64).T
@@ -365,27 +371,43 @@ def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:
     periodicity) produce an approximate Perron vector, and the returned value
     is its Collatz-Wielandt floor min_i ((M+I)v)_i / v_i - 1, a lower bound
     on the radius for any nonnegative test vector up to float rounding of
-    the floor itself.
+    the floor itself.  The radius is memoized on the exact rows (the last
+    _RADIUS_MEMO matrices): neighbouring scaled maps share covering
+    matrices, and each is computed once.
     """
+    return _rows_radius(np.asarray(starts, dtype=np.int64).tobytes(),
+                        np.asarray(stops, dtype=np.int64).tobytes())
+
+
+@lru_cache(maxsize=_RADIUS_MEMO)
+def _rows_radius(start_bytes: bytes, stop_bytes: bytes) -> float:
+    starts, stops = np.frombuffer(start_bytes, np.int64), np.frombuffer(stop_bytes, np.int64)
     if _radius_at_most_one(starts, stops):
         return 0.0
     n = len(starts)
+    prefix, out, at_starts = np.zeros(n + 1), np.empty(n), np.empty(n)
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        """(M + I) v, written into the same buffer each time."""
+        v.cumsum(out=prefix[1:])
+        w = prefix.take(stops, out=out, mode="clip")  # the rows index prefix in range
+        w -= prefix.take(starts, out=at_starts, mode="clip")
+        w += v
+        return w
+
     v = np.ones(n) / math.sqrt(n)
     prev = 0.0
     for _ in range(_POWER_ITERS):
-        prefix = np.concatenate(([0.0], np.cumsum(v)))
-        w = prefix[stops] - prefix[starts] + v
-        norm = float(np.linalg.norm(w))
-        v = w / norm
+        w = shifted(v)
+        norm = math.sqrt(w.dot(w))  # what np.linalg.norm computes for a float vector
+        np.divide(w, norm, out=v)
         if abs(norm - prev) <= _POWER_TOL * max(1.0, norm):
             break
         prev = norm
     # restrict to the numerically relevant support before taking the floor
     v = np.where(v > v.max() * 1e-12, v, 0.0)
-    prefix = np.concatenate(([0.0], np.cumsum(v)))
-    w = prefix[stops] - prefix[starts] + v
     support = v > 0.0
-    floor = float(np.min(w[support] / v[support]))
+    floor = float(np.min(shifted(v)[support] / v[support]))
     return max(floor - 1.0, 0.0)
 
 

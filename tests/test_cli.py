@@ -419,9 +419,9 @@ def test_ell1_a_billion_steps_reports_a_small_needed(monkeypatch):
 
 
 def test_readme_quotes_the_caps_of_the_code(monkeypatch):
-    # every number README states about a cap, or the zero test's round count,
-    # is the constant's own; the text is read with its whitespace collapsed,
-    # since a phrase may wrap
+    # every number README states about a cap, the zero test's round count or
+    # the radius memo is the constant's own; the text is read with its
+    # whitespace collapsed, since a phrase may wrap
     text = " ".join(README.read_text().split())
     quoted = {
         r"(\d+), the library constant `plmap\.BREAKPOINT_CAP`": plmap.BREAKPOINT_CAP,
@@ -432,6 +432,12 @@ def test_readme_quotes_the_caps_of_the_code(monkeypatch):
         r"stop at (\d+) cells \(`entropy\.PARTITION_CAP`": entropy.PARTITION_CAP,
         r"the scan's first (\d+) rounds": entropy._ZERO_ROUNDS,
         r"the test does not decide in its (\d+) rounds": entropy._ZERO_ROUNDS,
+        r"the last (\d+) matrices \(`entropy\._RADIUS_MEMO`":
+            entropy._rows_radius.cache_info().maxsize,
+        # a key is a matrix's starts and stops as int64 bytes
+        r"the memo holds at most (\d+) MiB":
+            entropy._RADIUS_MEMO * 2 * 8 * entropy.PARTITION_CAP >> 20,
+        r"even when every matrix has (\d+) cells": entropy.PARTITION_CAP,
     }
     for pattern, constant in quoted.items():
         assert [int(n) for n in re.findall(pattern, text)] == [constant], pattern
@@ -602,6 +608,16 @@ def test_dial_command_fixed_a_star(tmp_path):
     assert payload["config"]["a_star"] == "37/64"
     assert payload["checks"][0]["lambda"] == "1"
     assert payload["checks"][0]["achieved"] is not None
+
+
+def test_dial_command_at_the_bench_configuration(tmp_path):
+    # criterion 8 at a* = 37/64 with the multiplier checks 1/2, 1 and 2
+    out = tmp_path / "dial.json"
+    res = run_cli("dial", "--t", "0.6931471805599453", "--N", "12",
+                  "--lambda-grid", "21", "--depth", "8", "--a-star", "37/64",
+                  "--check-lambdas", "1/2,1,2", "--out", str(out))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert_golden("dial_criterion8_a_star_37_64.json", out.read_text())
 
 
 def test_cap_override_truncates_entropy_depth(tent_path):

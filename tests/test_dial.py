@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropy_banach import dial
 from entropy_banach.dial import (
@@ -20,7 +22,7 @@ from entropy_banach.dial import (
 )
 from entropy_banach.entropy import EntropyBounds, entropy_bounds, horseshoe_max
 from entropy_banach.errors import DomainError
-from entropy_banach.plmap import IntervalQ, eval_at, image_intervals, lap_count
+from entropy_banach.plmap import IntervalQ, _floats, eval_at, image_intervals, lap_count
 
 FAST_CFG = DialConfig(t=math.log(2), d=3, truncation=8, lambda_grid_size=7,
                       entropy_depth=6, tolerance=5e-2)
@@ -243,6 +245,60 @@ def test_dial_entropy_check_rejects_nonpositive(dial_cfg):
 def test_enumeration_rejects_zero_count():
     with pytest.raises(DomainError):
         rational_enumeration(0)
+
+
+def test_enumeration_is_built_once_per_count():
+    assert rational_enumeration(dial.DENSITY_TERMS) is rational_enumeration(dial.DENSITY_TERMS)
+
+
+_DENSE = rational_enumeration(dial.DENSITY_TERMS).terms
+_WINDOW = (dial.WINDOW_LO, dial.WINDOW_HI)
+
+
+def nearest_oracle(lam, terms, target):
+    """The nearest multiplier as taken before the float pass: every product
+    and every distance compared exactly, the first of equal ones kept."""
+    return min((lam * term for term in terms if F(9, 10) <= lam * term <= F(10, 9)),
+               key=lambda mu: abs(mu - target), default=None)
+
+
+@st.composite
+def nearest_cases(draw):
+    """(lam, target): products on a window edge, 2^-70 off one, far past
+    the float range, and targets halfway between two products (a tie)."""
+    term, edge = draw(st.sampled_from(_DENSE)), draw(st.sampled_from(_WINDOW))
+    lam = draw(st.one_of(
+        st.fractions(min_value=F(1, 64), max_value=64, max_denominator=1000),
+        st.just(edge / term),
+        st.sampled_from([-1, 1]).map(lambda k: (edge + k * F(1, 2 ** 70)) / term),
+        st.sampled_from([F(10 ** 400), F(1, 10 ** 400), F(10 ** 308, 7)])))
+    inside = sorted({lam * t for t in _DENSE if _WINDOW[0] <= lam * t <= _WINDOW[1]})
+    targets = [st.fractions(*_WINDOW, max_denominator=10 ** 6), st.sampled_from(_WINDOW)]
+    if inside:
+        targets.append(st.sampled_from(inside))
+    if len(inside) > 1:
+        targets.append(st.integers(0, len(inside) - 2).map(
+            lambda i: (inside[i] + inside[i + 1]) / 2))
+    return lam, draw(st.one_of(targets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearest_cases())
+def test_nearest_multiplier_matches_the_exact_oracle(case):
+    lam, target = case
+    assert dial._nearest_in_window(lam, _DENSE, _floats(_DENSE), target) == \
+        nearest_oracle(lam, _DENSE, target)
+
+
+@pytest.mark.parametrize("edge", _WINDOW)
+@pytest.mark.parametrize("term", [F(1), F(1, 3), F(5, 2)])
+def test_nearest_multiplier_on_a_window_edge(edge, term):
+    # lam * term lands exactly on the edge: inside; 2^-70 beyond it: outside
+    for lam in (edge / term, (edge - F(1, 2 ** 70)) / term, (edge + F(1, 2 ** 70)) / term):
+        for target in (edge, F(1)):
+            got = dial._nearest_in_window(lam, _DENSE, _floats(_DENSE), target)
+            assert got == nearest_oracle(lam, _DENSE, target)
+    assert dial._nearest_in_window(edge / term, _DENSE, _floats(_DENSE), edge) == edge
 
 
 def orbit_itinerary(f, lam, x0, steps, truncation):

@@ -738,6 +738,102 @@ def test_radius_decision_on_partition_cap_cycle():
     assert not _radius_at_most_one(starts, stops)
 
 
+def power_floor_oracle(starts, stops):
+    """_interval_rows_radius before the memo: a fresh allocating power loop
+    on M + I, the norm from np.linalg.norm, then the Collatz-Wielandt floor."""
+    if _radius_at_most_one(starts, stops):
+        return 0.0
+    n = len(starts)
+    v = np.ones(n) / math.sqrt(n)
+    prev = 0.0
+    for _ in range(entropy._POWER_ITERS):
+        prefix = np.concatenate(([0.0], np.cumsum(v)))
+        w = prefix[stops] - prefix[starts] + v
+        norm = float(np.linalg.norm(w))
+        v = w / norm
+        if abs(norm - prev) <= entropy._POWER_TOL * max(1.0, norm):
+            break
+        prev = norm
+    v = np.where(v > v.max() * 1e-12, v, 0.0)
+    prefix = np.concatenate(([0.0], np.cumsum(v)))
+    w = prefix[stops] - prefix[starts] + v
+    support = v > 0.0
+    return max(float(np.min(w[support] / v[support])) - 1.0, 0.0)
+
+
+@st.composite
+def wide_interval_rows(draw):
+    """Interval rows up to 300 cells, most two or more wide: radius > 1 is
+    the rule, so the power loop runs."""
+    n = draw(st.integers(min_value=2, max_value=300))
+    starts = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    stops = [min(n, s + w) for s, w in zip(starts, widths)]
+    return np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(interval_rows(), wide_interval_rows()))
+def test_radius_is_bit_identical_to_the_allocating_power_loop(rows):
+    entropy._rows_radius.cache_clear()  # the loop runs, not a memo hit
+    assert _interval_rows_radius(*rows) == power_floor_oracle(*rows)
+
+
+def count_radius_runs(monkeypatch):
+    """Count the radii computed: each starts with the exact decision."""
+    runs = []
+    real = entropy._radius_at_most_one
+
+    def decide(starts, stops):
+        runs.append(len(starts))
+        return real(starts, stops)
+
+    monkeypatch.setattr(entropy, "_radius_at_most_one", decide)
+    entropy._rows_radius.cache_clear()
+    return runs
+
+
+_FULL_2 = ([0, 0], [2, 2])  # the all-ones 2x2 matrix: radius 2
+
+
+def test_radius_memo_normalises_the_row_dtype(monkeypatch):
+    runs = count_radius_runs(monkeypatch)
+    radii = [_interval_rows_radius(*(np.array(rows, dtype=dtype) for rows in _FULL_2))
+             for dtype in (np.int64, np.int32, np.int64)]
+    assert radii == [radii[0]] * 3 and radii[0] == pytest.approx(2.0)
+    assert runs == [2]
+
+
+def test_radius_memo_tells_rows_apart_by_one_stop(monkeypatch):
+    # row 1 of the full 2x2 matrix loses its last column: radius 2 -> golden ratio
+    runs = count_radius_runs(monkeypatch)
+    full = _interval_rows_radius(*map(np.array, _FULL_2))
+    cut = _interval_rows_radius(np.array([0, 0]), np.array([2, 1]))
+    assert full == pytest.approx(2.0) and cut == pytest.approx((1 + 5 ** 0.5) / 2)
+    assert runs == [2, 2]
+    assert _interval_rows_radius(*map(np.array, _FULL_2)) == full
+    assert runs == [2, 2]
+
+
+def test_repeated_matrix_runs_one_power_loop(monkeypatch):
+    runs = count_radius_runs(monkeypatch)
+    starts, stops = np.array([0, 0, 1]), np.array([2, 3, 3])
+    first = _interval_rows_radius(starts, stops)
+    assert first > 1.0 and runs == [3]
+    assert _interval_rows_radius(starts.copy(), stops.copy()) == first
+    assert runs == [3]
+    assert entropy._rows_radius.cache_info().hits == 1
+
+
+def test_radius_memo_is_bounded():
+    memo = entropy._rows_radius
+    memo.cache_clear()
+    for n in range(1, entropy._RADIUS_MEMO + 20):
+        _interval_rows_radius(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    info = memo.cache_info()
+    assert info.maxsize == entropy._RADIUS_MEMO and info.currsize == entropy._RADIUS_MEMO
+
+
 def test_horseshoe_max_rejects_a_branch_the_search_miscounts(monkeypatch):
     # a rectangle no branch has, over every hull and starting at 0, puts a
     # second interval at 0 into the certificate: certify must raise, also
@@ -907,6 +1003,14 @@ def test_hull_boxes_match_oracle(f):
         assert sorted(map(tuple, entropy._hull_boxes(g).tolist())) == \
             sorted(hull_boxes_oracle(g, pts))
         g = compose(f, g)
+
+
+@pytest.mark.parametrize("xs, ys", [([F(1, 2)], [F(1, 2)]), ([0, F(1, 3), 1], [F(1, 2)] * 3)])
+def test_constant_maps_have_no_covering_branch(xs, ys):
+    # a fixed point on its own has the one hull [u, u]: it is no branch
+    f = make_pl(xs, ys)
+    assert entropy._hull_boxes(f).shape == (0, 5)
+    assert entropy._widest_hull(f) == (0, 0, [])
 
 
 @settings(max_examples=200, deadline=None)
