@@ -5,9 +5,11 @@ Three ingredients:
 * a family theta_a = (1-a) id + a T_d interpolating between the identity and
   a full d-branch horseshoe on [9, 10] (identity off that interval, carrier
   [0, 12]); its entropy under scalar multiples vanishes for multipliers
-  outside [9/10, 10/9], so r(a) = sup over multipliers of the entropy is a
-  continuous dial from 0 up to log d, and a bisection finds a* with
-  r(a*) = t;
+  outside [9/10, 10/9].  r(a) is the largest entropy-bracket midpoint over a
+  fixed exact grid of multipliers in that window (an estimate, neither a
+  lower nor an upper bound on the sup over the window), and a bisection
+  finds a* with r(a*) within the tolerance of t, or names the pair of a
+  across which r jumps past t;
 
 * an enumeration of the positive rationals (Calkin-Wilf order with doubling
   bridges) in which consecutive terms never more than double;
@@ -43,8 +45,6 @@ VANISH_DEPTH = 32
 
 #: enumeration terms searched for the multiplier nearest the window argmax
 DENSITY_TERMS = 1024
-
-_GOLDEN_ITERS = 8
 
 #: relative margin of a float product of two rationals: its rounding error
 #: is below 4e-16 of it, so outside the margin the float order is exact (near
@@ -106,7 +106,8 @@ class DialConfig:
 
 @dataclass(frozen=True)
 class REstimate:
-    """Entropy-dial estimate r(a): best bracket midpoint over the multiplier grid."""
+    """Entropy-dial estimate r(a): the best bracket midpoint over
+    ``_multiplier_grid(lambda_grid_size)`` (the ``--lambda-grid`` flag)."""
 
     value: float
     bracket_width: float
@@ -135,10 +136,10 @@ def _multiplier_grid(size: int) -> list[Fraction]:
 
 
 def r_of_a(a, cfg: DialConfig) -> REstimate:
-    """max over the multiplier window of the entropy-bracket midpoint.
+    """r(a): the best bracket midpoint over ``_multiplier_grid(cfg.lambda_grid_size)``.
 
-    The grid always contains 1; a short golden-section refinement around the
-    grid argmax polishes the estimate.  The certified bracket width at the
+    The grid is a fixed set of exact multipliers that always contains 1, and
+    the first of equal midpoints wins.  The certified bracket width at the
     argmax is reported as the estimate's uncertainty, with a warning flag
     when it exceeds the configured tolerance.
     """
@@ -148,27 +149,9 @@ def r_of_a(a, cfg: DialConfig) -> REstimate:
         eb = _scale_bounds(a, lam, cfg.d, cfg.entropy_depth)
         return eb.midpoint, eb.width, lam
 
-    def probe(x: float) -> tuple[float, float, Fraction]:
-        return score(Fraction(x).limit_denominator(720))
-
-    # max keeps the first of equal midpoints: the grid's, then f1's
-    best = max(map(score, _multiplier_grid(cfg.lambda_grid_size)), key=lambda s: s[0])
-    lo = max(float(best[2]) - 0.05, float(WINDOW_LO))
-    hi = min(float(best[2]) + 0.05, float(WINDOW_HI))
-    phi = (math.sqrt(5) - 1) / 2
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = probe(x1), probe(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1[0] >= f2[0]:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = probe(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = probe(x2)
-    value, width, lam = max((best, f1, f2), key=lambda s: s[0])
+    # max keeps the first of equal midpoints
+    value, width, lam = max(map(score, _multiplier_grid(cfg.lambda_grid_size)),
+                            key=lambda s: s[0])
     return REstimate(value=value, bracket_width=width, argmax=lam,
                      warning=width > cfg.tolerance)
 
@@ -178,7 +161,8 @@ def find_a_star(cfg: DialConfig) -> Fraction:
 
     Stops as soon as the residual drops below the tolerance, or once the
     bisection gap falls below the certification resolution (then the best
-    candidate wins if it meets the tolerance).
+    candidate wins if it meets the tolerance).  A stall raises one line that
+    names the final bracketing pair, r(lo) < t <= r(hi), and the best residual.
     """
     t = cfg.t
     lo, hi = Fraction(0), Fraction(1)
@@ -191,7 +175,7 @@ def find_a_star(cfg: DialConfig) -> Fraction:
     best_a, best_res = lo, abs(r_lo.value - t)
     if abs(r_hi.value - t) < best_res:
         best_a, best_res = hi, abs(r_hi.value - t)
-    gap_floor = Fraction(1, 1 << 24)
+    gap_floor = Fraction(1, 1 << 25)
     while True:  # the gap halves from 1, so this ends after at most 26 midpoints
         mid = (lo + hi) / 2
         est = r_of_a(mid, cfg)
@@ -200,16 +184,18 @@ def find_a_star(cfg: DialConfig) -> Fraction:
             best_a, best_res = mid, res
         if res <= cfg.tolerance:
             return mid
+        if est.value < t:
+            lo, r_lo = mid, est
+        else:
+            hi, r_hi = mid, est
         if hi - lo < gap_floor:
             break  # below the estimator's resolution; stop chasing noise
-        if est.value < t:
-            lo = mid
-        else:
-            hi = mid
     if best_res <= cfg.tolerance:
         return best_a
     raise ConstructionError(
-        f"bisection stalled with residual {best_res:.4f} > tolerance {cfg.tolerance}")
+        f"bisection stalled with residual {best_res:.4f} > tolerance {cfg.tolerance}: "
+        f"r jumps past t={t:.4f} between a={lo} (r={r_lo.value:.4f}) "
+        f"and a={hi} (r={r_hi.value:.4f})")
 
 
 # --- rational enumeration ---------------------------------------------------------

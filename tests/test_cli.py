@@ -620,6 +620,25 @@ def test_dial_command_at_the_bench_configuration(tmp_path):
     assert_golden("dial_criterion8_a_star_37_64.json", out.read_text())
 
 
+def test_dial_command_searches_a_star_at_criterion_8():
+    # without --a-star the bisection finds 37/64 for t = log 2
+    res = run_cli("dial", "--t", "0.6931471805599453", "--N", "12",
+                  "--lambda-grid", "21", "--depth", "8")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert_golden("dial_criterion8_search_log2.json", res.stdout)
+    assert json.loads(res.stdout)["config"]["a_star"] == "37/64"
+
+
+def test_dial_search_stall_exits_1_with_one_line():
+    res = run_cli("dial", "--t", "0.35", "--N", "6", "--lambda-grid", "7",
+                  "--depth", "6", "--tol", "0.01")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("error: bisection stalled with residual 0.0366")
+    assert " between a=" in res.stderr
+
+
 def test_cap_override_truncates_entropy_depth(tent_path):
     # the tent's square has 5 breakpoints, so the golden reports depth 1
     res = run_cli("entropy", tent_path, "--depth", "9", "--cap-breakpoints", "4")

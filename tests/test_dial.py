@@ -1,6 +1,7 @@
 """Tests for the fixed-entropy dial construction."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -21,8 +22,8 @@ from entropy_banach.dial import (
     theta,
 )
 from entropy_banach.entropy import EntropyBounds, entropy_bounds, horseshoe_max
-from entropy_banach.errors import DomainError
-from entropy_banach.plmap import IntervalQ, _floats, eval_at, image_intervals, lap_count
+from entropy_banach.errors import ConstructionError, DomainError
+from entropy_banach.plmap import IntervalQ, _floats, eval_at, image_intervals, lap_count, scale
 
 FAST_CFG = DialConfig(t=math.log(2), d=3, truncation=8, lambda_grid_size=7,
                       entropy_depth=6, tolerance=5e-2)
@@ -89,8 +90,7 @@ def test_r_of_a_monotone_trend():
 
 
 def test_r_of_a_keeps_the_first_of_equal_midpoints(monkeypatch):
-    # every multiplier scores the same bracket: the first grid multiplier
-    # wins, and no golden-section probe displaces it
+    # every multiplier scores the same bracket: the first grid multiplier wins
     seen = []
 
     def fixed(a, lam, d, depth):
@@ -102,11 +102,55 @@ def test_r_of_a_keeps_the_first_of_equal_midpoints(monkeypatch):
     assert seen[0] == F(9, 10)
     assert (est.value, est.bracket_width, est.argmax, est.warning) == (0.5, 0.5, F(9, 10), True)
 
+
+@pytest.mark.parametrize("a", [F(37, 64), F(20, 64)])
+def test_r_of_a_scores_exactly_the_multiplier_grid(monkeypatch, a):
+    # criterion 8's grid: r(a) asks for each grid multiplier once, in order,
+    # and nothing else; at 20/64 some multipliers off the grid score higher
+    cfg = DialConfig(t=math.log(2), d=3, truncation=12, lambda_grid_size=21,
+                     entropy_depth=8, tolerance=1e-2)
+    grid = dial._multiplier_grid(cfg.lambda_grid_size)
+    seen = []
+
+    def spy(a_, lam, d, depth):
+        seen.append(lam)
+        return real(a_, lam, d, depth)
+
+    real = dial._scale_bounds
+    monkeypatch.setattr(dial, "_scale_bounds", spy)
+    est = r_of_a(a, cfg)
+    assert seen == grid
+    brackets = [entropy_bounds(scale(theta(a, cfg.d), lam), cfg.entropy_depth) for lam in grid]
+    top = max(eb.midpoint for eb in brackets)
+    k = next(i for i, eb in enumerate(brackets) if eb.midpoint == top)
+    assert (est.value, est.bracket_width, est.argmax) == (top, brackets[k].width, grid[k])
+
+
 def test_find_a_star_converges():
     a = find_a_star(FAST_CFG)
     est = r_of_a(a, FAST_CFG)
     assert 0 < a < 1
     assert abs(est.value - math.log(2)) <= FAST_CFG.tolerance
+
+
+def test_find_a_star_stall_names_the_final_bracketing_pair():
+    # at tolerance 1e-2, r jumps past t = 0.35 near a = 1/2: the one-line error
+    # names lo and hi with r(lo) < t <= r(hi), and the best residual
+    cfg = DialConfig(t=0.35, d=3, truncation=6, lambda_grid_size=7,
+                     entropy_depth=6, tolerance=1e-2)
+    with pytest.raises(ConstructionError) as info:
+        find_a_star(cfg)
+    message = str(info.value)
+    assert "\n" not in message
+    found = re.fullmatch(
+        r"bisection stalled with residual (\S+) > tolerance 0\.01: r jumps past "
+        r"t=0\.3500 between a=(\S+) \(r=\S+\) and a=(\S+) \(r=\S+\)", message)
+    assert found, message
+    lo, hi = F(found[2]), F(found[3])
+    assert 0 < hi - lo <= F(1, 1 << 25)
+    assert r_of_a(lo, cfg).value < cfg.t <= r_of_a(hi, cfg).value
+    assert float(found[1]) == pytest.approx(0.0366, abs=5e-5)
+    assert float(found[1]) > cfg.tolerance
 
 
 def test_find_a_star_rejects_out_of_range():
@@ -341,7 +385,6 @@ def test_negative_multiplier_matches_positive(monkeypatch, dial_cfg):
 
 def test_entropy_vanishes_outside_window():
     # multiplier 4/5 sits below the active window: certified near-zero bracket
-    from entropy_banach.plmap import scale
     f = scale(theta(F(37, 64), 3), F(4, 5))
     eb = entropy_bounds(f, 32)
     assert eb.lower == 0.0
@@ -361,7 +404,6 @@ def test_dial_entropy_check_far_multiplier(monkeypatch, dial_cfg):
 def test_scale_bounds_cache_follows_the_caps(monkeypatch):
     # a bracket cached under one cap is never returned under another
     from entropy_banach import entropy, plmap
-    from entropy_banach.plmap import scale
     args = (F(37, 64), F(1), 3, 5)
     assert dial._scale_bounds(*args).depth_used == 5
     monkeypatch.setattr(entropy, "PARTITION_CAP", 4)
