@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_banach import cli, entropy, plmap
+from entropy_banach import cli, dial, entropy, plmap
 from entropy_banach.checks import TENT, CheckResult
 from entropy_banach.errors import ResourceLimitError
 
@@ -343,6 +343,8 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("dial", "--t", "0.5", "--tol", "0"), 1),
     (("dial", "--t", "0.5", "--tol", "nan"), 1),
     (("dial", "--t", "0.5", "--lambda-grid", "2"), 1),
+    (("dial", "--t", "0.5", "--lambda-grid", str(dial.LAMBDA_GRID_CAP + 1)), 3),
+    (("dial", "--t", "0.5", "--lambda-grid", str(10 ** 30)), 3),
     (("dial", "--t", "0.5", "--depth", "0"), 1),
     (("dial", "--t", "0.5", "--N", "0"), 1),
     (("dial", "--t", "5"), 1),
@@ -359,7 +361,8 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("figure1", "--N", "-1"), 1),
     (("figure1", "--samples", "-3"), 2),
     (("entropy", "MAP", "--seed", "3"), 2),
-], ids=["dial_d", "dial_tol", "dial_tol_nan", "dial_lambda_grid", "dial_depth", "dial_N",
+], ids=["dial_d", "dial_tol", "dial_tol_nan", "dial_lambda_grid", "dial_lambda_grid_above_cap",
+        "dial_lambda_grid_far_above_cap", "dial_depth", "dial_N",
         "dial_t", "dial_a_star", "ell1_steps", "ell1_tail_factor", "ell1_delta",
         "ell1_steps_above_cap", "ell1_cap_511", "psi_N", "psi_ratio", "psi_alpha",
         "psi_horseshoe", "figure1_N", "figure1_samples", "seed_off_check"])
@@ -438,6 +441,7 @@ def test_readme_quotes_the_caps_of_the_code(monkeypatch):
         r"the memo holds at most (\d+) MiB":
             entropy._RADIUS_MEMO * 2 * 8 * entropy.PARTITION_CAP >> 20,
         r"even when every matrix has (\d+) cells": entropy.PARTITION_CAP,
+        r"capped at (\d+) multipliers \(`dial\.LAMBDA_GRID_CAP`": dial.LAMBDA_GRID_CAP,
     }
     for pattern, constant in quoted.items():
         assert [int(n) for n in re.findall(pattern, text)] == [constant], pattern

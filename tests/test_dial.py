@@ -22,7 +22,7 @@ from entropy_banach.dial import (
     theta,
 )
 from entropy_banach.entropy import EntropyBounds, entropy_bounds, horseshoe_max
-from entropy_banach.errors import ConstructionError, DomainError
+from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import IntervalQ, _floats, eval_at, image_intervals, lap_count, scale
 
 FAST_CFG = DialConfig(t=math.log(2), d=3, truncation=8, lambda_grid_size=7,
@@ -89,24 +89,64 @@ def test_r_of_a_monotone_trend():
 
 
 
-def test_r_of_a_keeps_the_first_of_equal_midpoints(monkeypatch):
-    # every multiplier scores the same bracket: the first grid multiplier wins
+def stub_brackets(monkeypatch, brackets):
+    """Score multiplier lam by ``brackets[lam]``: its bracket and, consistently,
+    its upper side as the lap bound; returns the multipliers bracketed, in order."""
     seen = []
 
-    def fixed(a, lam, d, depth):
+    def bounds(a, lam, d, depth):
         seen.append(lam)
-        return EntropyBounds(0.25, 0.75, None, depth_used=depth)
+        return brackets[lam]
 
-    monkeypatch.setattr(dial, "_scale_bounds", fixed)
+    monkeypatch.setattr(dial, "_scale_bounds", bounds)
+    monkeypatch.setattr(dial, "_scale_upper", lambda a, lam, d, depth: brackets[lam].upper)
+    return seen
+
+
+def assert_unbracketed_cannot_win(est, grid, uppers, seen):
+    # a multiplier left out has a lap bound below the estimate, or equal to
+    # it at a later grid index: its midpoint could not have won
+    k = grid.index(est.argmax)
+    for i, lam in enumerate(grid):
+        if lam not in seen:
+            assert uppers[i] < est.value or uppers[i] == est.value and i > k
+
+
+def test_r_of_a_keeps_the_first_of_equal_midpoints(monkeypatch):
+    grid = dial._multiplier_grid(FAST_CFG.lambda_grid_size)
+    # every multiplier scores the same bracket: the first grid multiplier wins
+    seen = stub_brackets(monkeypatch, {lam: EntropyBounds(0.25, 0.75, None, 6) for lam in grid})
     est = r_of_a(F(1, 2), FAST_CFG)
     assert seen[0] == F(9, 10)
     assert (est.value, est.bracket_width, est.argmax, est.warning) == (0.5, 0.5, F(9, 10), True)
+    # two equal midpoints, the later one with the larger upper side, so it is
+    # bracketed first; the earlier one still wins, and the rest, with upper
+    # sides below 0.5, are never bracketed
+    brackets = {lam: EntropyBounds(0.0, 0.4, None, 6) for lam in grid}
+    brackets[grid[2]] = EntropyBounds(0.375, 0.625, None, 6)
+    brackets[grid[5]] = EntropyBounds(0.25, 0.75, None, 6)
+    seen = stub_brackets(monkeypatch, brackets)
+    est = r_of_a(F(1, 2), FAST_CFG)
+    assert seen == [grid[5], grid[2]]
+    assert (est.value, est.bracket_width, est.argmax) == (0.5, 0.25, grid[2])
+    assert_unbracketed_cannot_win(est, grid, [brackets[lam].upper for lam in grid], seen)
+
+
+def full_grid_oracle(a, cfg):
+    """(value, width, argmax) of the first maximal bracket midpoint over the
+    whole grid, and the brackets, each multiplier bracketed."""
+    grid = dial._multiplier_grid(cfg.lambda_grid_size)
+    brackets = [entropy_bounds(scale(theta(a, cfg.d), lam), cfg.entropy_depth) for lam in grid]
+    top = max(eb.midpoint for eb in brackets)
+    k = next(i for i, eb in enumerate(brackets) if eb.midpoint == top)
+    return (top, brackets[k].width, grid[k]), brackets
 
 
 @pytest.mark.parametrize("a", [F(37, 64), F(20, 64)])
 def test_r_of_a_scores_exactly_the_multiplier_grid(monkeypatch, a):
-    # criterion 8's grid: r(a) asks for each grid multiplier once, in order,
-    # and nothing else; at 20/64 some multipliers off the grid score higher
+    # criterion 8's grid: r(a) brackets grid multipliers only, each at most
+    # once, and gives the estimate of scoring the whole grid; at 20/64 some
+    # multipliers off the grid score higher
     cfg = DialConfig(t=math.log(2), d=3, truncation=12, lambda_grid_size=21,
                      entropy_depth=8, tolerance=1e-2)
     grid = dial._multiplier_grid(cfg.lambda_grid_size)
@@ -119,11 +159,19 @@ def test_r_of_a_scores_exactly_the_multiplier_grid(monkeypatch, a):
     real = dial._scale_bounds
     monkeypatch.setattr(dial, "_scale_bounds", spy)
     est = r_of_a(a, cfg)
-    assert seen == grid
-    brackets = [entropy_bounds(scale(theta(a, cfg.d), lam), cfg.entropy_depth) for lam in grid]
-    top = max(eb.midpoint for eb in brackets)
-    k = next(i for i, eb in enumerate(brackets) if eb.midpoint == top)
-    assert (est.value, est.bracket_width, est.argmax) == (top, brackets[k].width, grid[k])
+    assert len(set(seen)) == len(seen) and set(seen) <= set(grid)
+    expected, brackets = full_grid_oracle(a, cfg)
+    assert (est.value, est.bracket_width, est.argmax) == expected
+    uppers = [dial._scale_upper(a, lam, cfg.d, cfg.entropy_depth) for lam in grid]
+    assert uppers == [eb.upper for eb in brackets]
+    assert_unbracketed_cannot_win(est, grid, uppers, seen)
+
+
+def test_r_of_a_matches_the_full_grid_on_a_sixty_fourth_grid():
+    for k in range(65):
+        est = r_of_a(F(k, 64), FAST_CFG)
+        expected, _ = full_grid_oracle(F(k, 64), FAST_CFG)
+        assert (est.value, est.bracket_width, est.argmax) == expected, k
 
 
 def test_find_a_star_converges():
@@ -156,6 +204,27 @@ def test_find_a_star_stall_names_the_final_bracketing_pair():
 def test_find_a_star_rejects_out_of_range():
     with pytest.raises(DomainError):
         DialConfig(t=math.log(4), d=3)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("truncation", 0, "truncation must be >= 1, got 0"),
+    ("lambda_grid_size", 2, "lambda grid size must be >= 3, got 2"),
+    ("entropy_depth", 0, "entropy depth must be >= 1, got 0"),
+])
+def test_config_names_the_field_below_its_bound(field, value, message):
+    with pytest.raises(DomainError) as err:
+        DialConfig(t=math.log(2), d=3, **{field: value})
+    assert str(err.value) == message
+
+
+def test_config_refuses_a_lambda_grid_above_the_cap():
+    # checked on the integer: a grid of 10^30 multipliers is never built
+    DialConfig(t=math.log(2), d=3, lambda_grid_size=dial.LAMBDA_GRID_CAP)
+    for size in (dial.LAMBDA_GRID_CAP + 1, 10 ** 30):
+        with pytest.raises(ResourceLimitError) as err:
+            DialConfig(t=math.log(2), d=3, lambda_grid_size=size)
+        assert str(err.value) == f"lambda grid size {size} exceeds the cap of {dial.LAMBDA_GRID_CAP}"
+        assert (err.value.needed, err.value.cap) == (size, dial.LAMBDA_GRID_CAP)
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -1e-2, float("nan")])
@@ -411,3 +480,14 @@ def test_scale_bounds_cache_follows_the_caps(monkeypatch):
     assert dial._scale_bounds(*args).lower < 0.5
     monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 3)
     assert dial._scale_bounds(*args).depth_used == 1
+
+
+def test_scale_upper_cache_follows_the_breakpoint_cap(monkeypatch):
+    # a lap bound cached under one breakpoint cap is never returned under another
+    from entropy_banach import plmap
+    args = (F(37, 64), F(1), 3, 5)
+    f = scale(theta(F(37, 64), 3), F(1))
+    uncapped = dial._scale_upper(*args)
+    assert uncapped == entropy_bounds(f, 5).upper
+    monkeypatch.setattr(plmap, "BREAKPOINT_CAP", 3)
+    assert dial._scale_upper(*args) == entropy_bounds(f, 5).upper > uncapped

@@ -1135,8 +1135,10 @@ def capped_lap_counts(g, depth, cap, built):
 
 
 @settings(max_examples=200, deadline=None)
-@given(grid_maps(), st.integers(1, 6), st.sampled_from([None, 4, 8, 16, 32]))
+@given(grid_maps(), st.integers(1, 6), st.sampled_from([None, 3, 4, 8, 16, 32]))
 @example(TENT, 9, 4)  # the tent's square has 5 breakpoints: depth 1 is reported
+@example(scale(theta(F(37, 64), 3), F(181, 180)), 8, None)  # a map the dial scores
+@example(scale(theta(F(37, 64), 3), F(1)), 8, 3)
 # log(laps)/k is 0.7083 at k = 4 and 0.7111 at k = 5: the last rate is not the least
 @example(make_pl([0, F(2, 3), F(3, 4), 1], [1, 0, F(1, 2), 0]), 5, None)
 def test_bounds_match_chain_oracle(f, depth, cap):
@@ -1155,6 +1157,8 @@ def test_bounds_match_chain_oracle(f, depth, cap):
         assert eb.upper == upper
         assert eb.lower_witness == cert
         assert eb.depth_used == depth_used
+        # the dial's r(a) skips multipliers by this lap bound: it must be the
+        # bracket's upper side bit for bit, also when the cap stops the count
         assert eb.upper == entropy_upper_lap(g, depth)
 
 
