@@ -43,6 +43,11 @@ WINDOW_HI = Fraction(10, 9)
 #: depth 8 and a = 3/4, r(a) took 10.2 s and 40 MB at the cap (2-core VM)
 LAMBDA_GRID_CAP = 2000
 
+#: most scales the dial map carries (``--N``), for a budget of about 3 s and
+#: 128 MB per run: scale n's rationals have about 2n bits, so memory grows as
+#: N^2; at the cap, with one checked multiplier, a run took 2.5 s and 119 MB (2-core VM)
+TRUNCATION_CAP = 2000
+
 #: iterate depth for out-of-window scale diagnostics (their lap counts
 #: grow linearly, so deep iterates are cheap and push the bound down)
 VANISH_DEPTH = 32
@@ -107,10 +112,11 @@ class DialConfig:
                                    ("entropy depth", self.entropy_depth, 1)):
             if value < least:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
-        if self.lambda_grid_size > LAMBDA_GRID_CAP:
-            raise ResourceLimitError(
-                f"lambda grid size {self.lambda_grid_size} exceeds the cap of {LAMBDA_GRID_CAP}",
-                needed=self.lambda_grid_size, cap=LAMBDA_GRID_CAP)
+        for name, value, cap in (("lambda grid size", self.lambda_grid_size, LAMBDA_GRID_CAP),
+                                 ("truncation", self.truncation, TRUNCATION_CAP)):
+            if value > cap:
+                raise ResourceLimitError(f"{name} {value} exceeds the cap of {cap}",
+                                         needed=value, cap=cap)
         if not self.tolerance > 0:  # NaN included
             raise DomainError("tolerance must be positive")
 

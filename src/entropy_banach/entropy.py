@@ -237,7 +237,7 @@ def _turning_positions(f: PLMap) -> list[Fraction]:
     return [xs[i] for i in sorted({0, *_turns(f)[0].tolist(), len(xs) - 1})]
 
 
-def entropy_lower_markov(f: PLMap, refinement: int) -> float:
+def entropy_lower_markov(f: PLMap, refinement: int, *, _rounds: Iterator | None = None) -> float:
     """log of the spectral radius of the covering matrix on the refined partition.
 
     The partition starts at the critical points of f and is refined
@@ -247,51 +247,55 @@ def entropy_lower_markov(f: PLMap, refinement: int) -> float:
     maximum over rounds is returned, which makes the value non-decreasing in
     ``refinement``.  When the partition outgrows PARTITION_CAP cells first,
     :class:`ResourceLimitError` is raised with the completed rounds in
-    ``achieved`` and their best bound, still valid, in ``bound``.
+    ``achieved`` and their best bound, still valid, in ``bound``.  Only
+    :func:`entropy_bounds` passes ``_rounds``: the scan its zero test read.
     """
     if refinement < 0:
         raise DomainError(f"refinement must be >= 0, got {refinement}")
     best = 0.0
-    for round_no, (points, left, right) in enumerate(_markov_rounds(f, refinement)):
+    rounds = _markov_rounds(f, refinement) if _rounds is None else _rounds
+    for round_no, (points, left, right) in enumerate(rounds):
         if len(points) - 1 > PARTITION_CAP:
             raise ResourceLimitError(
                 f"covering partition exceeded {PARTITION_CAP} cells",
                 achieved=round_no, cap=PARTITION_CAP, bound=best)
-        # f is monotone on a cell, so its image, the hull of f at its ends, covers the cells
-        # from the first point >= its low end, if any, to (exclusive) the last <= its high end
-        starts = np.minimum(np.minimum(left[:-1], left[1:]), len(points) - 1)
-        stops = np.maximum(np.maximum(right[:-1], right[1:]) - 1, starts)
-        radius = _interval_rows_radius(starts, stops)
+        radius = _interval_rows_radius(*_round_rows(points, left, right)[0])
         best = max(best, math.log(radius) if radius > 1.0 else 0.0)
     return best
 
 
-def _certifies_zero(g: PLMap, rounds: int) -> bool:
-    """Whether some scan round up to ``rounds`` proves h(g) = 0 exactly.
+def _certifies_zero(rounds: Iterator[tuple[list, np.ndarray, np.ndarray]]) -> bool:
+    """Whether one of the scan ``rounds`` of a self-map g proves h(g) = 0 exactly.
 
     Row i of U has a one at j iff g(I_i) meets the interior of cell I_j.
-    Every turning point of the self-map g is a partition point, so g is
-    monotone on each cell, and the laps of g^(m+1) are at most the most
-    paths in U of one length up to m, times a factor polynomial in m for
-    the laps a flat of g makes constant.  So h(g) <= log rho(U)
-    (Misiurewicz-Szlenk, Studia Math. 67, 1980), and rho(U) <= 1,
-    decided exactly by :func:`_radius_at_most_one`, gives h = 0 with no
-    float.  A map of positive entropy never passes, since
-    rho(U) >= e^h > 1.  Only the first rounds are read (see
-    _ZERO_ROUNDS): where the test fails, the scan builds every round it
-    read again, and a later round has more cells.  A round above
-    PARTITION_CAP cells is not tested.
+    Every turning point of g is a partition point, so g is monotone on each
+    cell, and the laps of g^(m+1) are at most the most paths in U of one
+    length up to m, times a factor polynomial in m for the laps a flat of g
+    makes constant.  So h(g) <= log rho(U) (Misiurewicz-Szlenk, Studia Math.
+    67, 1980), and rho(U) <= 1, decided exactly by :func:`_radius_at_most_one`,
+    gives h = 0 with no float.  A map of positive entropy never passes, since
+    rho(U) >= e^h > 1.  The rounds are read lazily, up to one that passes or
+    one above PARTITION_CAP cells; the covering bound reads them again.
     """
-    for points, left, right in _markov_rounds(g, rounds):
-        n = len(points) - 1
-        if n > PARTITION_CAP:
-            return False
-        # the image [lo, hi] of a cell meets cell j iff points[j + 1] > lo and points[j] < hi
-        starts = np.clip(np.minimum(right[:-1], right[1:]) - 1, 0, n - 1)
-        stops = np.maximum(np.minimum(np.maximum(left[:-1], left[1:]), n), starts)
-        if _radius_at_most_one(starts, stops):
-            return True
-    return False
+    within_cap = itertools.takewhile(lambda r: len(r[0]) - 1 <= PARTITION_CAP, rounds)
+    return any(_radius_at_most_one(*_round_rows(*r)[1]) for r in within_cap)
+
+
+def _round_rows(points: list, left: np.ndarray, right: np.ndarray) -> tuple[tuple, tuple]:
+    """(starts, stops) of a round's covering rows C and intersects rows U.
+
+    f is monotone on a cell, so its image is the hull [lo, hi] of f at its
+    ends.  That covers cell j iff lo <= points[j] and points[j + 1] <= hi: j
+    in range(bisect_left(lo), bisect_right(hi) - 1).  It meets cell j iff
+    points[j + 1] > lo and points[j] < hi: j in range(bisect_right(lo) - 1,
+    bisect_left(hi)), a right rank at lo (a left one drops a cell).
+    """
+    n = len(points) - 1
+    left_lo, left_hi = np.minimum(left[:-1], left[1:]), np.maximum(left[:-1], left[1:])
+    right_lo, right_hi = np.minimum(right[:-1], right[1:]), np.maximum(right[:-1], right[1:])
+    c_starts, u_starts = np.minimum(left_lo, n), np.maximum(right_lo - 1, 0)
+    return ((c_starts, np.maximum(right_hi - 1, c_starts)),
+            (u_starts, np.maximum(np.minimum(left_hi, n), u_starts)))
 
 
 def _markov_rounds(f: PLMap, refinement: int) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
@@ -540,14 +544,6 @@ def _lap_images(g: PLMap, images: dict, turns: tuple) -> dict | None:
     return None if constant and through else out
 
 
-def _read_by_search(laps: int, k: int, lower_h: float) -> bool:
-    """Whether the hull search reads an iterate g^k with ``laps`` laps: it
-    takes O(n^2) time on n >= laps breakpoints, so large iterates are
-    skipped, and so are those whose lap ceiling cannot beat the best rate
-    ``lower_h``; skipping only weakens the lower bound."""
-    return laps <= HORSESHOE_LAP_BUDGET and math.log(laps) / k > lower_h + 1e-12
-
-
 def _iterate_chain(g: PLMap) -> Callable[[int], PLMap | None]:
     """g^k for non-decreasing k, each level composed once, forward from the
     last one built; None from the first level the breakpoint cap refuses."""
@@ -600,8 +596,9 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     reduce the achieved depth; a monotone restriction builds no iterate.
 
     If the search would read g^2 with no hull found on g,
-    :func:`_certifies_zero` decides first whether h = 0, and if so the search
-    reads no iterate and the scan is not run (both could only give 0).
+    :func:`_certifies_zero` decides first, from the scan's first rounds,
+    whether h = 0: if so the search reads no iterate and the scan goes no
+    further (both could only give 0), else the covering bound reads them again.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -610,12 +607,15 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
         return EntropyBounds(0.0, 0.0, None, depth_used=depth)
 
     chain = _iterate_chain(g)
+    zero_rounds, scan = itertools.tee(_markov_rounds(g, depth))
     upper, lower_h, best, zero = math.inf, 0.0, None, False
     # level 1 is always counted, so k is bound after the loop
     for k, laps in zip(range(1, depth + 1), _lap_counts(g, chain)):
-        read = _read_by_search(laps, k, lower_h)
+        # the search takes O(n^2) time on n >= laps breakpoints: it skips large iterates and
+        # those whose lap ceiling cannot beat the best rate, which only weakens the lower bound
+        read = laps <= HORSESHOE_LAP_BUDGET and math.log(laps) / k > lower_h + 1e-12
         if k == 2 and read and lower_h == 0:
-            zero = _certifies_zero(g, min(depth, _ZERO_ROUNDS))
+            zero = _certifies_zero(itertools.islice(zero_rounds, _ZERO_ROUNDS + 1))
         gk = chain(k) if read and not zero else None
         if gk is not None and len(gk) <= HORSESHOE_CAP:
             d = len(_widest_hull(gk)[2])
@@ -625,7 +625,7 @@ def entropy_bounds(f: PLMap, depth: int) -> EntropyBounds:
     lower_m = 0.0  # the covering radius cannot beat a horseshoe that meets the lap bound
     if lower_h < upper and not zero:
         try:
-            lower_m = entropy_lower_markov(g, depth)
+            lower_m = entropy_lower_markov(g, depth, _rounds=scan)
         except ResourceLimitError as exc:
             lower_m = exc.bound  # the rounds before the partition cap still count
 

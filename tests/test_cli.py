@@ -99,6 +99,25 @@ def test_entropy_near_float_ties(tmp_path):
     assert payload["certificate"]["d"] == 3
 
 
+#: theta(55/64, 3), the dial family's map at a = 55/64
+THETA_55_64 = {"breakpoints": ["0", "9", "28/3", "29/3", "10", "12"],
+               "values": ["0", "9", "317/32", "291/32", "10", "12"]}
+
+
+def test_entropy_bracket_won_by_the_covering_bound(tmp_path):
+    # the exact zero test fails on rounds 0-3, the covering bound reads them
+    # again and goes on; round 8 passes the partition cap, so the lower bound
+    # is that of rounds 0-7, and no horseshoe certificate comes with it
+    path = tmp_path / "theta_55_64.json"
+    path.write_text(json.dumps(THETA_55_64))
+    res = run_cli("entropy", str(path), "--depth", "8")
+    assert res.returncode == 0
+    assert_golden("entropy_theta_55_64_depth8.json", res.stdout)
+    payload = json.loads(res.stdout)
+    assert payload["certificate"] is None and payload["depth"] == 8
+    assert 0 < payload["lower"] < payload["upper"] < math.log(3)
+
+
 def test_entropy_of_a_contraction_at_depth_100000(tmp_path):
     # x -> x/2 is monotone, and so is every iterate: the bracket is [0, 0] at
     # the requested depth, and no iterate is built
@@ -347,6 +366,8 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("dial", "--t", "0.5", "--lambda-grid", str(10 ** 30)), 3),
     (("dial", "--t", "0.5", "--depth", "0"), 1),
     (("dial", "--t", "0.5", "--N", "0"), 1),
+    (("dial", "--t", "0.5", "--N", str(dial.TRUNCATION_CAP + 1)), 3),
+    (("dial", "--t", "0.5", "--N", str(10 ** 30)), 3),
     (("dial", "--t", "5"), 1),
     (("dial", "--t", "0.5", "--a-star", "2"), 1),
     (("ell1", "--steps", "0"), 1),
@@ -362,7 +383,8 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("figure1", "--samples", "-3"), 2),
     (("entropy", "MAP", "--seed", "3"), 2),
 ], ids=["dial_d", "dial_tol", "dial_tol_nan", "dial_lambda_grid", "dial_lambda_grid_above_cap",
-        "dial_lambda_grid_far_above_cap", "dial_depth", "dial_N",
+        "dial_lambda_grid_far_above_cap", "dial_depth", "dial_N", "dial_N_above_cap",
+        "dial_N_far_above_cap",
         "dial_t", "dial_a_star", "ell1_steps", "ell1_tail_factor", "ell1_delta",
         "ell1_steps_above_cap", "ell1_cap_511", "psi_N", "psi_ratio", "psi_alpha",
         "psi_horseshoe", "figure1_N", "figure1_samples", "seed_off_check"])
@@ -442,6 +464,7 @@ def test_readme_quotes_the_caps_of_the_code(monkeypatch):
             entropy._RADIUS_MEMO * 2 * 8 * entropy.PARTITION_CAP >> 20,
         r"even when every matrix has (\d+) cells": entropy.PARTITION_CAP,
         r"capped at (\d+) multipliers \(`dial\.LAMBDA_GRID_CAP`": dial.LAMBDA_GRID_CAP,
+        r"capped at (\d+) scales \(`dial\.TRUNCATION_CAP`": dial.TRUNCATION_CAP,
     }
     for pattern, constant in quoted.items():
         assert [int(n) for n in re.findall(pattern, text)] == [constant], pattern

@@ -227,6 +227,16 @@ def test_config_refuses_a_lambda_grid_above_the_cap():
         assert (err.value.needed, err.value.cap) == (size, dial.LAMBDA_GRID_CAP)
 
 
+def test_config_refuses_a_truncation_above_the_cap():
+    # checked on the integer before any scale is built
+    DialConfig(t=math.log(2), d=3, truncation=dial.TRUNCATION_CAP)
+    for n in (dial.TRUNCATION_CAP + 1, 10 ** 30):
+        with pytest.raises(ResourceLimitError) as err:
+            DialConfig(t=math.log(2), d=3, truncation=n)
+        assert str(err.value) == f"truncation {n} exceeds the cap of {dial.TRUNCATION_CAP}"
+        assert (err.value.needed, err.value.cap) == (n, dial.TRUNCATION_CAP)
+
+
 @pytest.mark.parametrize("tolerance", [0.0, -1e-2, float("nan")])
 def test_config_rejects_tolerance_that_is_not_positive(tolerance):
     # NaN fails every comparison, so it must not slip past the check into the search

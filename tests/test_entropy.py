@@ -1,6 +1,7 @@
 """Tests for certified entropy bounds, horseshoe search, and covering matrices."""
 
 import hashlib
+import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -663,6 +664,35 @@ def test_covering_rows_match_oracle(monkeypatch, name):
         monkeypatch, invariant_restriction(PARTITION_MAPS[name]), 6)
 
 
+def intersects_rows_oracle(points, vals):
+    """The intersects rows by bisection: the cells j whose interior the image
+    [lo, hi] of cell i meets, points[j + 1] > lo and points[j] < hi."""
+    n, rows = len(points) - 1, []
+    for i in range(n):
+        lo, hi = sorted((vals[i], vals[i + 1]))
+        rows.append(list(range(max(bisect_right(points, lo) - 1, 0), min(bisect_left(points, hi), n))))
+    return rows
+
+
+#: entropy 0.41 or more: a 2-horseshoe on g^4 and a covering radius above 1
+#: at round 3, but taking U's low end by comparing left ranks certifies h = 0
+LEFT_RANK_PITFALL = make_pl([0, F(1, 4), F(3, 4), 1], [0, F(2, 3), 0, F(1, 4)])
+
+
+@pytest.mark.parametrize("f", [*PARTITION_MAPS.values(), LEFT_RANK_PITFALL],
+                         ids=[*PARTITION_MAPS, "left_rank_pitfall"])
+def test_round_rows_match_oracles(f):
+    # one round's ranks give both row sets: C's as the covering bound reads
+    # them, and U's, as the exact zero test reads them, cell by cell
+    g = invariant_restriction(f)
+    for points, left, right in entropy._markov_rounds(g, 6):
+        (c_starts, c_stops), (u_starts, u_stops) = entropy._round_rows(points, left, right)
+        vals = eval_many(g, points)
+        assert (c_starts.tolist(), c_stops.tolist()) == covering_rows_oracle(points, vals)
+        assert ([list(range(a, b)) for a, b in zip(u_starts.tolist(), u_stops.tolist())]
+                == intersects_rows_oracle(points, vals))
+
+
 def test_bounds_beyond_float_range():
     # node values past 1e308 overflow int-to-float division; the rank kernel
     # orders them as +-inf and decides their ties exactly
@@ -1270,7 +1300,7 @@ def test_bounds_build_and_count_every_level_the_search_reads(monkeypatch):
     assert eb.depth_used == 6
     calls.clear()
     reads.clear()
-    monkeypatch.setattr(entropy, "_certifies_zero", lambda g, rounds: False)
+    monkeypatch.setattr(entropy, "_certifies_zero", lambda rounds: False)
     assert entropy_bounds(f, 6) == eb
     assert reads == [3, 5, 8, 13, 20, 31] and calls == reads[:-1]
 
@@ -1278,16 +1308,14 @@ def test_bounds_build_and_count_every_level_the_search_reads(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(grid_maps(), near_tie_grid_maps(), near_tie_maps(max_nodes=6)))
 @example(SQUEEZED_TENT)
-# entropy 0.41 or more: a 2-horseshoe on g^4 and a covering radius above 1 at
-# round 3, but taking U's low end by comparing left ranks certifies h = 0
-@example(make_pl([0, F(1, 4), F(3, 4), 1], [0, F(2, 3), 0, F(1, 4)]))
+@example(LEFT_RANK_PITFALL)
 def test_certified_zero_entropy_is_sound(f):
     # when U proves h = 0 on the self-map g, no iterate has a 2-horseshoe,
     # every covering radius is at most 1, and the bracket is the one
     # entropy_bounds reports with the test off; g^4 and six rounds catch
     # more of the maps a miscounted U would pass than the three the test reads
     g = invariant_restriction(f)
-    if lap_count(g) == 1 or not entropy._certifies_zero(g, 3):
+    if lap_count(g) == 1 or not entropy._certifies_zero(entropy._markov_rounds(g, 3)):
         return
     gk = g
     for _ in range(4):
@@ -1300,7 +1328,7 @@ def test_certified_zero_entropy_is_sound(f):
         assert exc.bound == 0.0
     eb = entropy_bounds(f, 5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entropy, "_certifies_zero", lambda g, rounds: False)
+        mp.setattr(entropy, "_certifies_zero", lambda rounds: False)
         assert entropy_bounds(f, 5) == eb
 
 
@@ -1311,8 +1339,64 @@ def test_zero_test_never_fires_on_positive_entropy(f):
     # the slope-6/5 tent's bracket at depth 6 has lower bound 0, but its
     # entropy is log(6/5): U's radius exceeds 1 in every round
     g = invariant_restriction(f)
-    assert not entropy._certifies_zero(g, 3)
-    assert not entropy._certifies_zero(g, 6)
+    assert not entropy._certifies_zero(entropy._markov_rounds(g, 3))
+    assert not entropy._certifies_zero(entropy._markov_rounds(g, 6))
+
+
+@pytest.mark.parametrize("f, depth, capped", [(make_pl([0, F(1, 2), 1], [0, F(3, 4), 0]), 6, False),
+                                              (theta(F(55, 64), 3), 8, True)],
+                         ids=["tent_slope_3_2", "theta_55_64"])
+def test_bounds_open_one_scan_and_build_each_round_once(monkeypatch, f, depth, capped):
+    # the exact zero test fails on both maps, and the covering bound reads the
+    # rounds the test read again: one scan is opened, and each round after
+    # round 0 costs one pull-back; theta(55/64, 3)'s round 8 has 8,947 cells,
+    # past PARTITION_CAP, and the bracket keeps the bound of rounds 0-7
+    rounds = record_rounds(monkeypatch)
+    recording, opened, pulled, verdicts = entropy._markov_rounds, [], [], []
+    real_pull_back, real_zero = entropy._pull_back, entropy._certifies_zero
+
+    def markov_rounds(g, refinement):
+        opened.append(refinement)
+        return recording(g, refinement)
+
+    def certifies_zero(*args):
+        verdicts.append(real_zero(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(entropy, "_markov_rounds", markov_rounds)
+    monkeypatch.setattr(entropy, "_pull_back", lambda *args: pulled.append(1) or real_pull_back(*args))
+    monkeypatch.setattr(entropy, "_certifies_zero", certifies_zero)
+    eb = entropy_bounds(f, depth)
+    assert opened == [depth] and verdicts == [False]
+    assert len(rounds) == depth + 1 and len(pulled) == depth
+    assert eb.lower_witness is None and eb.depth_used == depth
+    assert (len(rounds[-1][0]) - 1 > PARTITION_CAP) == capped
+    if capped:
+        with pytest.raises(ResourceLimitError) as info:
+            entropy_lower_markov(invariant_restriction(f), depth)
+        assert (info.value.achieved, info.value.bound) == (depth, eb.lower)
+    else:
+        assert eb.lower == entropy_lower_markov(invariant_restriction(f), depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_maps(), st.integers(1, 8), st.sampled_from([4, 8, 64]), st.integers(0, 9))
+def test_markov_bound_on_a_replayed_scan_is_a_fresh_scans(f, depth, cap, ahead):
+    # entropy_bounds hands entropy_lower_markov the scan its zero test read
+    # from: the rounds read ahead are replayed, then the scan goes on; the
+    # bound, or the error's achieved and bound, is that of a fresh scan
+    g = invariant_restriction(f)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "PARTITION_CAP", cap)
+        read_ahead, scan = itertools.tee(entropy._markov_rounds(g, depth))
+        entropy._certifies_zero(itertools.islice(read_ahead, ahead))
+        for kwargs in ({"_rounds": scan}, {}):
+            try:
+                results.append(entropy_lower_markov(g, depth, **kwargs))
+            except ResourceLimitError as exc:
+                results.append((exc.achieved, exc.bound))
+    assert results[0] == results[1]
 
 
 @settings(max_examples=150, deadline=None)
