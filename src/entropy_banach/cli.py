@@ -20,6 +20,7 @@ from .checks import TENT, run_all
 from .dial import (
     DialConfig,
     build_dial_map,
+    check_lambdas_cap,
     dial_entropy_check,
     find_a_star,
     r_of_a,
@@ -156,8 +157,9 @@ def _cmd_ell1(args) -> int:
 
 def _cmd_dial(args) -> int:
     a_star = parse_q(args.a_star) if args.a_star else None
-    lambdas = [parse_q(tok) for tok in args.check_lambdas.split(",")] \
-        if args.check_lambdas else []
+    tokens = args.check_lambdas.split(",") if args.check_lambdas else []
+    check_lambdas_cap(len(tokens))  # before the a* search, the map and any bracket
+    lambdas = [parse_q(tok) for tok in tokens]
     cfg = DialConfig(t=args.t, d=args.d, truncation=args.N,
                      lambda_grid_size=args.lambda_grid,
                      entropy_depth=args.depth, tolerance=args.tol)

@@ -48,6 +48,12 @@ LAMBDA_GRID_CAP = 2000
 #: N^2; at the cap, with one checked multiplier, a run took 2.5 s and 119 MB (2-core VM)
 TRUNCATION_CAP = 2000
 
+#: most multipliers one ``dial_entropy_check`` takes (``--check-lambdas``), for
+#: a budget of about 15 s and 160 MB per run at ``--N`` = TRUNCATION_CAP: each
+#: multiplier brackets every scale, and eight with no scale in common
+#: (13/11, 17/19, ..., 67/71) took 14.8 s and 154 MB at --N 2000 (2-core VM)
+CHECK_LAMBDAS_CAP = 8
+
 #: iterate depth for out-of-window scale diagnostics (their lap counts
 #: grow linearly, so deep iterates are cheap and push the bound down)
 VANISH_DEPTH = 32
@@ -246,17 +252,20 @@ class LambdaEnumeration:
         if any(t <= 0 for t in self.terms):
             raise ConstructionError("enumeration terms must be positive")
         for a, b in zip(self.terms, self.terms[1:]):
-            if b > 2 * a:
+            if b.numerator * a.denominator > 2 * a.numerator * b.denominator:  # b > 2 a
                 raise ConstructionError(f"ratio violation: {b} > 2 * {a}")
 
 
 def calkin_wilf(count: int) -> list[Fraction]:
-    """First ``count`` terms of the Calkin-Wilf order on the positive rationals."""
-    out = [Fraction(1)]
-    q = Fraction(1)
-    for _ in range(count - 1):
-        q = 1 / (2 * (q.numerator // q.denominator) + 1 - q)
-        out.append(q)
+    """First ``count`` terms of the Calkin-Wilf order on the positive rationals.
+
+    The term after p/q is q / ((2 floor(p/q) + 1) q - p), already in lowest
+    terms, so the order steps on integer pairs.
+    """
+    out, p, q = [], 1, 1
+    for _ in range(count):
+        out.append(Fraction(p, q))
+        p, q = q, (2 * (p // q) + 1) * q - p
     return out
 
 
@@ -266,21 +275,23 @@ def rational_enumeration(count: int) -> LambdaEnumeration:
 
     Whenever the next target more than doubles the current value, powers of
     two times the current value are inserted first.  Down-steps are free, so
-    only upward jumps need bridging; repetitions are harmless.  Cached, as
-    the enumeration is immutable and pure in ``count``.
+    only upward jumps need bridging; repetitions are harmless.  Values are
+    compared and doubled as integer pairs.  Cached, as the enumeration is
+    immutable and pure in ``count``.
     """
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
     terms = [Fraction(1)]
-    current = Fraction(1)
+    p, q = 1, 1  # the current value p/q, in lowest terms
     # each target adds at least one term, so count - 1 targets always suffice
     for cw in calkin_wilf(count)[1:]:
-        while cw > 2 * current and len(terms) < count:
-            current *= 2
-            terms.append(current)
+        u, v = cw.as_integer_ratio()
+        while u * q > 2 * p * v and len(terms) < count:  # cw > 2 p/q
+            p, q = (p, q // 2) if q % 2 == 0 else (2 * p, q)
+            terms.append(Fraction(p, q))
         if len(terms) < count:
             terms.append(cw)
-            current = cw
+            p, q = u, v
     return LambdaEnumeration(terms=tuple(terms))
 
 
@@ -338,6 +349,14 @@ class DialCheckRecord:
     tendency_lower: float
 
 
+def check_lambdas_cap(count: int) -> None:
+    """Refuse more than CHECK_LAMBDAS_CAP multipliers to check, before any bracket."""
+    if count > CHECK_LAMBDAS_CAP:
+        raise ResourceLimitError(
+            f"{count} multipliers to check exceed the cap of {CHECK_LAMBDAS_CAP}",
+            needed=count, cap=CHECK_LAMBDAS_CAP)
+
+
 def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckRecord]:
     """Per-multiplier entropy reports across the scales of the dial map.
 
@@ -353,6 +372,7 @@ def dial_entropy_check(cfg: DialConfig, lambdas: Sequence) -> list[DialCheckReco
     """
     if cfg.a_star is None:
         raise DomainError("a_star must be set before checking entropies")
+    check_lambdas_cap(len(lambdas))
     lams = [Fraction(raw) for raw in lambdas]
     if 0 in lams:
         raise DomainError("the zero multiplier has no scale analysis")

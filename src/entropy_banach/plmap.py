@@ -8,11 +8,12 @@ maps agree as functions iff they evaluate equally on the union of their
 breakpoints, and images/oscillations/norms are attained at breakpoints.
 
 Everything is immutable and pure.  Orderings of rationals go through one
-float filter (:func:`rank`, :func:`sort_exact`) that leaves only float ties
-to exact comparison; a map converts its breakpoints and values to floats
-once and keeps them.  Each new point (an interpolated value, a preimage) is
-built from integers with one final gcd (:func:`_line`), and so is each value
-of a linear combination.
+float filter that leaves only float ties to exact comparison: :func:`rank`
+searches a sorted list, and a linear combination merges its members'
+breakpoints by float (:func:`_merge`); a map converts its breakpoints and
+values to floats once and keeps them.  Each new point (an interpolated
+value, a preimage) is built from integers with one final gcd
+(:func:`_line`), and so is each value of a linear combination.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,11 +119,6 @@ def rank(xs: Sequence[Fraction], qs: Sequence[Fraction], fx: np.ndarray,
         left[k] = bisect_left(xs, qs[k], lo, hi)
         right[k] = bisect_right(xs, qs[k], int(left[k]), hi)
     return left, right
-
-
-def sort_exact(qs: Iterable[Fraction]) -> list[Fraction]:
-    """sorted(qs); the float key decides first, so only float ties compare Fractions."""
-    return sorted(qs, key=lambda q: (_as_float(q), q))
 
 
 def make_pl(breakpoints: Sequence, values: Sequence) -> PLMap:
@@ -320,23 +316,60 @@ def crop(f: PLMap, a, b) -> PLMap:
     return PLMap((a, *xs[inner], b), (f_a, *ys[inner], f_b))
 
 
+def _equal_pairs(qs: Sequence[Fraction], a: np.ndarray, b: np.ndarray) -> list[bool]:
+    """qs[i] == qs[j] for the index pairs (i, j) of a and b, from their integer
+    ratios, which are in lowest terms."""
+    return [qs[i].as_integer_ratio() == qs[j].as_integer_ratio()
+            for i, j in zip(a.tolist(), b.tolist())]
+
+
+def _merge(fs: Sequence[PLMap]) -> tuple[list[Fraction], np.ndarray, list[np.ndarray]]:
+    """The ascending union of the members' breakpoints, its floats, and the
+    union index of every member's nodes.
+
+    One stable argsort merges the members' floats; rationals are compared
+    only inside a run of equal floats.  A run of one rational (a point that
+    several members share) collapses by equality tests alone.  Only when
+    some run holds distinct rationals (past the float range, or points like
+    1/3 +- 2^-80) is the order made exact, by a sort keyed on the float and
+    then the rational.
+    """
+    qs = [x for f in fs for x in f.breakpoints]
+    fx = np.concatenate([f.fx for f in fs])
+    order = np.argsort(fx, kind="stable")
+    new = np.ones(len(qs), dtype=bool)  # new[t]: sorted entry t starts a union point
+    new[1:] = fx[order[1:]] != fx[order[:-1]]
+    ties = np.flatnonzero(~new)
+    if not all(_equal_pairs(qs, order[ties - 1], order[ties])):
+        keys = fx.tolist()  # the float decides first, so only float ties compare Fractions
+        order = np.array(sorted(order.tolist(), key=lambda i: (keys[i], qs[i])), dtype=np.intp)
+        new[ties] = np.logical_not(_equal_pairs(qs, order[ties - 1], order[ties]))
+    at = np.empty(len(qs), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    ends = np.cumsum([len(f) for f in fs])
+    return [qs[i] for i in order[new].tolist()], fx[order[new]], np.split(at, ends[:-1])
+
+
 def linear_combination(coeffs: Sequence, fs: Sequence[PLMap]) -> PLMap:
     """Exact PL map of sum(a_i * f_i) on the union of breakpoint sets.
 
-    Each value is summed as one integer pair (numerator, denominator) and
-    made a Fraction once, so one gcd per output value.
+    The union is one float merge (:func:`_merge`), which says where each
+    member's nodes land in it, so each member's values are read from its
+    own nodes and segment lines with no search.  Each value is summed as
+    one integer pair (numerator, denominator) and made a Fraction once, so
+    one gcd per output value.
     """
     if not fs or len(coeffs) != len(fs):
         raise ConstructionError("need equally many coefficients and maps, at least one")
     cs = [Fraction(c) for c in coeffs]
-    all_x = sort_exact(set().union(*(f.breakpoints for f in fs)))
-    fx = _floats(all_x)
+    all_x, fx, ats = _merge(fs)
+    ks = np.arange(len(all_x))
     nums, dens = [0] * len(all_x), [1] * len(all_x)
-    for c, f in zip(cs, fs):
+    for c, f, at in zip(cs, fs, ats):
         if c == 0:
             continue
         a, b = c.as_integer_ratio()
-        left, right = (r.tolist() for r in rank(f.breakpoints, all_x, f.fx, fx))
+        left, right = (np.searchsorted(at, ks, side).tolist() for side in ("left", "right"))
         for k, v in enumerate(_values_at(f, all_x, left, right)):
             u, w = v.as_integer_ratio()
             d = b * w
@@ -400,15 +433,19 @@ def sample_pl(h: Callable[[float], float], domain: IntervalQ, n: int) -> PLMap:
         raise DomainError(f"need at least 2 sample nodes, got {n}")
     if domain.lo >= domain.hi:
         raise DomainError("sampling needs a nondegenerate domain")
-    step = (domain.hi - domain.lo) / (n - 1)
-    xs = [domain.lo + k * step for k in range(n)]
-    ys = []
-    for x in xs:
-        v = h(float(x))
+    (a, b), (c, e) = domain.lo.as_integer_ratio(), domain.hi.as_integer_ratio()
+    # lo + k (hi - lo) / (n - 1) = (a e (n - 1) + k (b c - a e)) / (b e (n - 1)): one gcd
+    start, step, den = a * e * (n - 1), b * c - a * e, b * e * (n - 1)
+    xs, fx, fy = [], [], []
+    for k in range(n):
+        xs.append(Fraction(start + k * step, den))
+        fx.append((start + k * step) / den)  # float(x), which overflows past the float range
+        v = h(fx[-1])
         if not math.isfinite(v):
-            raise DomainError(f"sample at x={x} is not finite: {v!r}")
-        ys.append(Fraction(v))
-    return PLMap(tuple(xs), tuple(ys))
+            raise DomainError(f"sample at x={xs[-1]} is not finite: {v!r}")
+        fy.append(v)
+    # + 0.0: a sample of -0.0 is the rational 0, whose float is 0.0
+    return PLMap(tuple(xs), tuple(map(Fraction, fy)), np.array(fx), np.array(fy, float) + 0.0)
 
 
 def pl_equal(f: PLMap, g: PLMap) -> bool:

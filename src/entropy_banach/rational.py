@@ -19,7 +19,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 def qstr(x: Fraction) -> str:
     """Decimal-free ``p/q`` form (plain ``p`` when the denominator is 1)."""
-    return str(Fraction(x))
+    return str(x) if isinstance(x, Fraction) else str(Fraction(x))
 
 
 def parse_q(value) -> Fraction:

@@ -16,13 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .entropy import HorseshoeCertificate, certify
-from .errors import ConstructionError, DomainError
-from .plmap import IntervalQ, PLMap, sup_norm
+from .errors import ConstructionError, DomainError, ResourceLimitError
+from .plmap import IntervalQ, PLMap, _floats, sup_norm
 from .rational import dyadic_pow_ceil
 
 #: dyadic precision used to rationalize hoelder amplitudes
 _HOELDER_BITS = 96
+
+#: most scales a schedule carries (``psi --N``, ``figure1 --N``), for a budget
+#: of about 1 s and 128 MB per run on the tent: scale n carries rationals of
+#: about 2n bits, so memory grows as N^2; at the cap ``psi`` on the tent took
+#: 0.67 s and 66 MB, and ``figure1`` 0.84 s and 37 MB (2-core VM)
+TRUNCATION_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,13 @@ class ScaleSchedule:
                 raise ConstructionError("q/p must be strictly increasing")
 
 
+def _check_truncation(truncation: int) -> None:
+    """Refuse a truncation above TRUNCATION_CAP before any scale is built."""
+    if truncation > TRUNCATION_CAP:
+        raise ResourceLimitError(f"truncation {truncation} exceeds the cap of {TRUNCATION_CAP}",
+                                 needed=truncation, cap=TRUNCATION_CAP)
+
+
 def _geometric_amplitude(ratio: Fraction, n: int) -> Fraction:
     return ratio ** n
 
@@ -70,6 +85,7 @@ def geometric_schedule(ratio, truncation: int) -> ScaleSchedule:
     ratio = Fraction(ratio)
     if not Fraction(1, 2) < ratio < 1:
         raise ConstructionError(f"geometric ratio must be in (1/2, 1), got {ratio}")
+    _check_truncation(truncation)
     p = tuple(Fraction(1, 2) ** n for n in range(truncation + 1))
     q = tuple(_geometric_amplitude(ratio, n) for n in range(truncation + 1))
     return ScaleSchedule("geometric", ratio, truncation, p, q)
@@ -85,6 +101,7 @@ def hoelder_schedule(alpha, truncation: int) -> ScaleSchedule:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ConstructionError(f"alpha must be in (0, 1), got {alpha}")
+    _check_truncation(truncation)
     p = tuple(Fraction(1, 2) ** n for n in range(truncation + 1))
     q = tuple(_hoelder_amplitude(alpha, n) for n in range(truncation + 1))
     return ScaleSchedule("hoelder", alpha, truncation, p, q)
@@ -126,10 +143,13 @@ def psi(f: PLMap, sched: ScaleSchedule) -> PLMap:
         ys += [q_n * v for v in f.values]
         xs.append(Fraction(4 * c, 3 * e))
         ys.append(Fraction(0))
-    # even reflection: every node after [-core, core] lies right of the core
+    # even reflection: every node after [-core, core] lies right of the core;
+    # negating a float is exact, so the mirror image's floats are the negated ones
+    fx, fy = _floats(xs), _floats(ys)
     xs = [-x for x in reversed(xs[2:])] + xs
     ys = ys[2:][::-1] + ys
-    return PLMap(tuple(xs), tuple(ys))
+    return PLMap(tuple(xs), tuple(ys), np.concatenate([-fx[:1:-1], fx]),
+                 np.concatenate([fy[:1:-1], fy]))
 
 
 def minimal_truncation(f_norm: Fraction, sched_kind: str, parameter: Fraction,

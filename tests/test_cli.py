@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_banach import cli, dial, entropy, plmap
+from entropy_banach import cli, dial, entropy, plmap, universal
 from entropy_banach.checks import TENT, CheckResult
 from entropy_banach.errors import ResourceLimitError
 
@@ -370,6 +370,7 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("dial", "--t", "0.5", "--N", str(10 ** 30)), 3),
     (("dial", "--t", "5"), 1),
     (("dial", "--t", "0.5", "--a-star", "2"), 1),
+    (("dial", "--t", "0.5", "--check-lambdas", ",".join(["1"] * (dial.CHECK_LAMBDAS_CAP + 1))), 3),
     (("ell1", "--steps", "0"), 1),
     (("ell1", "--tail-factor", "1"), 1),
     (("ell1", "--delta", "1"), 1),
@@ -379,15 +380,19 @@ def test_usage_error_returns_2_in_process(tent_path, argv, message):
     (("psi", "MAP", "--ratio", "1/3"), 1),
     (("psi", "MAP", "--schedule", "hoelder", "--alpha", "2"), 1),
     (("psi", "MAP", "--horseshoe", "1"), 1),
+    (("psi", "MAP", "--N", str(universal.TRUNCATION_CAP + 1)), 3),
+    (("psi", "MAP", "--schedule", "hoelder", "--N", str(10 ** 30)), 3),
     (("figure1", "--N", "-1"), 1),
+    (("figure1", "--N", str(universal.TRUNCATION_CAP + 1)), 3),
     (("figure1", "--samples", "-3"), 2),
     (("entropy", "MAP", "--seed", "3"), 2),
 ], ids=["dial_d", "dial_tol", "dial_tol_nan", "dial_lambda_grid", "dial_lambda_grid_above_cap",
         "dial_lambda_grid_far_above_cap", "dial_depth", "dial_N", "dial_N_above_cap",
         "dial_N_far_above_cap",
-        "dial_t", "dial_a_star", "ell1_steps", "ell1_tail_factor", "ell1_delta",
-        "ell1_steps_above_cap", "ell1_cap_511", "psi_N", "psi_ratio", "psi_alpha",
-        "psi_horseshoe", "figure1_N", "figure1_samples", "seed_off_check"])
+        "dial_t", "dial_a_star", "dial_check_lambdas_above_cap", "ell1_steps",
+        "ell1_tail_factor", "ell1_delta", "ell1_steps_above_cap", "ell1_cap_511", "psi_N",
+        "psi_ratio", "psi_alpha", "psi_horseshoe", "psi_N_above_cap", "psi_hoelder_N_far_above_cap",
+        "figure1_N", "figure1_N_above_cap", "figure1_samples", "seed_off_check"])
 def test_out_of_range_flag_exits_with_one_line(tent_path, argv, code):
     # each fails before any long computation: a NaN tolerance must not reach the
     # dial search, nor a witness above the cap get built
@@ -465,6 +470,8 @@ def test_readme_quotes_the_caps_of_the_code(monkeypatch):
         r"even when every matrix has (\d+) cells": entropy.PARTITION_CAP,
         r"capped at (\d+) multipliers \(`dial\.LAMBDA_GRID_CAP`": dial.LAMBDA_GRID_CAP,
         r"capped at (\d+) scales \(`dial\.TRUNCATION_CAP`": dial.TRUNCATION_CAP,
+        r"capped at (\d+) multipliers \(`dial\.CHECK_LAMBDAS_CAP`": dial.CHECK_LAMBDAS_CAP,
+        r"capped at (\d+) scales \(`universal\.TRUNCATION_CAP`": universal.TRUNCATION_CAP,
     }
     for pattern, constant in quoted.items():
         assert [int(n) for n in re.findall(pattern, text)] == [constant], pattern

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from entropy_banach import dial
 from entropy_banach.dial import (
     DialConfig,
+    LambdaEnumeration,
     build_dial_map,
     calkin_wilf,
     dial_entropy_check,
@@ -271,6 +272,37 @@ def test_calkin_wilf_order():
     assert calkin_wilf(7) == [F(1), F(1, 2), F(2), F(1, 3), F(3, 2), F(2, 3), F(3)]
 
 
+def rational_enumeration_oracle(count):
+    """The enumeration before the integer pairs: Fraction steps and comparisons."""
+    targets, q = [F(1)], F(1)
+    for _ in range(count - 1):
+        q = 1 / (2 * (q.numerator // q.denominator) + 1 - q)
+        targets.append(q)
+    terms, current = [F(1)], F(1)
+    for cw in targets[1:]:
+        while cw > 2 * current and len(terms) < count:
+            current *= 2
+            terms.append(current)
+        if len(terms) < count:
+            terms.append(cw)
+            current = cw
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 64, 1024])
+def test_integer_enumeration_matches_the_fraction_oracle(count):
+    terms = rational_enumeration(count).terms
+    assert terms == rational_enumeration_oracle(count)
+    # each term is a Fraction in lowest terms, as the oracle's are
+    assert all(math.gcd(*t.as_integer_ratio()) == 1 for t in terms)
+
+
+def test_enumeration_rejects_a_more_than_doubling_step():
+    LambdaEnumeration((F(1), F(2)))  # exactly doubling is allowed
+    with pytest.raises(ConstructionError, match="ratio violation"):
+        LambdaEnumeration((F(1), F(1, 3), F(2, 3) + F(1, 2 ** 80)))
+
+
 # --- the assembled map -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -347,6 +379,18 @@ def test_dial_entropy_check_windows(monkeypatch, dial_cfg):
         assert scale_rec.lambda_n == terms[scale_rec.n - 1]
     assert rec.achieved is not None
     assert rec.achieved.lower <= rec.achieved.upper
+
+
+def test_dial_entropy_check_refuses_more_multipliers_than_the_cap(monkeypatch, dial_cfg):
+    # the count is checked before r(a) or any scale's bracket
+    def no_bracket(*args):
+        raise AssertionError("a bracket was computed before the cap check")
+
+    monkeypatch.setattr(dial, "r_of_a", no_bracket)
+    monkeypatch.setattr(dial, "_scale_bounds", no_bracket)
+    with pytest.raises(ResourceLimitError) as err:
+        dial_entropy_check(dial_cfg, [F(1)] * (dial.CHECK_LAMBDAS_CAP + 1))
+    assert (err.value.needed, err.value.cap) == (dial.CHECK_LAMBDAS_CAP + 1, dial.CHECK_LAMBDAS_CAP)
 
 
 def test_dial_entropy_check_vanishing_scales(monkeypatch, dial_cfg):

@@ -1,5 +1,6 @@
 """Exactness tests for the piecewise-linear calculus."""
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from entropy_banach import plmap
 from entropy_banach.dial import theta
+from entropy_banach.ellone import build_rademacher
 from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
     IntervalQ,
@@ -29,7 +31,6 @@ from entropy_banach.plmap import (
     sample_pl,
     scale,
     segment_preimages,
-    sort_exact,
     sup_norm,
 )
 
@@ -197,6 +198,17 @@ def far_maps(draw, max_nodes=10):
     (sx, tx), (sy, ty) = draw(charts), draw(charts)
     nodes = sorted((sx * x + tx, sy * y + ty) for x, y in zip(f.breakpoints, f.values))
     return make_pl([x for x, _ in nodes], [y for _, y in nodes])
+
+
+#: rationals that collide in float: k/3 + j 2^-80, huge denominators,
+#: negatives, and values around and beyond the largest float (about 1.8e308)
+_COLLIDING = st.one_of(
+    st.builds(lambda k, j: F(k, 3) + F(j, 2 ** 80), st.integers(-6, 6), st.integers(-3, 3)),
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(10 ** 25, 10 ** 30)),
+    st.builds(lambda s, k, j: s * (F(2 ** 1024) + k * 2 ** 969 + F(j, 3)),
+              st.sampled_from([-1, 1]), st.integers(-2, 2), st.integers(-1, 1)),
+    st.builds(lambda s, k: s * F(10 ** (308 + k)), st.sampled_from([-1, 1]), st.integers(0, 3)),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,6 +410,58 @@ def test_sample_pl_rejects_non_finite():
         sample_pl(lambda x: float("nan"), IntervalQ(F(0), F(1)), 3)
 
 
+def sample_pl_oracle(h, domain, n):
+    """sample_pl before the integer nodes: Fraction arithmetic and float(x)."""
+    step = (domain.hi - domain.lo) / (n - 1)
+    xs = [domain.lo + k * step for k in range(n)]
+    ys = []
+    for x in xs:
+        v = h(float(x))
+        if not math.isfinite(v):
+            raise DomainError(f"sample at x={x} is not finite: {v!r}")
+        ys.append(F(v))
+    return make_pl(xs, ys)
+
+
+def _outcome(build):
+    """The map's nodes and floats, or the error's type and message, with the
+    samples taken until then."""
+    seen = []
+
+    def h(x):
+        seen.append(x)
+        return math.nan if 0.7 < x < 0.8 else -0.0 if x < 0 else x / 4
+
+    try:
+        f = build(h)
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc), str(exc), seen
+    return f.breakpoints, f.values, f.fx.tolist(), f.fy.tolist(), seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.fractions(-2, 2, max_denominator=30), _COLLIDING),
+       st.one_of(st.fractions(-2, 2, max_denominator=30), _COLLIDING),
+       st.integers(2, 12))
+def test_sample_pl_matches_oracle(a, b, n):
+    # nodes past the float range overflow as float(x) did, at the same node
+    if a == b:
+        return
+    domain = IntervalQ(min(a, b), max(a, b))
+    got = _outcome(lambda h: sample_pl(h, domain, n))
+    assert got == _outcome(lambda h: sample_pl_oracle(h, domain, n))
+    if len(got) == 5:
+        xs, ys, fx, fy, _ = got
+        assert xs == tuple(domain.lo + k * (domain.hi - domain.lo) / (n - 1) for k in range(n))
+        assert (fx, fy) == (_floats(xs).tolist(), _floats(ys).tolist())
+
+
+def test_sample_pl_floats_carry_no_negative_zero():
+    f = sample_pl(lambda x: -0.0, IntervalQ(F(-1), F(1)), 3)
+    assert f.values == (0, 0, 0)
+    assert math.copysign(1, f.fy[0]) == 1
+
+
 def test_eval_many_agrees_with_eval_at():
     xs = [F(k, 7) - 1 for k in range(20)]
     assert eval_many(TENT, xs) == [eval_at_oracle(TENT, x) for x in xs]
@@ -409,17 +473,6 @@ def test_eval_many_agrees_with_eval_at():
 
 
 # --- the float-filtered rank kernel ------------------------------------------
-
-#: rationals that collide in float: k/3 + j 2^-80, huge denominators,
-#: negatives, and values around and beyond the largest float (about 1.8e308)
-_COLLIDING = st.one_of(
-    st.builds(lambda k, j: F(k, 3) + F(j, 2 ** 80), st.integers(-6, 6), st.integers(-3, 3)),
-    st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(10 ** 25, 10 ** 30)),
-    st.builds(lambda s, k, j: s * (F(2 ** 1024) + k * 2 ** 969 + F(j, 3)),
-              st.sampled_from([-1, 1]), st.integers(-2, 2), st.integers(-1, 1)),
-    st.builds(lambda s, k: s * F(10 ** (308 + k)), st.sampled_from([-1, 1]), st.integers(0, 3)),
-)
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_COLLIDING, max_size=25), st.lists(_COLLIDING, max_size=25), st.data())
@@ -440,11 +493,13 @@ def test_rank_one_wide_tie_is_equal_or_bisected():
     assert (left.tolist(), right.tolist()) == ([1, 1, 2], [2, 1, 2])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_COLLIDING, max_size=40))
-def test_sort_exact_equals_sorted(qs):
-    assert sort_exact(qs) == sorted(qs)
-    assert sort_exact(set(qs)) == sorted(set(qs))
+@st.composite
+def colliding_maps(draw, max_nodes=8):
+    """PL maps whose breakpoints collide in float with each other and with
+    other maps' (1/3 +- 2^-80, huge denominators, past the float range)."""
+    xs = sorted(draw(st.sets(_COLLIDING, min_size=1, max_size=max_nodes)))
+    ys = draw(st.lists(_COLLIDING, min_size=len(xs), max_size=len(xs)))
+    return make_pl(xs, ys)
 
 
 def prune_collinear_oracle(xs, ys):
@@ -491,7 +546,7 @@ def test_prune_collinear_matches_oracle(f):
 def linear_combination_oracle(coeffs, fs):
     """linear_combination before the integer sums: one Fraction product and
     one Fraction sum per member and point."""
-    all_x = sort_exact(set().union(*(f.breakpoints for f in fs)))
+    all_x = sorted(set().union(*(f.breakpoints for f in fs)))
     totals = [F(0)] * len(all_x)
     for c, f in zip(map(F, coeffs), fs):
         if c == 0:
@@ -506,12 +561,17 @@ _COEFFS = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_d
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_COEFFS, st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps())),
+@given(st.lists(st.tuples(_COEFFS, st.one_of(near_tie_maps(), pl_maps(max_nodes=10), far_maps(),
+                                             colliding_maps())),
                 min_size=1, max_size=4),
-       st.sampled_from(["plain", "cancel", "disjoint"]), st.data())
+       st.sampled_from(["plain", "cancel", "disjoint", "shared"]), st.data())
 def test_linear_combination_matches_oracle(terms, case, data):
     coeffs, fs = (list(t) for t in zip(*terms))
-    if case == "cancel":  # sum c f - c (f + s): the constant -sum c s
+    if case == "shared":  # every member on the first one's breakpoints, as sign members nearly are
+        fs = [make_pl(fs[0].breakpoints, data.draw(st.lists(_COLLIDING, min_size=len(fs[0]),
+                                                            max_size=len(fs[0]))))
+              for _ in fs]
+    elif case == "cancel":  # sum c f - c (f + s): the constant -sum c s
         coeffs, fs = coeffs[:2], fs[:2]
         shifts = data.draw(st.lists(st.fractions(-2, 2, max_denominator=5),
                                     min_size=len(fs), max_size=len(fs)))
@@ -526,6 +586,39 @@ def test_linear_combination_matches_oracle(terms, case, data):
     assert h.fy.tolist() == _floats(h.values).tolist()
     if case == "cancel":
         assert len(set(h.values)) == 1
+
+
+@pytest.mark.parametrize("members", [
+    # every point shared: one rational per float run
+    [make_pl([0, F(1, 3), 1], [0, 1, 0]), make_pl([0, F(1, 3), 1], [2, F(1, 7), -1])],
+    # distinct rationals that tie in float, within one member and across members
+    [make_pl([0, F(1, 3), F(1, 3) + F(1, 2 ** 80), 1], [0, 1, -1, 0]),
+     make_pl([F(1, 3) - F(1, 2 ** 80), F(1, 3), F(1, 3) + F(1, 2 ** 81)], [1, 2, 3])],
+    # every float infinite, ties on both sides of zero
+    [make_pl([-F(2 ** 1100) - 1, -F(2 ** 1100), F(2 ** 1100)], [0, 1, 0]),
+     make_pl([-F(2 ** 1100) - F(1, 2), F(2 ** 1100), F(2 ** 1100) + 3], [5, 0, 1])],
+], ids=["shared", "float_ties", "infinite_floats"])
+def test_linear_combination_merges_float_runs_exactly(members):
+    h = linear_combination([F(2, 3), F(-5, 4)], members)
+    assert (h.breakpoints, h.values) == linear_combination_oracle([F(2, 3), F(-5, 4)], members)
+    assert h.fx.tolist() == _floats(h.breakpoints).tolist()
+
+
+def test_linear_combination_of_sign_members_orders_no_fraction(monkeypatch):
+    # the sign members share their cut points, each a run of equal floats
+    # that collapses by equality alone: no hash, no ordering comparison
+    members = build_rademacher(8, F(1, 4096)).members
+    coeffs = [F(k, 8) - 1 for k in range(8)]
+    expected = linear_combination_oracle(coeffs, members)
+    calls = []
+    for name in ("__hash__", "__lt__", "__gt__"):
+        real = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, name=name, real=real: calls.append(name)
+                            or real(*args))
+    h = linear_combination(coeffs, members)
+    monkeypatch.undo()
+    assert calls == []
+    assert (h.breakpoints, h.values) == expected
 
 
 def between(qs):

@@ -3,14 +3,17 @@
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_banach.entropy import validate_certificate
-from entropy_banach.errors import ConstructionError, DomainError
+from entropy_banach import universal
+from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitError
 from entropy_banach.plmap import (
     PLMap,
+    _floats,
     eval_at,
     linear_combination,
     make_pl,
@@ -58,6 +61,16 @@ def test_geometric_schedule_ratio_range():
         geometric_schedule(F(1, 2), 4)
     with pytest.raises(ConstructionError):
         geometric_schedule(F(1), 4)
+
+
+@pytest.mark.parametrize("build, parameter", [(geometric_schedule, F(2, 3)),
+                                              (hoelder_schedule, F(1, 2))])
+def test_schedule_refuses_a_truncation_above_the_cap_before_building(build, parameter):
+    # a truncation of 10^30 would never finish building its scales
+    for truncation in (universal.TRUNCATION_CAP + 1, 10 ** 30):
+        with pytest.raises(ResourceLimitError) as err:
+            build(parameter, truncation)
+        assert (err.value.needed, err.value.cap) == (truncation, universal.TRUNCATION_CAP)
 
 
 def test_hoelder_schedule_invariants():
@@ -141,6 +154,18 @@ def test_psi_matches_oracle(f, sched):
     g, expected = psi(f, sched), psi_oracle(f, sched)
     assert (g.breakpoints, g.values) == (expected.breakpoints, expected.values)
     assert (g.fx.tolist(), g.fy.tolist()) == (expected.fx.tolist(), expected.fy.tolist())
+
+
+@pytest.mark.parametrize("sched", [geometric_schedule(F(2, 3), 1100), hoelder_schedule(F(1, 3), 200)],
+                         ids=["geometric_past_the_float_range", "hoelder"])
+def test_psi_floats_are_the_floats_of_its_rationals(sched):
+    # the mirror image's floats are negated, not converted again; below
+    # 2^-1074 the nodes round to zero, signed as the nodes are
+    g = psi(make_pl([0, F(1, 3), F(2, 3), 1], [F(1, 7), -1, F(5, 9), 0]), sched)
+    for got, qs in ((g.fx, g.breakpoints), (g.fy, g.values)):
+        expected = _floats(qs)
+        assert got.tolist() == expected.tolist()
+        assert np.signbit(got).tolist() == np.signbit(expected).tolist()
 
 
 @settings(max_examples=30, deadline=None)
