@@ -28,6 +28,8 @@ from .plmap import (
     IntervalQ,
     PLMap,
     _floats,
+    _joins,
+    _pull_back,
     _turns,
     _values_at,
     compose,
@@ -39,7 +41,6 @@ from .plmap import (
     make_pl,
     monotone_pieces,
     rank,
-    segment_preimages,
 )
 
 #: horseshoe search is skipped on iterates with more monotone pieces than this
@@ -171,14 +172,15 @@ def _widest_hull(f: PLMap) -> tuple[int, int, list[int]]:
     rectangle of breakpoint index pairs (:func:`_hull_boxes`).  A row sweep
     counts them: a rectangle adds 1 to its columns from its first row on and
     takes it away after its last, so one column-difference row is kept and
-    only rows where some rectangle starts or ends are visited.  A row
-    without such an event repeats the row above on a shorter suffix and
-    cannot hold a new maximum.  Memory is O(n + rectangles) for n
-    breakpoints, time O(n) per event row, so maps above HORSESHOE_CAP
-    breakpoints raise :class:`ResourceLimitError`.  The first maximum in
-    row-major order wins; ``starts`` holds the start of every rectangle
-    covering its cell.  With no hull of two branches, i = j = 0 and
-    ``starts`` is empty: every rectangle lies above the diagonal.
+    only rows where some rectangle starts are visited, each after the ends
+    since the start row before it.  A row where rectangles only end covers
+    a subset of the row above on a shorter suffix and cannot hold a new
+    maximum.  Memory is O(n + rectangles) for n breakpoints, time O(n) per
+    start row, so maps above HORSESHOE_CAP breakpoints raise
+    :class:`ResourceLimitError`.  The first maximum in row-major order wins;
+    ``starts`` holds the start of every rectangle covering its cell.  With
+    no hull of two branches, i = j = 0 and ``starts`` is empty: every
+    rectangle lies above the diagonal.
     """
     n = len(f)
     if n > HORSESHOE_CAP:
@@ -187,15 +189,19 @@ def _widest_hull(f: PLMap) -> tuple[int, int, list[int]]:
             needed=n, cap=HORSESHOE_CAP)
     best_d, best_i, best_j = 1, 0, 0
     il, ir, jl, jr, start = _hull_boxes(f).T
-    rows = np.concatenate((il, il, ir + 1, ir + 1))
-    cols = np.concatenate((jl, jr + 1, jl, jr + 1))
-    steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))
-    order = np.argsort(rows, kind="stable")
-    rows, cols, steps = rows[order], cols[order], steps[order]
-    event_rows, event_at = np.unique(rows, return_index=True)
-    ends = [*event_at[1:].tolist(), len(rows)]
+    is_start = np.zeros(n, dtype=bool)
+    is_start[il] = True
+    start_rows = np.flatnonzero(is_start).tolist()
+    started = np.cumsum(is_start)  # started[r]: start rows at or before row r
+    # an event's group is the start row it is applied with: its own row for a
+    # start, the first start row after ir for an end (none: len(start_rows))
+    group = np.concatenate((started[il] - 1, started[il] - 1, started[ir], started[ir]))
+    order = np.argsort(group, kind="stable")
+    cols = np.concatenate((jl, jr + 1, jl, jr + 1))[order]
+    steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))[order]
+    ends = np.cumsum(np.bincount(group, minlength=len(start_rows) + 1)).tolist()
     diff = np.zeros(n + 1, dtype=np.int64)  # column differences of the current row
-    for row, lo, hi in zip(event_rows.tolist(), event_at.tolist(), ends):
+    for row, lo, hi in zip(start_rows, [0, *ends], ends):
         if row >= n - 1:
             break  # no v above this u
         np.add.at(diff, cols[lo:hi], steps[lo:hi])
@@ -222,19 +228,14 @@ def horseshoe_max(f: PLMap) -> tuple[int, HorseshoeCertificate | None]:
     if len(starts) < 2:
         return 1, None
     xs, ys = f.breakpoints, f.values
-    points, image_at = _pull_back(f, [xs[i], xs[j]], f.fx[[i, j]])
+    targets = [xs[i], xs[j]]
+    points, image_at = _pull_back(f, targets, rank(targets, ys, f.fx[[i, j]], f.fy), _joins(f))
     firsts = []
     for level, t in enumerate((xs[i], xs[j])):
         at_level = [x for x, k in zip(points, image_at) if k == level]
         at = rank(at_level, [xs[a] for a in starts], _floats(at_level), f.fx[starts])[0]
         firsts.append([xs[a] if ys[a] == t else at_level[k] for a, k in zip(starts, at.tolist())])
     return len(starts), certify(f, [IntervalQ(*sorted(pair)) for pair in zip(*firsts)])
-
-
-def _turning_positions(f: PLMap) -> list[Fraction]:
-    """Domain ends and turning points of f, ascending."""
-    xs = f.breakpoints
-    return [xs[i] for i in sorted({0, *_turns(f)[0].tolist(), len(xs) - 1})]
 
 
 def entropy_lower_markov(f: PLMap, refinement: int, *, _rounds: Iterator | None = None) -> float:
@@ -255,7 +256,7 @@ def entropy_lower_markov(f: PLMap, refinement: int, *, _rounds: Iterator | None 
     best = 0.0
     rounds = _markov_rounds(f, refinement) if _rounds is None else _rounds
     for round_no, (points, left, right) in enumerate(rounds):
-        if len(points) - 1 > PARTITION_CAP:
+        if left is None:  # the round past the cap, refused from its size
             raise ResourceLimitError(
                 f"covering partition exceeded {PARTITION_CAP} cells",
                 achieved=round_no, cap=PARTITION_CAP, bound=best)
@@ -275,9 +276,9 @@ def _certifies_zero(rounds: Iterator[tuple[list, np.ndarray, np.ndarray]]) -> bo
     67, 1980), and rho(U) <= 1, decided exactly by :func:`_radius_at_most_one`,
     gives h = 0 with no float.  A map of positive entropy never passes, since
     rho(U) >= e^h > 1.  The rounds are read lazily, up to one that passes or
-    one above PARTITION_CAP cells; the covering bound reads them again.
+    the round refused at PARTITION_CAP cells; the covering bound reads them again.
     """
-    within_cap = itertools.takewhile(lambda r: len(r[0]) - 1 <= PARTITION_CAP, rounds)
+    within_cap = itertools.takewhile(lambda r: r[1] is not None, rounds)
     return any(_radius_at_most_one(*_round_rows(*r)[1]) for r in within_cap)
 
 
@@ -307,26 +308,50 @@ def _markov_rounds(f: PLMap, refinement: int) -> Iterator[tuple[list, np.ndarray
     and the scan carries its index; only f at the first points, the domain
     ends and turning points, is ranked.  Points are merged in by their ranks,
     their floats beside them.  No round follows one that adds no point.
+
+    A round's size is read from the ranks of f's values in the points added
+    before it, before any preimage is built: a segment holds one preimage
+    per target strictly inside its value range, and a node whose value is a
+    target one more when it joins (:func:`_joins`).  Of these only the first
+    points can be partition points already, since every other partition
+    point's image is a point an earlier round added.  A round past
+    PARTITION_CAP cells is not built: it is yielded as (cells, None, None),
+    and the scan ends.
     """
-    points = _turning_positions(f)
-    if len(points) < 2:
+    xs = f.breakpoints
+    nodes = sorted({0, *_turns(f)[0].tolist(), len(xs) - 1})  # the first points' indices
+    if len(nodes) < 2:
         return
-    added, vals = points, eval_many(f, points)
+    joins = _joins(f)
+    joins_fresh = joins.copy()
+    joins_fresh[nodes] = False
+    added = points = [xs[i] for i in nodes]
+    vals = eval_many(f, points)
     fpoints, fvals = _floats(points), _floats(vals)
     firsts = added_at = np.arange(len(points))  # where the first and the last added points sit
     image = np.zeros(len(points), dtype=np.int64)  # index of f(points[i]); unused at firsts
+    cells = len(points) - 1
     for round_no in range(refinement + 1):
+        if cells > PARTITION_CAP:
+            yield cells, None, None
+            return
         left, right = image.copy(), image + 1
         left[firsts], right[firsts] = rank(points, vals, fpoints, fvals)
         yield points, left, right
         if round_no == refinement:
             return
-        new, image_at = _pull_back(f, added, fpoints[added_at])
+        lo, hi = ranks = rank(added, f.values, fpoints[added_at], f.fy)
+        hits = np.maximum(lo[:-1], lo[1:]) - np.minimum(hi[:-1], hi[1:])
+        grown = int(np.maximum(hits, 0).sum()) + int(np.count_nonzero((lo < hi) & joins_fresh))
+        if not grown:
+            return  # the partition is closed: later rounds repeat this one
+        cells += grown
+        if cells > PARTITION_CAP:
+            continue  # refused at the top of the loop
+        new, image_at = _pull_back(f, added, ranks, joins)
         fnew = _floats(new)
         at, past = rank(points, new, fpoints, fnew)
         fresh = np.flatnonzero(at == past)  # not partition points yet
-        if not fresh.size:
-            return  # the partition is closed: later rounds repeat this one
         at = at[fresh]
         # each added point goes right before the partition point at its rank, so
         # an index moves up by the number of points inserted at or before it
@@ -336,33 +361,6 @@ def _markov_rounds(f: PLMap, refinement: int) -> Iterator[tuple[list, np.ndarray
         added, added_at = [new[k] for k in fresh.tolist()], at + np.arange(len(at))
         points = np.insert(np.array(points, dtype=object), at, added).tolist()
         fpoints = np.insert(fpoints, at, fnew[fresh])
-
-
-def _pull_back(f: PLMap, targets: list[Fraction], ft: np.ndarray) -> tuple[list, list[int]]:
-    """The f-preimages of the ascending ``targets`` (with floats ``ft``),
-    ascending, and the index in targets of each one's image.
-
-    Segments are closed here: a node of f whose value is a target joins
-    when one of its segments is not flat.  One walk over the segments in x
-    order emits such a node once, before the hits inside its right-hand
-    segment, so the preimages come out ascending and distinct.  The
-    partition always holds both ends of f's domain, so every preimage lies
-    inside its hull.
-    """
-    xs, ys = f.breakpoints, f.values
-    at = rank(targets, ys, ft, f.fy)
-    left, right = (r.tolist() for r in at)
-    # moving[i]: the segment left of node i is not flat; none lies beyond the ends
-    moving = [False, *(a != b for a, b in zip(ys, ys[1:])), False]
-    points, image_at = [], []
-    # node i, then the hits inside segment i; the last node has no segment
-    for i, hits in enumerate([*segment_preimages(f, targets, *at), []]):
-        if left[i] < right[i] and (moving[i] or moving[i + 1]):  # ys[i] is targets[left[i]]
-            points.append(xs[i])
-            image_at.append(left[i])
-        points.extend(x for x, _ in hits)
-        image_at.extend(j for _, j in hits)
-    return points, image_at
 
 
 def _interval_rows_radius(starts: np.ndarray, stops: np.ndarray) -> float:

@@ -154,7 +154,8 @@ def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
     """Values at ``qs`` from their bisect_left and bisect_right in f.breakpoints.
 
     Consecutive points in one segment share its :func:`_line`; a flat
-    segment (slope p = 0) gives its node value with no arithmetic.
+    segment (equal node values, slope p = 0) gives its node value with no
+    arithmetic and no line.
     """
     xs, ys = f.breakpoints, f.values
     seg, p, q, r = 0, 0, 0, 1  # the line of the segment (xs[seg - 1], xs[seg])
@@ -166,7 +167,8 @@ def _values_at(f: PLMap, qs: Sequence[Fraction], left: list[int],
             out.append(ys[-1])
         else:
             if i != seg:
-                seg, (p, q, r) = i, _line(xs[i - 1], ys[i - 1], xs[i], ys[i])
+                flat = ys[i - 1] == ys[i]
+                seg, (p, q, r) = i, (0, 0, 1) if flat else _line(xs[i - 1], ys[i - 1], xs[i], ys[i])
             if p:
                 n, d = x.as_integer_ratio()
                 out.append(Fraction(p * n + q * d, r * d))
@@ -226,6 +228,33 @@ def segment_preimages(g: PLMap, targets: Sequence[Fraction], left: np.ndarray,
                for j in order]
 
 
+def _pull_back(f: PLMap, targets: list[Fraction], ranks: tuple[np.ndarray, np.ndarray],
+               joins: np.ndarray) -> tuple[list, list[int]]:
+    """The f-preimages of the ascending ``targets``, ascending, and the index
+    in targets of each one's image; ``ranks`` is the :func:`rank` of f's
+    values in targets, and ``joins`` is :func:`_joins` of f.
+
+    Segments are closed here: a node of f whose value is a target joins
+    when one of its segments is not flat.  One walk over the segments in x
+    order emits such a node once, before the hits inside its right-hand
+    segment, so the preimages come out ascending and distinct.  The
+    covering scan's partition always holds both ends of f's domain, so
+    every preimage lies inside its hull.
+    """
+    xs = f.breakpoints
+    left = ranks[0].tolist()
+    emits = ((ranks[0] < ranks[1]) & joins).tolist()  # ys[i] is targets[left[i]]
+    points, image_at = [], []
+    # node i, then the hits inside segment i; the last node has no segment
+    for i, hits in enumerate([*segment_preimages(f, targets, *ranks), []]):
+        if emits[i]:
+            points.append(xs[i])
+            image_at.append(left[i])
+        points.extend(x for x, _ in hits)
+        image_at.extend(j for _, j in hits)
+    return points, image_at
+
+
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact PL representation of x -> f(g(x)).
 
@@ -266,19 +295,33 @@ def _check_cap(needed: int, limit: int) -> None:
             needed=needed, cap=limit)
 
 
-def _turns(f: PLMap) -> tuple[np.ndarray, np.ndarray, bool]:
-    """f's turning points as breakpoint indices, the start of the flat run
-    that ends at each (the turn itself without one), and whether f is
-    monotone through some flat run: rising, or falling, on both sides.
-
-    Segment slopes take their signs from the floats; float ties are
-    compared exactly.
-    """
+def _signs(f: PLMap) -> np.ndarray:
+    """The sign (-1, 0 or 1) of each segment's slope, taken from the floats;
+    float ties are compared exactly."""
     ys, fy = f.values, f.fy
     signs = (fy[1:] > fy[:-1]).astype(np.int8) - (fy[1:] < fy[:-1])
     for i in np.flatnonzero(signs == 0).tolist():
         if ys[i + 1] != ys[i]:
             signs[i] = 1 if ys[i + 1] > ys[i] else -1
+    return signs
+
+
+def _joins(f: PLMap) -> np.ndarray:
+    """Per node of f, whether a segment beside it is not flat: such a node
+    is a preimage of its value."""
+    moving = _signs(f) != 0
+    out = np.zeros(len(f), dtype=bool)
+    out[:-1] |= moving
+    out[1:] |= moving
+    return out
+
+
+def _turns(f: PLMap) -> tuple[np.ndarray, np.ndarray, bool]:
+    """f's turning points as breakpoint indices, the start of the flat run
+    that ends at each (the turn itself without one), and whether f is
+    monotone through some flat run: rising, or falling, on both sides.
+    """
+    signs = _signs(f)
     moving = np.flatnonzero(signs)  # a flat segment joins the run before it
     turning = signs[moving[1:]] != signs[moving[:-1]]
     through = bool((~turning & (np.diff(moving) > 1)).any())
@@ -393,13 +436,21 @@ def image_intervals(f: PLMap, Js: Sequence[IntervalQ]) -> list[IntervalQ]:
 
     One :func:`rank` locates every end; the breakpoints strictly inside J
     lie between its lower end's bisect_right and its upper end's bisect_left.
+    Among those the float order picks the extremes, so only the values that
+    tie with an extreme in float, and J's two end values, compare exactly.
     """
     ends = [q for J in Js for q in (J.lo, J.hi)]
     left, right = (r.tolist() for r in rank(f.breakpoints, ends, f.fx, _floats(ends)))
     vals = _values_at(f, ends, left, right)
-    spans = [[vals[k], vals[k + 1], *f.values[right[k]:left[k + 1]]]
-             for k in range(0, len(ends), 2)]
-    return [IntervalQ(min(span), max(span)) for span in spans]
+    ys, out = f.values, []
+    for k in range(0, len(ends), 2):
+        lows, highs, at = [], [], right[k]
+        inner = f.fy[at:left[k + 1]]
+        if inner.size:
+            lows = [ys[at + i] for i in np.flatnonzero(inner == inner.min()).tolist()]
+            highs = [ys[at + i] for i in np.flatnonzero(inner == inner.max()).tolist()]
+        out.append(IntervalQ(min(vals[k], vals[k + 1], *lows), max(vals[k], vals[k + 1], *highs)))
+    return out
 
 
 def oscillation(f: PLMap, J: IntervalQ) -> Fraction:

@@ -121,6 +121,24 @@ def _require_unit_domain(f: PLMap):
             f"input must live on [0, 1], got [{f.breakpoints[0]}, {f.breakpoints[-1]}]")
 
 
+def _windows(f: PLMap, sched: ScaleSchedule, scales: range) -> tuple[list, list]:
+    """The nodes of psi(f) on the closed windows J_n for the descending,
+    consecutive ``scales``, ascending: the zero at 2/3 p_n of the first, then
+    per scale the copy on I_n and the zero at 4/3 p_n = 2/3 p_(n-1)."""
+    # copies on [3/4, 5/4] p_n between zeros at 2/3 p_n and 4/3 p_n: no node repeats
+    xs = [Fraction(2, 3) * sched.p[scales[0]]]
+    ys = [Fraction(0)]
+    us = [u.as_integer_ratio() for u in f.breakpoints]
+    for n in scales:
+        (c, e), q_n = sched.p[n].as_integer_ratio(), sched.q[n]
+        # p_n (u/2 + 3/4) = c (2a + 3b) / (4 b e) for u = a/b and p_n = c/e: one gcd
+        xs += [Fraction(c * (2 * a + 3 * b), 4 * b * e) for a, b in us]
+        ys += [q_n * v for v in f.values]
+        xs.append(Fraction(4 * c, 3 * e))
+        ys.append(Fraction(0))
+    return xs, ys
+
+
 def psi(f: PLMap, sched: ScaleSchedule) -> PLMap:
     """The multiscale embedding of f under the given schedule.
 
@@ -130,26 +148,12 @@ def psi(f: PLMap, sched: ScaleSchedule) -> PLMap:
     even.
     """
     _require_unit_domain(f)
-    N = sched.truncation
-    # copies on [3/4, 5/4] p_n between zeros at 2/3 p_n and 4/3 p_n: no node repeats
-    core = Fraction(2, 3) * sched.p[N]
-    xs = [-core, core]
-    ys = [Fraction(0), Fraction(0)]
-    us = [u.as_integer_ratio() for u in f.breakpoints]
-    for n in range(N, -1, -1):
-        (c, e), q_n = sched.p[n].as_integer_ratio(), sched.q[n]
-        # p_n (u/2 + 3/4) = c (2a + 3b) / (4 b e) for u = a/b and p_n = c/e: one gcd
-        xs += [Fraction(c * (2 * a + 3 * b), 4 * b * e) for a, b in us]
-        ys += [q_n * v for v in f.values]
-        xs.append(Fraction(4 * c, 3 * e))
-        ys.append(Fraction(0))
-    # even reflection: every node after [-core, core] lies right of the core;
-    # negating a float is exact, so the mirror image's floats are the negated ones
+    xs, ys = _windows(f, sched, range(sched.truncation, -1, -1))
+    # even reflection: every node lies right of 0, and negating a float is
+    # exact, so the mirror image's floats are the negated ones
     fx, fy = _floats(xs), _floats(ys)
-    xs = [-x for x in reversed(xs[2:])] + xs
-    ys = ys[2:][::-1] + ys
-    return PLMap(tuple(xs), tuple(ys), np.concatenate([-fx[:1:-1], fx]),
-                 np.concatenate([fy[:1:-1], fy]))
+    return PLMap((*(-x for x in reversed(xs)), *xs), (*reversed(ys), *ys),
+                 np.concatenate([-fx[::-1], fx]), np.concatenate([fy[::-1], fy]))
 
 
 def minimal_truncation(f_norm: Fraction, sched_kind: str, parameter: Fraction,
@@ -170,7 +174,9 @@ def psi_horseshoe(f: PLMap, sched: ScaleSchedule, d: int) -> HorseshoeCertificat
     Finds the first scale n with q_n * ||f|| > p_(n-d); the closed windows
     J_(n-d+1) ... J_n (mirrored when only the negative extreme attains the
     norm) then all map over each other.  The certificate is validated
-    exactly against the constructed embedding before being returned.
+    exactly before being returned, on psi(f) restricted to the windows'
+    hull [2/3 p_n, 4/3 p_(n-d+1)]: the images of the windows read nothing
+    else, so the check is the one on the whole embedding.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -190,5 +196,8 @@ def psi_horseshoe(f: PLMap, sched: ScaleSchedule, d: int) -> HorseshoeCertificat
         hi = Fraction(4, 3) * sched.p[i]
         intervals.append(IntervalQ(lo, hi) if positive_side else IntervalQ(-hi, -lo))
     intervals.sort(key=lambda iv: iv.lo)
-    return certify(psi(f, sched), intervals)
+    xs, ys = _windows(f, sched, range(chosen, chosen - d, -1))
+    if positive_side:
+        return certify(PLMap(tuple(xs), tuple(ys)), intervals)
+    return certify(PLMap(tuple(-x for x in reversed(xs)), tuple(reversed(ys))), intervals)
 

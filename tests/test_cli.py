@@ -118,6 +118,20 @@ def test_entropy_bracket_won_by_the_covering_bound(tmp_path):
     assert 0 < payload["lower"] < payload["upper"] < math.log(3)
 
 
+#: map 3 of the brackets benchmark's catalogue: its covering partition
+#: passes PARTITION_CAP at round 6
+CATALOGUE_3 = {"breakpoints": ["0", "1/8", "5/32", "19/64", "9/16", "39/64", "1"],
+               "values": ["1/16", "1/16", "29/32", "3/64", "13/32", "7/32", "21/64"]}
+
+
+def test_entropy_bracket_of_a_scan_refused_at_the_cap(tmp_path):
+    path = tmp_path / "catalogue3.json"
+    path.write_text(json.dumps(CATALOGUE_3))
+    res = run_cli("entropy", str(path), "--depth", "8")
+    assert res.returncode == 0
+    assert_golden("entropy_catalogue3_depth8.json", res.stdout)
+
+
 def test_entropy_of_a_contraction_at_depth_100000(tmp_path):
     # x -> x/2 is monotone, and so is every iterate: the bracket is [0, 0] at
     # the requested depth, and no iterate is built

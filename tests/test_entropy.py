@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
@@ -35,6 +36,7 @@ from entropy_banach.errors import ConstructionError, DomainError, ResourceLimitE
 from entropy_banach.plmap import (
     IntervalQ,
     _floats,
+    _turns,
     compose,
     crop,
     eval_at,
@@ -476,7 +478,7 @@ def test_markov_scan_ranks_only_the_first_points(monkeypatch):
     # every later point's image is a partition point whose index the scan
     # carries; only f at the domain ends and turning points is ranked, each round
     g = invariant_restriction(theta(F(37, 64), 3))
-    firsts = eval_many(g, entropy._turning_positions(g))
+    firsts = eval_many(g, [g.breakpoints[i] for i in sorted({0, *_turns(g)[0].tolist(), len(g) - 1})])
     rounds, ranked, pulled = record_rounds(monkeypatch), [], []
     real_rank, real_pull_back = entropy.rank, entropy._pull_back
 
@@ -485,8 +487,8 @@ def test_markov_scan_ranks_only_the_first_points(monkeypatch):
             ranked.append(list(qs))  # neither pull-back's own nor its output's
         return real_rank(xs, qs, fx, fq)
 
-    def pull_back(f, targets, ft):
-        new, image_at = real_pull_back(f, targets, ft)
+    def pull_back(*args):
+        new, image_at = real_pull_back(*args)
         pulled.append(new)
         return new, image_at
 
@@ -569,10 +571,10 @@ def test_pull_back_gets_only_last_rounds_points(monkeypatch):
     rounds, pulled = record_rounds(monkeypatch), []
     real_pull_back = entropy._pull_back
 
-    def pull_back(f, targets, ft):
+    def pull_back(f, targets, ranks, joins):
         pulled.append(list(targets))
-        assert ft.tolist() == _floats(targets).tolist()
-        return real_pull_back(f, targets, ft)
+        assert [r.tolist() for r in ranks] == list(ranks_oracle(targets, f.values))
+        return real_pull_back(f, targets, ranks, joins)
 
     monkeypatch.setattr(entropy, "_pull_back", pull_back)
     entropy_lower_markov(g, 6)
@@ -622,7 +624,8 @@ def pull_back_cases(draw):
 def test_pull_back_walk_matches_oracle(case):
     f, targets = case
     expected = pull_back_oracle(f, targets)
-    points, image_at = entropy._pull_back(f, targets, _floats(targets))
+    ranks = rank(targets, f.values, _floats(targets), f.fy)
+    points, image_at = entropy._pull_back(f, targets, ranks, entropy._joins(f))
     assert points == sorted(expected)
     assert [targets[j] for j in image_at] == [expected[x] for x in points]
 
@@ -926,6 +929,48 @@ def test_horseshoe_max_matches_dense_grid(f):
         assert all(ir < jl for _, ir, jl, _, _ in entropy._hull_boxes(g))
         assert cert == (None if hull is None else branch_certificate_oracle(g, *hull))
         g = compose(f, g)
+
+
+def event_row_sweep_oracle(f):
+    """_widest_hull's row sweep as it visited every row where a rectangle
+    starts or ends, events ordered by their row: (i, j, starts)."""
+    n = len(f)
+    best_d, best_i, best_j = 1, 0, 0
+    il, ir, jl, jr, start = entropy._hull_boxes(f).T
+    rows = np.concatenate((il, il, ir + 1, ir + 1))
+    cols = np.concatenate((jl, jr + 1, jl, jr + 1))
+    steps = np.repeat(np.array([1, -1, -1, 1], dtype=np.int64), len(il))
+    order = np.argsort(rows, kind="stable")
+    rows, cols, steps = rows[order], cols[order], steps[order]
+    event_rows, event_at = np.unique(rows, return_index=True)
+    ends = [*event_at[1:].tolist(), len(rows)]
+    diff = np.zeros(n + 1, dtype=np.int64)
+    for row, lo, hi in zip(event_rows.tolist(), event_at.tolist(), ends):
+        if row >= n - 1:
+            break
+        np.add.at(diff, cols[lo:hi], steps[lo:hi])
+        counts = np.cumsum(diff[:n])[row + 1:]
+        j = int(counts.argmax())
+        if counts[j] > best_d:
+            best_d, best_i, best_j = int(counts[j]), row, row + 1 + j
+    covers = (il <= best_i) & (best_i <= ir) & (jl <= best_j) & (best_j <= jr)
+    return best_i, best_j, sorted(start[covers].tolist())
+
+
+def test_start_row_sweep_matches_event_row_sweep():
+    # 5,000 seeded grid maps, flats and tied maxima included, and their 2nd
+    # and 3rd iterates: visiting only start rows finds the same first maximum
+    rng = random.Random(40)
+    grid = sorted({F(a, b) for b in range(1, 5) for a in range(b + 1)})
+    for _ in range(5000):
+        xs = sorted(rng.sample(grid, rng.randint(2, 7)))
+        ys = [rng.choice(grid)]
+        for _ in xs[1:]:
+            ys.append(ys[-1] if rng.randint(0, 4) == 0 else rng.choice(grid))
+        f = g = make_pl(xs, ys)
+        for _ in range(3):
+            assert entropy._widest_hull(g) == event_row_sweep_oracle(g)
+            g = compose(f, g)
 
 
 def branch_certificate_oracle(f, u, v):
@@ -1347,9 +1392,10 @@ def test_zero_test_never_fires_on_positive_entropy(f):
                          ids=["tent_slope_3_2", "theta_55_64"])
 def test_bounds_open_one_scan_and_build_each_round_once(monkeypatch, f, depth, capped):
     # the exact zero test fails on both maps, and the covering bound reads the
-    # rounds the test read again: one scan is opened, and each round after
-    # round 0 costs one pull-back; theta(55/64, 3)'s round 8 has 8,947 cells,
-    # past PARTITION_CAP, and the bracket keeps the bound of rounds 0-7
+    # rounds the test read again: one scan is opened, and each round built
+    # after round 0 costs one pull-back; theta(55/64, 3)'s round 8 would have
+    # 8,947 cells, past PARTITION_CAP, so it is refused from its size unbuilt,
+    # and the bracket keeps the bound of rounds 0-7
     rounds = record_rounds(monkeypatch)
     recording, opened, pulled, verdicts = entropy._markov_rounds, [], [], []
     real_pull_back, real_zero = entropy._pull_back, entropy._certifies_zero
@@ -1367,15 +1413,80 @@ def test_bounds_open_one_scan_and_build_each_round_once(monkeypatch, f, depth, c
     monkeypatch.setattr(entropy, "_certifies_zero", certifies_zero)
     eb = entropy_bounds(f, depth)
     assert opened == [depth] and verdicts == [False]
-    assert len(rounds) == depth + 1 and len(pulled) == depth
+    assert len(rounds) == depth + 1 and len(pulled) == (depth - 1 if capped else depth)
     assert eb.lower_witness is None and eb.depth_used == depth
-    assert (len(rounds[-1][0]) - 1 > PARTITION_CAP) == capped
+    last, last_left, _ = rounds[-1]
+    cells = last if last_left is None else len(last) - 1
+    assert (cells > PARTITION_CAP) == capped
+    assert not capped or cells == 8947
     if capped:
         with pytest.raises(ResourceLimitError) as info:
             entropy_lower_markov(invariant_restriction(f), depth)
         assert (info.value.achieved, info.value.bound) == (depth, eb.lower)
     else:
         assert eb.lower == entropy_lower_markov(invariant_restriction(f), depth)
+
+
+#: map 3 of the brackets benchmark's catalogue, with a flat first segment:
+#: its covering partition passes PARTITION_CAP at round 6
+CATALOGUE_3 = make_pl([0, F(1, 8), F(5, 32), F(19, 64), F(9, 16), F(39, 64), 1],
+                      [F(1, 16), F(1, 16), F(29, 32), F(3, 64), F(13, 32), F(7, 32), F(21, 64)])
+
+#: (map, cap) -> the ResourceLimitError's (achieved, bound) when every round
+#: past the cap was still built before it was thrown away
+CAPPED_SCANS = {
+    ("tent", 8): (3, 0.6931471805599453),
+    ("tent", 500): (8, 0.6931471805599453),
+    ("tent", PARTITION_CAP): (12, 0.6931471805599453),
+    ("theta_37_64", 8): (1, 0.0),
+    ("theta_37_64", 500): (7, 0.5623991486458988),
+    ("theta_37_64", PARTITION_CAP): (10, 0.5680371243772778),
+    ("theta_55_64", 8): (1, 0.0),
+    ("theta_55_64", 500): (5, 0.9440074072215634),
+    ("theta_55_64", PARTITION_CAP): (8, 0.9530942553865372),
+    ("catalogue_3", 8): (1, 0.0),
+    ("catalogue_3", 500): (4, 1.1814163343465485),
+    ("catalogue_3", PARTITION_CAP): (6, 1.1814163343465485),
+}
+CAPPED_MAPS = {"tent": TENT, "theta_37_64": theta(F(37, 64), 3),
+               "theta_55_64": theta(F(55, 64), 3), "catalogue_3": CATALOGUE_3}
+
+
+@pytest.mark.parametrize("name, cap", sorted(CAPPED_SCANS), ids=lambda v: str(v))
+def test_scan_refuses_the_round_past_the_cap_unbuilt(monkeypatch, name, cap):
+    # the refused round's size is read from ranks alone: no segment of g is
+    # pulled back for it, and the error is the one the built round gave
+    g = invariant_restriction(CAPPED_MAPS[name])
+    monkeypatch.setattr(entropy, "PARTITION_CAP", cap)
+    walks, real_walk = [], plmap.segment_preimages
+    monkeypatch.setattr(plmap, "segment_preimages",
+                        lambda *args: walks.append(1) or real_walk(*args))
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(ResourceLimitError) as info:
+        entropy_lower_markov(g, 14)
+    exc = info.value
+    assert str(exc) == f"covering partition exceeded {cap} cells"
+    assert (exc.achieved, exc.bound, exc.cap, exc.needed) == (*CAPPED_SCANS[name, cap], cap, None)
+    # rounds 0 .. achieved - 1 are built, each but round 0 from one walk
+    assert len(walks) == exc.achieved - 1 and len(rounds) == exc.achieved + 1
+    cells, left, right = rounds[-1]
+    assert left is None and right is None and cells > cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_maps(), st.integers(1, 4))
+def test_scan_reads_each_rounds_size_before_building_it(f, depth):
+    # with the cap lifted every round is built; with the cap one cell below
+    # a round's size, that round is refused with exactly that size
+    g = invariant_restriction(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "PARTITION_CAP", 10 ** 9)
+        built = [len(points) - 1 for points, _, _ in entropy._markov_rounds(g, depth)]
+        for r, cells in enumerate(built):
+            mp.setattr(entropy, "PARTITION_CAP", cells - 1)
+            rounds = list(entropy._markov_rounds(g, depth))
+            assert [len(points) - 1 for points, _, _ in rounds[:-1]] == built[:r]
+            assert rounds[-1] == (cells, None, None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -706,6 +706,32 @@ def test_eval_many_any_order_matches_eval_at(f, data):
     assert [eval_at(f, q) for q in qs] == expected
 
 
+#: the near-tie map of the CI brackets step: nodes and values 2^-70 apart
+#: share their floats, and its value 1 - 2^-70 ties 1 in float
+CI_NEAR_TIE = make_pl(
+    [0, F(1, 3), F(1180591620717411303427, 3541774862152233910272), F(2, 3),
+     F(2361183241434822606851, 3541774862152233910272), 1],
+    [0, 1, F(1180591620717411303423, 1180591620717411303424), F(1, 1180591620717411303424), 0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(CI_NEAR_TIE), near_tie_maps()), st.data())
+def test_values_and_images_read_flats_and_float_ties_exactly(f, data):
+    # a flat segment's points take its node value with no line built, and an
+    # image's extremes are exact where several nodes share the extreme float
+    qs = data.draw(st.lists(probe_points(f), max_size=12))
+    if len(f) > 1:
+        qs += data.draw(segment_run(f))
+    Js = [IntervalQ(min(a, b), max(a, b)) for a, b in zip(qs, qs[1:])]
+    flat_lines, real_line = [], plmap._line
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plmap, "_line", lambda *args: flat_lines.append(args[1] == args[3]) or real_line(*args))
+        values, images = eval_many(f, qs), image_intervals(f, Js)
+    assert not any(flat_lines)
+    assert values == [eval_at_oracle(f, q) for q in qs]
+    assert images == [image_interval_oracle(f, J) for J in Js]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(near_tie_maps(), pl_maps(max_nodes=10)), st.data())
 def test_image_intervals_match_bisect_oracle(f, data):

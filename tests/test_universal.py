@@ -215,6 +215,28 @@ def test_psi_horseshoe_negative_side():
     assert validate_certificate(psi(flipped, sched), cert)
 
 
+@pytest.mark.parametrize("sched", [geometric_schedule(F(2, 3), 12), hoelder_schedule(F(1, 2), 12)],
+                         ids=["geometric", "hoelder"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_psi_horseshoe_certifies_on_psi_restricted_to_the_windows(monkeypatch, sched, sign, d):
+    # the map certify gets is psi(f) on the windows' hull, node for node,
+    # and the certificate is the one the whole embedding passes
+    f = make_pl([0, F(1, 3), F(1, 2), 1], [0, sign, sign * F(1, 4), 0])
+    seen, real_certify = [], universal.certify
+    monkeypatch.setattr(universal, "certify",
+                        lambda g, intervals: seen.append(g) or real_certify(g, intervals))
+    cert = psi_horseshoe(f, sched, d)
+    g, = seen
+    lo, hi = min(iv.lo for iv in cert.intervals), max(iv.hi for iv in cert.intervals)
+    whole = psi(f, sched)
+    inside = [k for k, x in enumerate(whole.breakpoints) if lo <= x <= hi]
+    assert g.breakpoints == tuple(whole.breakpoints[k] for k in inside)
+    assert g.values == tuple(whole.values[k] for k in inside)
+    assert g.fx.tolist() == whole.fx[inside].tolist() and g.fy.tolist() == whole.fy[inside].tolist()
+    assert validate_certificate(whole, cert)
+
+
 # --- hoelder quotients -------------------------------------------------------------------
 
 def holder_quotient(g, alpha, grid):
